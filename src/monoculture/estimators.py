@@ -1,10 +1,20 @@
 """Coupled Monte Carlo estimation of utilities and condition checks.
 
 Trials are partitioned into fixed-size chunks; chunk c uses an rng stream
-derived from (seed, c) and partial sums are reduced in chunk order, so
-results are bit-identical for a given seed no matter how many workers run
-the chunks. Within a trial all quantities share the same draws (common
-random numbers), which shrinks the variance of every estimated difference.
+derived from (seed, c), and per-chunk moments (count, mean, centred sum of
+squares) are merged in chunk order, so results are bit-identical for a
+given seed no matter how many workers run the chunks. Within a trial all
+quantities share the same draws (common random numbers), which shrinks the
+variance of every estimated difference.
+
+Every two-firm estimand reads only the top two of each ranking, so those
+paths draw just (top, runner-up) with `sample_top_two`: the distance-based
+family samples the pair from its closed-form n x n pmf, and RUM and
+Plackett-Luce take two argmax passes over the same perturbed scores that
+`sample_rankings`, the full-ranking sampler, sorts. Under equal seeds the
+RUM and Plackett-Luce picks equal the first two columns of
+`sample_rankings`; the distance-based pairs have the same law but come from
+different draws.
 """
 from __future__ import annotations
 
@@ -118,78 +128,148 @@ def _mallows_orders(phi: float, n: int, size: int, rng: np.random.Generator) -> 
     return out
 
 
+def _mallows_top_two(phi: float, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """(top, runner-up) pairs as (size, 2) 0-based candidates, one uniform per row.
+
+    The top is a with probability q^a / Z_n (q = 1/phi). The rest of the
+    ranking is again distance-based with the same phi (the multistage
+    decomposition of Fligner & Verducci), so the runner-up is b with
+    probability q^r / Z_{n-1}, where r is b's rank once a is removed.
+    """
+    q = 1.0 / phi
+    first, second = np.nonzero(~np.eye(n, dtype=bool))
+    cum = np.cumsum(q ** (first + second - (second > first)))
+    idx = np.searchsorted(cum, rng.uniform(0.0, cum[-1], size), side="right")
+    idx = np.minimum(idx, cum.size - 1)
+    return np.stack((first[idx], second[idx]), axis=1)
+
+
+def _raise_on_ties(keys: np.ndarray) -> None:
+    """Raise TieError naming the first tied pair of the first row with a tie."""
+    ranked = np.sort(keys, axis=1)
+    tied_rows = np.any(ranked[:, :-1] == ranked[:, 1:], axis=1)
+    if not np.any(tied_rows):
+        return
+    row = keys[np.argmax(tied_rows)]
+    order = np.argsort(-row, kind="stable")
+    ranked = row[order]
+    col = np.argmax(ranked[:-1] == ranked[1:])
+    a, b = sorted((int(order[col]) + 1, int(order[col + 1]) + 1))
+    raise TieError(f"perturbed scores tie candidates {a} and {b}")
+
+
+def _perturbed_keys(spec: RankingModelSpec, pools: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Scores whose descending order is one RUM or Plackett-Luce ranking per row.
+
+    Plackett-Luce uses the max-trick with standard Gumbel draws; RUMs
+    perturb values directly. Continuous perturbations are tie-free with
+    probability one; discrete ones raise TieError on a tie anywhere in a
+    ranking, as the exact engine does.
+    """
+    size, n = pools.shape
+    if spec.kind == "plackett_luce":
+        return spec.theta * pools + rng.gumbel(0.0, 1.0, (size, n))
+    keys = pools + spec.noise.sample(rng, (size, n)) / spec.theta
+    if not spec.noise.is_continuous:
+        _raise_on_ties(keys)
+    return keys
+
+
 def sample_rankings(
     spec: RankingModelSpec, pools: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """One ranking per pool row, as (size, n) 0-based orders, best first.
 
-    The distance-based family ignores the pool values; Plackett-Luce uses
-    the max-trick with standard Gumbel draws; RUMs perturb values directly.
-    Continuous perturbations are tie-free with probability one, so no tie
-    handling happens on this path.
+    The distance-based family ignores the pool values and uses repeated
+    insertion; RUM and Plackett-Luce sort the perturbed scores.
     """
     size, n = pools.shape
     if spec.kind == "mallows":
         return _mallows_orders(spec.phi, n, size, rng)
-    if spec.kind == "plackett_luce":
-        keys = spec.theta * pools + rng.gumbel(0.0, 1.0, (size, n))
-    else:
-        keys = pools + spec.noise.sample(rng, (size, n)) / spec.theta
-    orders = np.argsort(-keys, axis=1, kind="stable")
-    if spec.kind == "rum" and not spec.noise.is_continuous:
-        ranked = np.take_along_axis(keys, orders, axis=1)
-        tied = ranked[:, :-1] == ranked[:, 1:]
-        if np.any(tied):
-            row, col = np.argwhere(tied)[0]
-            a, b = sorted((int(orders[row, col]) + 1, int(orders[row, col + 1]) + 1))
-            raise TieError(f"perturbed scores tie candidates {a} and {b}")
-    return orders
+    return np.argsort(-_perturbed_keys(spec, pools, rng), axis=1, kind="stable")
+
+
+def sample_top_two(
+    spec: RankingModelSpec, pools: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """(top, runner-up) of one ranking per pool row, as (size, 2) 0-based candidates.
+
+    Same law as the first two columns of `sample_rankings`. For RUM and
+    Plackett-Luce the draws are the same too, so equal seeds give equal picks.
+    """
+    size, n = pools.shape
+    if spec.kind == "mallows":
+        return _mallows_top_two(spec.phi, n, size, rng)
+    keys = _perturbed_keys(spec, pools, rng)
+    top = np.argmax(keys, axis=1)
+    keys[np.arange(size), top] = -np.inf
+    return np.stack((top, np.argmax(keys, axis=1)), axis=1)
+
+
+def _first_survivors(
+    spec: RankingModelSpec, pools: np.ndarray, removed0: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Best-ranked candidate outside removed0 in one ranking per pool row."""
+    if spec.kind == "mallows":
+        orders = sample_rankings(spec, pools, rng)
+        first = np.argmax(~np.isin(orders, removed0), axis=1)
+        return np.take_along_axis(orders, first[:, None], axis=1)[:, 0]
+    keys = _perturbed_keys(spec, pools, rng)
+    keys[:, removed0] = -np.inf
+    return np.argmax(keys, axis=1)
 
 
 def _values_at(pools: np.ndarray, picks: np.ndarray) -> np.ndarray:
     return np.take_along_axis(pools, picks[:, None], axis=1)[:, 0]
 
 
-def _top_avoiding(orders: np.ndarray, blocked: np.ndarray) -> np.ndarray:
-    """Top candidate of each order, or the runner-up when the top is blocked."""
-    return np.where(orders[:, 0] != blocked, orders[:, 0], orders[:, 1])
+def _top_avoiding(top_two: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+    """Top candidate of each ranking, or the runner-up when the top is blocked."""
+    return np.where(top_two[:, 0] != blocked, top_two[:, 0], top_two[:, 1])
 
 
-class _SumAccumulator:
-    """Fixed-order accumulation of per-chunk (sum, sum of squares) pairs."""
+class _MomentAccumulator:
+    """Per-chunk (count, mean, centred sum of squares), merged in chunk order.
+
+    Centred moments merged pairwise (Chan, Golub & LeVeque 1979) keep the
+    variance accurate when values sit far from zero, where the raw form
+    E[v^2] - E[v]^2 cancels to nothing.
+    """
 
     def __init__(self, names: tuple[str, ...], n_chunks: int):
         self.names = names
-        self._partials: list[dict[str, tuple[float, float]] | None] = [None] * n_chunks
-        self.n_samples = 0
+        self._partials: list[dict[str, tuple[int, float, float]] | None] = [None] * n_chunks
 
     def put(self, chunk_index: int, values: dict[str, np.ndarray]) -> None:
         entry = {}
         for name in self.names:
             v = values[name]
-            entry[name] = (float(v.sum()), float((v * v).sum()))
+            mean = float(v.mean())
+            d = v - mean
+            entry[name] = (v.size, mean, float((d * d).sum()))
         self._partials[chunk_index] = entry
 
-    def finalize(self, n_samples: int) -> dict[str, EstimateWithError]:
+    def finalize(self) -> dict[str, EstimateWithError]:
         out = {}
         for name in self.names:
-            total = 0.0
-            total_sq = 0.0
+            count, mean, m2 = 0, 0.0, 0.0
             for entry in self._partials:
-                s, sq = entry[name]
-                total += s
-                total_sq += sq
-            mean = total / n_samples
-            var = max(total_sq / n_samples - mean * mean, 0.0)
-            stderr = math.sqrt(var / n_samples) if n_samples > 1 else 0.0
-            out[name] = EstimateWithError(mean, stderr, n_samples)
+                n_c, mean_c, m2_c = entry[name]
+                total = count + n_c
+                delta = mean_c - mean
+                mean += delta * n_c / total
+                m2 += m2_c + delta * delta * count * n_c / total
+                count = total
+            var = m2 / count
+            stderr = math.sqrt(var / count) if count > 1 else 0.0
+            out[name] = EstimateWithError(mean, stderr, count)
         return out
 
 
 def _run_chunks(kernel, n_samples: int, names: tuple[str, ...], threads: int = 1):
     """Run `kernel(chunk_index, start, size)` over all chunks and reduce."""
     sizes = _chunk_sizes(n_samples)
-    acc = _SumAccumulator(names, len(sizes))
+    acc = _MomentAccumulator(names, len(sizes))
 
     def job(args) -> None:
         index, start, size = args
@@ -206,7 +286,7 @@ def _run_chunks(kernel, n_samples: int, names: tuple[str, ...], threads: int = 1
     else:
         for t in tasks:
             job(t)
-    return acc.finalize(n_samples)
+    return acc.finalize()
 
 
 _TABLE_NAMES = (
@@ -245,9 +325,9 @@ def mc_utility_trials(
     def kernel(chunk_index: int, start: int, size: int) -> dict[str, np.ndarray]:
         rng = _chunk_rng(seed, chunk_index)
         pools = _pool_matrix(pool_or_d, rng, size)
-        sigma = sample_rankings(spec_a, pools, rng)
-        pi = sample_rankings(spec_h, pools, rng)
-        tau = sample_rankings(spec_h, pools, rng)
+        sigma = sample_top_two(spec_a, pools, rng)
+        pi = sample_top_two(spec_h, pools, rng)
+        tau = sample_top_two(spec_h, pools, rng)
         u_first_a = _values_at(pools, sigma[:, 0])
         u_first_h = _values_at(pools, pi[:, 0])
         u_aa = _values_at(pools, sigma[:, 1])
@@ -317,8 +397,8 @@ def check_pref_first_position(
     def kernel(chunk_index: int, start: int, size: int) -> dict[str, np.ndarray]:
         rng = _chunk_rng(seed, chunk_index)
         pools = _pool_matrix(pool_or_d, rng, size)
-        pi = sample_rankings(spec_t, pools, rng)
-        sigma = sample_rankings(spec_t, pools, rng)
+        pi = sample_top_two(spec_t, pools, rng)
+        sigma = sample_top_two(spec_t, pools, rng)
         gap = _values_at(pools, pi[:, 0]) - _values_at(pools, pi[:, 1])
         hit = (pi[:, 0] != sigma[:, 0]).astype(float)
         return {"estimand": gap * hit}
@@ -359,9 +439,9 @@ def check_pref_weaker_competition(
     def kernel(chunk_index: int, start: int, size: int) -> dict[str, np.ndarray]:
         rng = _chunk_rng(seed, chunk_index)
         pools = _pool_matrix(pool_or_d, rng, size)
-        sigma = sample_rankings(spec_strong, pools, rng)
-        pi = sample_rankings(spec_weak, pools, rng)
-        tau = sample_rankings(spec_weak, pools, rng)
+        sigma = sample_top_two(spec_strong, pools, rng)
+        pi = sample_top_two(spec_weak, pools, rng)
+        tau = sample_top_two(spec_weak, pools, rng)
         after_weak = _values_at(pools, _top_avoiding(pi, tau[:, 0]))
         after_strong = _values_at(pools, _top_avoiding(pi, sigma[:, 0]))
         return {"estimand": after_weak - after_strong}
@@ -390,13 +470,7 @@ def _mc_selection_mean(
     def kernel(chunk_index: int, start: int, size: int) -> dict[str, np.ndarray]:
         rng = _chunk_rng(seed, chunk_index, stream)
         pools = _pool_matrix(pool_or_d, rng, size)
-        orders = sample_rankings(spec, pools, rng)
-        if removed0.size:
-            alive = ~np.isin(orders, removed0)
-            first = np.argmax(alive, axis=1)
-            picks = np.take_along_axis(orders, first[:, None], axis=1)[:, 0]
-        else:
-            picks = orders[:, 0]
+        picks = _first_survivors(spec, pools, removed0, rng)
         return {"estimand": _values_at(pools, picks)}
 
     return _run_chunks(kernel, n_samples, ("estimand",), threads)["estimand"]

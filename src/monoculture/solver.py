@@ -549,9 +549,11 @@ def sweep_plane(
 
     Two-firm cells carry an EquilibriumOutcome; with k > 2 each cell holds
     the sequential strategy profile instead (distance-based family only,
-    mapping theta to dispersion 1 + theta). Cell failures are recorded on
-    the cell rather than aborting the sweep, and cell seeds derive from
-    (seed, row, column), so results do not depend on thread count.
+    mapping theta to dispersion 1 + theta). Domain failures (ValueError and
+    its subclasses, such as UnsupportedModelError and TieError) are recorded
+    on the cell rather than aborting the sweep; any other exception is a bug
+    and propagates. Cell seeds derive from (seed, row, column), so results
+    do not depend on thread count.
     """
     if engine not in ("exact", "mc"):
         raise ValueError(f"engine must be exact or mc, got {engine!r}")
@@ -578,7 +580,7 @@ def sweep_plane(
                     theta_a, theta_h, family, pool_or_d, n_samples, _cell_seed(seed, i, j)
                 )
             return SweepCell(theta_h, theta_a, classify_equilibrium(table))
-        except Exception as exc:  # cell-level capture keeps the sweep total
+        except ValueError as exc:
             return SweepCell(theta_h, theta_a, None, f"{type(exc).__name__}: {exc}")
 
     tasks = [(i, j) for i in range(len(rows)) for j in range(len(cols))]

@@ -27,12 +27,19 @@ from monoculture.estimators import (
     VERDICT_FAILS,
     VERDICT_HOLDS,
     VERDICT_INCONCLUSIVE,
+    _first_survivors,
+    sample_top_two,
 )
 from monoculture.permspace import perm_space
 
 POOL3 = CandidatePool((1.0, 0.5, 0.0))
 POOL4 = CandidatePool((1.0, 0.7, 0.3, 0.0))
+POOL7 = CandidatePool((1.0, 0.85, 0.6, 0.5, 0.3, 0.1, 0.0))
 MALLOWS = RankingModelSpec.mallows(2.0)
+GAUSSIAN = RankingModelSpec.rum(NoiseSpec.gaussian(), 1.0)
+LAPLACIAN = RankingModelSpec.rum(NoiseSpec.laplacian(), 0.7)
+SOFTMAX = RankingModelSpec.plackett_luce(1.3)
+UNIFORM15 = CandidateDistribution.uniform_centered_zero(1.7320508, 15)
 
 
 # ---------------------------------------------------------------- estimates
@@ -74,6 +81,46 @@ def test_vectorized_ranking_sampler_matches_permutation_probabilities():
     assert tv / 2 < 0.005
 
 
+@pytest.mark.parametrize("n", [3, 6])
+def test_mallows_top_two_matches_the_pair_marginal(n):
+    spec = MALLOWS.with_theta(1.0)  # phi = 2
+    size = 1_000_000
+    pools = np.zeros((size, n))
+    pairs = sample_top_two(spec, pools, np.random.default_rng(11))
+    perms = perm_space(n).perms
+    want = np.zeros((n, n))
+    np.add.at(want, (perms[:, 0], perms[:, 1]), mallows_perm_probs(2.0, n))
+    got = np.zeros((n, n))
+    np.add.at(got, (pairs[:, 0], pairs[:, 1]), 1.0 / size)
+    assert np.all(np.diag(got) == 0)
+    assert np.abs(got - want).sum() / 2 < 0.005
+
+
+def _drawn_pools(size):
+    return UNIFORM15.sample_matrix(np.random.default_rng(23), size)
+
+
+@pytest.mark.parametrize("spec", [GAUSSIAN, LAPLACIAN, SOFTMAX], ids=lambda s: s.kind)
+@pytest.mark.parametrize("drawn", [False, True], ids=["fixed7", "drawn15"])
+def test_top_two_picks_equal_the_full_ranking_prefix(spec, drawn):
+    size = 20_000
+    pools = _drawn_pools(size) if drawn else np.broadcast_to(POOL7.as_array(), (size, 7))
+    pairs = sample_top_two(spec, pools, np.random.default_rng(4))
+    orders = sample_rankings(spec, pools, np.random.default_rng(4))
+    assert np.array_equal(pairs, orders[:, :2])
+
+
+@pytest.mark.parametrize("spec", [GAUSSIAN, SOFTMAX], ids=lambda s: s.kind)
+def test_masked_argmax_picks_the_first_survivor_of_the_full_ranking(spec):
+    size = 20_000
+    pools = _drawn_pools(size)
+    removed0 = np.array([0, 2, 3, 9])
+    picks = _first_survivors(spec, pools, removed0, np.random.default_rng(6))
+    orders = sample_rankings(spec, pools, np.random.default_rng(6))
+    first_alive = np.argmax(~np.isin(orders, removed0), axis=1)
+    assert np.array_equal(picks, orders[np.arange(size), first_alive])
+
+
 def test_vectorized_tie_detection_names_the_pair():
     atoms = NoiseSpec.discrete(((-0.5, 0.5), (0.5, 0.5)))
     spec = RankingModelSpec.rum(atoms, 1.0)
@@ -82,6 +129,16 @@ def test_vectorized_tie_detection_names_the_pair():
     with pytest.raises(TieError) as err:
         sample_rankings(spec, pools, rng)
     assert "1" in str(err.value) and "2" in str(err.value)
+
+
+def test_tie_anywhere_in_a_ranking_raises_through_the_table_trials():
+    # the tie sits between the bottom two candidates, below the top two
+    atoms = NoiseSpec.discrete(((-0.5, 0.5), (0.5, 0.5)))
+    spec = RankingModelSpec.rum(atoms, 1.0)
+    pool = CandidatePool((10.0, 5.0, 1.0, 0.0))
+    with pytest.raises(TieError) as err:
+        mc_utility_trials(1.0, 1.0, spec, pool, 1_000, seed=0)
+    assert "candidates 3 and 4" in str(err.value)
 
 
 # ---------------------------------------------------------------- accuracy
@@ -131,12 +188,23 @@ def test_same_seed_same_numbers_different_seed_different():
     assert a["u_ah"].mean != c["u_ah"].mean
 
 
-@pytest.mark.parametrize("n_samples", [CHUNK_SIZE, CHUNK_SIZE + 7, 3 * CHUNK_SIZE + 11])
-def test_thread_count_never_changes_the_result(n_samples):
+_THREAD_CASES = [
+    pytest.param(n, family, pool_or_d, id=f"{label}{n}")
+    for label, family, pool_or_d in (
+        ("", MALLOWS, POOL3),
+        ("plackett_luce-", RankingModelSpec.plackett_luce(1.0), POOL3),
+        ("gaussian_drawn-", GAUSSIAN, UNIFORM15),
+    )
+    for n in (CHUNK_SIZE, CHUNK_SIZE + 7, 3 * CHUNK_SIZE + 11)
+]
+
+
+@pytest.mark.parametrize("n_samples, family, pool_or_d", _THREAD_CASES)
+def test_thread_count_never_changes_the_result(n_samples, family, pool_or_d):
     # per-chunk generators are seeded by chunk index and reduced in fixed
     # order, so the thread count must be invisible in the output bits
-    single = mc_utility_trials(1.5, 1.0, MALLOWS, POOL3, n_samples, seed=17, threads=1)
-    multi = mc_utility_trials(1.5, 1.0, MALLOWS, POOL3, n_samples, seed=17, threads=4)
+    single = mc_utility_trials(1.5, 1.0, family, pool_or_d, n_samples, seed=17, threads=1)
+    multi = mc_utility_trials(1.5, 1.0, family, pool_or_d, n_samples, seed=17, threads=4)
     for name in single:
         assert single[name].mean == multi[name].mean
         assert single[name].stderr == multi[name].stderr
@@ -145,6 +213,18 @@ def test_thread_count_never_changes_the_result(n_samples):
 def test_sample_count_is_chunk_partition_independent_of_threads():
     est = mc_utility_trials(1.5, 1.0, MALLOWS, POOL3, CHUNK_SIZE + 7, seed=17, threads=2)
     assert est["u_aa"].n_samples == CHUNK_SIZE + 7
+
+
+def test_stderr_survives_a_large_pool_offset():
+    # the raw E[v^2] - E[v]^2 form cancels to 0 at this offset; the draws
+    # ignore pool values, so the shifted stderr must match the unshifted one
+    values = POOL4.as_array()
+    shifted = CandidatePool(tuple(1e8 + values))
+    near = mc_utility_table(1.5, 1.0, MALLOWS, POOL4, 100_000, seed=3)
+    far = mc_utility_table(1.5, 1.0, MALLOWS, shifted, 100_000, seed=3)
+    for name in ("u_first_a", "u_first_h", "u_aa", "u_ah", "u_ha", "u_hh"):
+        assert far.stderr(name) > 0, name
+        assert far.stderr(name) == pytest.approx(near.stderr(name), rel=1e-6), name
 
 
 # ---------------------------------------------------------------- calibration

@@ -312,6 +312,17 @@ def test_sweep_plane_records_cell_errors_without_aborting():
         assert "UnsupportedModelError" in cell.error
 
 
+def test_sweep_plane_lets_programming_errors_raise(monkeypatch):
+    import monoculture.solver as solver
+
+    def broken(*args, **kwargs):
+        raise IndexError("index 5 is out of bounds")
+
+    monkeypatch.setattr(solver, "mc_utility_table", broken)
+    with pytest.raises(IndexError):
+        sweep_plane((1.0,), (0.5,), MALLOWS, POOL3, engine="mc", n_samples=1_000)
+
+
 def test_sweep_plane_mc_results_do_not_depend_on_threads():
     kwargs = dict(engine="mc", n_samples=20_000, seed=11)
     single = sweep_plane((1.0,), (0.8, 1.4), MALLOWS, POOL3, threads=1, **kwargs)
