@@ -187,24 +187,10 @@ def build_pool(args):
     raise UsageError("need --pool or --dist")
 
 
-def pool_size(pool_or_d) -> int:
-    return pool_or_d.n
-
-
-def check_engine(engine: str, family: RankingModelSpec, n: int) -> str:
+def check_engine(engine: str) -> str:
     engine = (engine or "exact").lower()
     if engine not in ("exact", "mc"):
         raise UsageError(f"engine must be exact or mc, got {engine!r}")
-    if (
-        engine == "exact"
-        and family.kind == "rum"
-        and family.noise.is_continuous
-        and n > 3
-    ):
-        raise UsageError(
-            "exact tables for continuously perturbed rankings stop at n = 3; "
-            "use --engine mc"
-        )
     return engine
 
 
@@ -255,7 +241,7 @@ def cmd_utilities(args) -> int:
         raise UsageError("utilities needs --theta-h and --theta-a")
     theta_h = float(args.theta_h)
     theta_a = float(args.theta_a)
-    engine = check_engine(args.engine, family, pool_size(pool))
+    engine = check_engine(args.engine)
     samples = get_samples(args, 1_000_000)
     seed = int(args.seed or 0)
     if engine == "exact":
@@ -317,7 +303,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep needs --grid lo:hi:step x lo:hi:step")
     theta_h_values, theta_a_values = parse_grid(args.grid)
     k = int(args.firms or 2)
-    engine = check_engine(args.engine, family, pool_size(pool))
+    engine = check_engine(args.engine)
     cells = sweep_plane(
         theta_h_values,
         theta_a_values,

@@ -126,12 +126,14 @@ class CandidateDistribution:
             return np.tile(np.asarray(self.fixed_values), (size, 1))
         lo, hi = self.bounds
         draws = rng.uniform(lo, hi, size=(size, self.n))
-        draws = -np.sort(-draws, axis=1)
+        draws.sort(axis=1)
+        draws = draws[:, ::-1]
         # ties have probability zero but the contract says resample them
         bad = np.any(draws[:, :-1] == draws[:, 1:], axis=1)
         while np.any(bad):
             redraw = rng.uniform(lo, hi, size=(int(bad.sum()), self.n))
-            draws[bad] = -np.sort(-redraw, axis=1)
+            redraw.sort(axis=1)
+            draws[bad] = redraw[:, ::-1]
             bad = np.any(draws[:, :-1] == draws[:, 1:], axis=1)
         return draws
 

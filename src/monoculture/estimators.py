@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CandidateDistribution, CandidatePool, PoolOrDistribution
-from .exact import UtilityTable, exact_selection_pmf
+from .exact import UtilityTable, exact_selection_pmf, top_two_pmf
 from .models import RankingModelSpec, TieError, UnsupportedModelError
 
 CHUNK_SIZE = 1 << 15
@@ -128,17 +128,11 @@ def _mallows_orders(phi: float, n: int, size: int, rng: np.random.Generator) -> 
     return out
 
 
-def _mallows_top_two(phi: float, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """(top, runner-up) pairs as (size, 2) 0-based candidates, one uniform per row.
-
-    The top is a with probability q^a / Z_n (q = 1/phi). The rest of the
-    ranking is again distance-based with the same phi (the multistage
-    decomposition of Fligner & Verducci), so the runner-up is b with
-    probability q^r / Z_{n-1}, where r is b's rank once a is removed.
-    """
-    q = 1.0 / phi
+def _mallows_top_two(spec: RankingModelSpec, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """(top, runner-up) pairs as (size, 2) 0-based candidates, one uniform per
+    row, inverted through the cumulative closed-form pmf of `top_two_pmf`."""
     first, second = np.nonzero(~np.eye(n, dtype=bool))
-    cum = np.cumsum(q ** (first + second - (second > first)))
+    cum = np.cumsum(top_two_pmf(spec, range(n))[first, second])
     idx = np.searchsorted(cum, rng.uniform(0.0, cum[-1], size), side="right")
     idx = np.minimum(idx, cum.size - 1)
     return np.stack((first[idx], second[idx]), axis=1)
@@ -199,7 +193,7 @@ def sample_top_two(
     """
     size, n = pools.shape
     if spec.kind == "mallows":
-        return _mallows_top_two(spec.phi, n, size, rng)
+        return _mallows_top_two(spec, n, size, rng)
     keys = _perturbed_keys(spec, pools, rng)
     top = np.argmax(keys, axis=1)
     keys[np.arange(size), top] = -np.inf

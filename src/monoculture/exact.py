@@ -1,16 +1,17 @@
 """Exact selection probabilities, utility tables, and sequential hiring.
 
-All computations here enumerate the permutation distribution (or, for
-k-firm hiring, run a removed-set recursion against it), so they are exact
-up to float rounding. Sizes are capped: n <= 8 for selection pmfs, n <= 7
-for utility tables and sequential hiring, n <= 3 for continuous-noise
-models whose permutation probabilities come from quadrature.
+Utility tables are linear in the n x n top-two pmf (`top_two_pmf`): closed
+forms, one quadrature per candidate pair, or atom enumeration (at most 2e6
+atom combinations). Selection pmfs and sequential hiring enumerate all n!
+rankings, capped at n <= 8 and n <= 7; continuous-noise permutation
+probabilities at n <= 3. All are exact up to rounding and quadrature error.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 from scipy import integrate
@@ -27,9 +28,9 @@ from .models import (
     UnsupportedModelError,
     mallows_perm_probs,
 )
-from .permspace import PermSpace, mask_of, perm_space
+from .permspace import mask_of, perm_space
 
-MAX_TABLE_N = 7
+MAX_SEQUENTIAL_N = 7
 MAX_PMF_N = 8
 MAX_QUADRATURE_N = 3
 _DISCRETE_SUPPORT_CAP = 2_000_000
@@ -111,7 +112,7 @@ def permutation_probabilities(spec: RankingModelSpec, pool: CandidatePool) -> np
 
     Supported: the distance-based family (any pool, value-independent),
     Plackett-Luce, discrete-noise RUMs (joint atom enumeration), and
-    continuous-noise RUMs up to n = 3 (1-D quadrature).
+    continuous-noise RUMs up to n = 3, where the top two fix the ranking.
     """
     n = pool.n
     if spec.kind == "mallows":
@@ -125,7 +126,106 @@ def permutation_probabilities(spec: RankingModelSpec, pool: CandidatePool) -> np
             f"continuous-noise models are exact only up to n={MAX_QUADRATURE_N}; "
             "use the estimators module for larger pools"
         )
-    return _continuous_rum_perm_probs(spec.noise, spec.theta, pool.as_array())
+    perms = perm_space(n).perms
+    return top_two_pmf(spec, pool.as_array())[perms[:, 0], perms[:, 1]]
+
+
+def top_two_pmf(spec: RankingModelSpec, x) -> np.ndarray:
+    """Joint pmf P[a, b] = Pr(top = a, runner-up = b) of one ranking of pool
+    values x, as a read-only n x n array over 0-based candidates.
+
+    Distance-based: q^(a + r_b) / (Z_n Z_{n-1}), q = 1/phi, r_b = b's rank
+    without a (the multistage decomposition, Fligner & Verducci 1986).
+    Plackett-Luce: w_a/W * w_b/(W - w_a), w = exp(theta x) (Luce's choice
+    axiom). Continuous RUMs: the integral of f_b (1 - F_a) prod_{c!=a,b} F_c.
+    Discrete RUMs: atom enumeration, with TieError on a tie anywhere in a
+    ranking. The last 128 pmfs are cached by spec and values (by n for the
+    distance-based family), so a lattice's rows and columns share them.
+    """
+    key = len(x) if spec.value_independent else tuple(float(v) for v in x)
+    return _top_two_pmf(spec, key)
+
+
+@lru_cache(maxsize=128)
+def _top_two_pmf(spec: RankingModelSpec, key) -> np.ndarray:
+    if spec.kind == "mallows":
+        pmf = _mallows_top_two(spec.phi, key)
+    elif spec.kind == "plackett_luce":
+        pmf = _pl_top_two(spec.theta, np.array(key))
+    elif spec.noise.is_continuous:
+        pmf = _continuous_rum_top_two(spec.noise, spec.theta, np.array(key))
+    else:
+        pmf = _discrete_rum_top_two(spec.noise, spec.theta, np.array(key))
+    pmf.setflags(write=False)
+    return pmf
+
+
+def _mallows_top_two(phi: float, n: int) -> np.ndarray:
+    c = np.arange(n)
+    weights = (1.0 / phi) ** (c[:, None] + c[None, :] - (c[None, :] > c[:, None]))
+    np.fill_diagonal(weights, 0.0)
+    return weights / weights.sum()
+
+
+def _pl_top_two(theta: float, x: np.ndarray) -> np.ndarray:
+    # each row shifts by its own max, so W - w_a never cancels to 0 / 0
+    scores = np.where(np.eye(len(x), dtype=bool), -np.inf, theta * x)
+    w = np.exp(scores - scores.max(axis=1, keepdims=True))
+    first = np.exp(theta * x - theta * x.max())
+    return (first / first.sum())[:, None] * w / w.sum(axis=1, keepdims=True)
+
+
+def _continuous_rum_top_two(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
+    pmf = np.zeros((len(x), len(x)))
+    for a, b in permutations(range(len(x)), 2):
+        rest = np.array([c for c in range(len(x)) if c not in (a, b)], dtype=int)
+
+        def integrand(t: float, a=a, b=b, rest=rest) -> float:
+            z = (t - x) * theta
+            cdf = noise.cdf(z)
+            return theta * float(noise.pdf(z[b])) * (1.0 - cdf[a]) * cdf[rest].prod()
+
+        pmf[a, b], _ = integrate.quad(
+            integrand, -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=300
+        )
+    total = pmf.sum()
+    if abs(total - 1.0) > 1e-8:
+        raise UnsupportedModelError(f"quadrature pmf sums to {total!r}")
+    return pmf / total
+
+
+def _atom_enumeration(noise: NoiseSpec, theta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Perturbed values and joint probability of every atom combination, one
+    row each; TieError if any combination ties two candidates."""
+    n = len(x)
+    values = np.array([v for v, _ in noise.atoms])
+    probs = np.array([p for _, p in noise.atoms])
+    m = len(values)
+    if m**n > _DISCRETE_SUPPORT_CAP:
+        raise UnsupportedModelError(f"joint atom support {m}^{n} too large")
+    # every combination has positive probability, so two candidates tie in
+    # some ranking exactly when two cells in different rows are equal
+    cells = x[:, None] + values[None, :] / theta
+    flat = cells.ravel()
+    order = np.argsort(flat, kind="stable")
+    owner = order // m
+    clash = (flat[order[:-1]] == flat[order[1:]]) & (owner[:-1] != owner[1:])
+    if clash.any():
+        k = int(np.argmax(clash))
+        a, b = sorted((int(owner[k]) + 1, int(owner[k + 1]) + 1))
+        raise TieError(f"candidates {a} and {b} tie at perturbed value {flat[order[k]]!r}")
+    grids = np.meshgrid(*([np.arange(m)] * n), indexing="ij")
+    combos = np.stack([g.ravel() for g in grids], axis=1)
+    return cells[np.arange(n), combos], np.prod(probs[combos], axis=1)
+
+
+def _discrete_rum_top_two(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
+    n = len(x)
+    perturbed, joint = _atom_enumeration(noise, theta, x)
+    top = np.argmax(perturbed, axis=1)
+    perturbed[np.arange(len(top)), top] = -np.inf
+    second = np.argmax(perturbed, axis=1)
+    return np.bincount(top * n + second, weights=joint, minlength=n * n).reshape(n, n)
 
 
 def _pl_perm_probs(theta: float, x: np.ndarray) -> np.ndarray:
@@ -138,59 +238,10 @@ def _pl_perm_probs(theta: float, x: np.ndarray) -> np.ndarray:
 
 
 def _discrete_rum_perm_probs(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    space = perm_space(n)
-    values = np.array([v for v, _ in noise.atoms])
-    probs = np.array([p for _, p in noise.atoms])
-    m = len(values)
-    if m**n > _DISCRETE_SUPPORT_CAP:
-        raise UnsupportedModelError(f"joint atom support {m}^{n} too large")
-    grids = np.meshgrid(*([np.arange(m)] * n), indexing="ij")
-    combos = np.stack([g.ravel() for g in grids], axis=1)
-    perturbed = x[None, :] + values[combos] / theta
-    order = np.argsort(-perturbed, axis=1, kind="stable")
-    ranked = np.take_along_axis(perturbed, order, axis=1)
-    tied = ranked[:, :-1] == ranked[:, 1:]
-    if tied.any():
-        row, col = np.argwhere(tied)[0]
-        raise TieError(
-            f"candidates {order[row, col] + 1} and {order[row, col + 1] + 1} "
-            f"tie at perturbed value {ranked[row, col]!r}"
-        )
-    rows = space.rows_of(order)
-    joint = np.prod(probs[combos], axis=1)
+    space = perm_space(len(x))
+    perturbed, joint = _atom_enumeration(noise, theta, x)
+    rows = space.rows_of(np.argsort(-perturbed, axis=1, kind="stable"))
     return np.bincount(rows, weights=joint, minlength=space.size)
-
-
-def _continuous_rum_perm_probs(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    space = perm_space(n)
-
-    def pdf(c: int, t: float) -> float:
-        return theta * float(noise.pdf((t - x[c]) * theta))
-
-    def cdf(c: int, t: float) -> float:
-        return float(noise.cdf((t - x[c]) * theta))
-
-    probs = np.empty(space.size)
-    for row, perm in enumerate(space.perms):
-        if n == 2:
-            a, b = perm
-            val, _ = integrate.quad(
-                lambda t: pdf(b, t) * (1.0 - cdf(a, t)),
-                -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=300,
-            )
-        else:
-            a, b, c = perm
-            val, _ = integrate.quad(
-                lambda t: pdf(b, t) * (1.0 - cdf(a, t)) * cdf(c, t),
-                -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=300,
-            )
-        probs[row] = val
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-8:
-        raise UnsupportedModelError(f"quadrature pmf sums to {total!r}")
-    return probs / total
 
 
 def exact_selection_pmf(
@@ -212,21 +263,6 @@ def exact_selection_pmf(
     pmf = space.first_choice(probs, mask_of({c - 1 for c in removed}))
     pmf = pmf / pmf.sum()
     return SelectionPmf(tuple(pmf), removed)
-
-
-def _second_mover_kernel(space: PermSpace, probs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """G[c] = expected value obtained by an independent ranking when its
-    top pick collides with an already-removed candidate c (take the runner-up)."""
-    first = space.perms[:, 0]
-    second = space.perms[:, 1]
-    n = space.n
-    g = np.empty(n)
-    first_vals = x[first]
-    second_vals = x[second]
-    for c in range(n):
-        picks = np.where(first == c, second_vals, first_vals)
-        g[c] = probs @ picks
-    return g
 
 
 def _resolve_exact_values(pool_or_d: PoolOrDistribution, value_independent: bool) -> np.ndarray:
@@ -255,38 +291,25 @@ def exact_utility_table(
     The first mover takes the top of its ranking; the second mover takes
     the top remaining candidate of its own ranking. Matching strategies
     (AA) share one realized ranking; every other pairing draws independent
-    rankings. The first mover influences an independent second mover only
-    through the identity of its first pick, so the cross terms reduce to a
-    first-pick pmf contracted against a second-mover kernel; tests verify
-    this against the raw double enumeration over ranking pairs.
+    rankings. With P a ranking's top-two pmf and p1 = P.sum(1), a first
+    mover gets p1 @ x, a sharing second mover P.sum(0) @ x, and an
+    independent one G = p1 @ x - p1 x + P @ x contracted against the first
+    mover's p1. Tests check this against double enumeration of ranking pairs.
     """
-    spec_a = family.with_theta(theta_a)
-    spec_h = family.with_theta(theta_h)
     x = _resolve_exact_values(pool, family.value_independent)
-    n = len(x)
-    if n > MAX_TABLE_N:
-        raise UnsupportedModelError(f"exact utility table capped at n={MAX_TABLE_N}")
-    fixed_pool = CandidatePool(tuple(x))
-    p_a = permutation_probabilities(spec_a, fixed_pool)
-    p_h = permutation_probabilities(spec_h, fixed_pool)
-    space = perm_space(n)
-    first = space.perms[:, 0]
-    second = space.perms[:, 1]
-
-    pr_a1 = np.bincount(first, weights=p_a, minlength=n)
-    pr_h1 = np.bincount(first, weights=p_h, minlength=n)
-    u_first_a = float(pr_a1 @ x)
-    u_first_h = float(pr_h1 @ x)
-    u_aa = float(p_a @ x[second])
-    g_h = _second_mover_kernel(space, p_h, x)
-    g_a = _second_mover_kernel(space, p_a, x)
+    p_a = top_two_pmf(family.with_theta(theta_a), x)
+    p_h = top_two_pmf(family.with_theta(theta_h), x)
+    first_a = p_a.sum(axis=1)
+    first_h = p_h.sum(axis=1)
+    g_a = first_a @ x - first_a * x + p_a @ x
+    g_h = first_h @ x - first_h * x + p_h @ x
     return UtilityTable(
-        u_first_a=u_first_a,
-        u_first_h=u_first_h,
-        u_aa=u_aa,
-        u_ah=float(pr_a1 @ g_h),
-        u_ha=float(pr_h1 @ g_a),
-        u_hh=float(pr_h1 @ g_h),
+        u_first_a=float(first_a @ x),
+        u_first_h=float(first_h @ x),
+        u_aa=float(p_a.sum(axis=0) @ x),
+        u_ah=float(first_a @ g_h),
+        u_ha=float(first_h @ g_a),
+        u_hh=float(first_h @ g_h),
     )
 
 
@@ -297,28 +320,21 @@ def identity_check_uah_uaa(
     pool: CandidatePool,
 ) -> float:
     """Residual of the equal-accuracy identity
-    u_AH - u_AA = E[(value of first pick - value of second pick) * 1{picks collide not}].
+    u_AH - u_AA = sum_{a,b} P[a, b] (x_a - x_b) (1 - p1[a]).
 
-    The right side is the expected first-vs-second pick gap of the second
-    mover's ranking, counted only when its top pick survives the first
-    mover. Requires theta_a = theta_h; returns |LHS - RHS|.
+    P is the top-two pmf of the second mover's ranking and p1 its first-pick
+    pmf, so the right side is the first-vs-second pick gap of that ranking,
+    counted only when its top pick survives the first mover. Requires
+    theta_a = theta_h; returns |LHS - RHS|.
     """
     if theta_a != theta_h:
         raise ValueError("the identity is an equal-accuracy statement; need theta_a = theta_h")
     table = exact_utility_table(theta_a, theta_h, spec, pool)
-    lhs = table.u_ah - table.u_aa
-
     x = _resolve_exact_values(pool, spec.value_independent)
-    fixed_pool = CandidatePool(tuple(x))
-    spec_t = spec.with_theta(theta_a)
-    probs = permutation_probabilities(spec_t, fixed_pool)
-    space = perm_space(len(x))
-    first = space.perms[:, 0]
-    second = space.perms[:, 1]
-    pr_first = np.bincount(first, weights=probs, minlength=len(x))
-    gap = x[first] - x[second]
-    rhs = float(probs @ (gap * (1.0 - pr_first[first])))
-    return abs(lhs - rhs)
+    p = top_two_pmf(spec.with_theta(theta_a), x)
+    survives = 1.0 - p.sum(axis=1)
+    rhs = float(np.sum(p * (x[:, None] - x[None, :]) * survives[:, None]))
+    return abs(table.u_ah - table.u_aa - rhs)
 
 
 def exact_welfare(table: UtilityTable, profile: str) -> float:
@@ -443,8 +459,8 @@ def exact_sequential_utilities(
         raise UnsupportedModelError(f"need phi > 1, got phi_a={phi_a}, phi_h={phi_h}")
     x = _resolve_exact_values(pool_or_d, value_independent=True)
     n = len(x)
-    if n > MAX_TABLE_N:
-        raise UnsupportedModelError(f"sequential hiring capped at n={MAX_TABLE_N}")
+    if n > MAX_SEQUENTIAL_N:
+        raise UnsupportedModelError(f"sequential hiring capped at n={MAX_SEQUENTIAL_N}")
     if len(seq) > n:
         raise UnsupportedModelError(f"{len(seq)} firms cannot hire from {n} candidates")
     state = SequentialState(phi_a, phi_h, x)

@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from monoculture import CandidatePool, RankingModelSpec, exact_utility_table
+from monoculture import CandidatePool, NoiseSpec, RankingModelSpec, exact_utility_table
 from monoculture.cli import main, parse_axis, parse_grid
 
 POOL = "1,0.5,0"
@@ -65,6 +65,20 @@ def test_utilities_exact_matches_the_engine(capsys):
         assert float(row["stderr_" + name]) == 0.0
 
 
+def test_utilities_exact_continuous_noise_past_three_candidates(capsys):
+    code, out, _ = run(
+        capsys, "utilities", "--theta-h", "1", "--theta-a", "2", "--family", "rum",
+        "--noise", "gaussian", "--pool", "1,0.7,0.3,0",
+    )
+    assert code == 0
+    (row,) = rows_of(out)
+    table = exact_utility_table(2.0, 1.0, RankingModelSpec.rum(NoiseSpec.gaussian(), 1.0),
+                                CandidatePool((1.0, 0.7, 0.3, 0.0)))
+    assert row["engine"] == "exact"
+    for name in ("u_first_a", "u_first_h", "u_aa", "u_ah", "u_ha", "u_hh"):
+        assert float(row[name]) == table.entry(name)
+
+
 def test_utilities_mc_is_thread_invariant(capsys):
     argv = ["utilities", "--theta-h", "1.0", "--theta-a", "1.5", "--pool", POOL,
             "--engine", "mc", "--samples", "70000", "--seed", "17"]
@@ -107,8 +121,6 @@ def test_usage_errors_exit_one(capsys):
          "--engine", "turbo"),
         ("utilities", "--theta-h", "1", "--theta-a", "2", "--pool", POOL,
          "--family", "rum"),  # rum needs noise
-        ("utilities", "--theta-h", "1", "--theta-a", "2", "--family", "rum",
-         "--noise", "gaussian", "--pool", "1,0.7,0.3,0"),  # exact cap n=3
         ("conditions", "--pool", POOL, "--check", "sideways"),
     ]
     for argv in cases:

@@ -155,6 +155,14 @@ def test_mc_table_agrees_with_exact_within_four_stderr():
     assert mc.n_samples == 400_000
 
 
+def test_gaussian_exact_table_past_three_candidates_agrees_with_mc():
+    pool = CandidatePool((1.0, 0.8, 0.5, 0.3, 0.0))
+    exact = exact_utility_table(1.4, 1.0, GAUSSIAN, pool)
+    mc = mc_utility_table(1.4, 1.0, GAUSSIAN, pool, 400_000, seed=2024)
+    for name in ("u_first_a", "u_first_h", "u_aa", "u_ah", "u_ha", "u_hh"):
+        assert abs(mc.entry(name) - exact.entry(name)) <= 5 * mc.stderr(name), name
+
+
 def test_mc_respects_the_softmax_null():
     est = mc_utility_trials(1.0, 1.0, RankingModelSpec.plackett_luce(1.0),
                             POOL3, 400_000, seed=2718)

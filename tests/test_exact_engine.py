@@ -1,8 +1,9 @@
 """Exact selection pmfs, utility tables, welfare, and sequential hiring.
 
-The factored cross-term computation in exact_utility_table and the
-removed-set recursion in exact_sequential_utilities are both checked
-against literal double enumeration over ranking tuples.
+The top-two pmf is checked against the (first, second) marginal of the
+enumerated permutation pmf. The table built from it and the removed-set
+recursion in exact_sequential_utilities are both checked against literal
+double enumeration over ranking tuples.
 """
 
 import itertools
@@ -10,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoculture import (
     CandidateDistribution,
@@ -18,6 +20,7 @@ from monoculture import (
     NoiseSpec,
     Permutation,
     RankingModelSpec,
+    TieError,
     UnsupportedModelError,
     exact_selection_pmf,
     exact_sequential_utilities,
@@ -27,6 +30,7 @@ from monoculture import (
     mallows_first_choice_pmf,
     mallows_pmf,
     permutation_probabilities,
+    top_two_pmf,
     uniform_order_statistic_means,
 )
 from monoculture.permspace import perm_space
@@ -117,6 +121,72 @@ def test_gaussian_quadrature_probabilities_sum_to_one():
     probs = permutation_probabilities(spec, POOL3)
     assert abs(probs.sum() - 1.0) < 1e-9
     assert (probs > 0).all()
+
+
+# ---------------------------------------------------------------- top two
+
+
+THREE_ATOMS = NoiseSpec.discrete(((-1.0, 0.05), (0.0, 0.9), (1.0, 0.05)))
+FOUR_ATOMS = NoiseSpec.discrete(((-10.0, 0.05), (-1.0, 0.45), (1.0, 0.45), (10.0, 0.05)))
+
+
+def spread_pool(n):
+    # irregular gaps, so no atom offset ties two candidates
+    return CandidatePool(tuple(2.7 - 0.37 * i - 0.011 * i * i for i in range(n)))
+
+
+@pytest.mark.parametrize(
+    "spec,sizes",
+    [
+        (RankingModelSpec.mallows(1.7), range(3, 8)),
+        (RankingModelSpec.plackett_luce(1.3), range(3, 8)),
+        (RankingModelSpec.rum(THREE_ATOMS, 1.3), range(3, 8)),
+        (RankingModelSpec.rum(FOUR_ATOMS, 0.8), range(3, 8)),
+        (RankingModelSpec.rum(NoiseSpec.gaussian(), 1.1), (3,)),
+        (RankingModelSpec.rum(NoiseSpec.laplacian(), 0.9), (3,)),
+    ],
+)
+def test_top_two_pmf_is_the_pair_marginal_of_the_permutation_pmf(spec, sizes):
+    for n in sizes:
+        pool = spread_pool(n)
+        perms = perm_space(n).perms
+        want = np.zeros((n, n))
+        np.add.at(want, (perms[:, 0], perms[:, 1]), permutation_probabilities(spec, pool))
+        got = top_two_pmf(spec, pool.as_array())
+        assert np.abs(got - want).max() < 1e-12, n
+
+
+def test_top_two_pmf_raises_on_a_discrete_tie_below_the_top_two():
+    # 1 - 0.5 = 0 + 0.5 ties the bottom two candidates in some ranking
+    spec = RankingModelSpec.rum(NoiseSpec.discrete(((-0.5, 0.5), (0.5, 0.5))), 1.0)
+    pool = CandidatePool((10.0, 5.0, 1.0, 0.0))
+    with pytest.raises(TieError) as err:
+        top_two_pmf(spec, pool.as_array())
+    assert "candidates 3 and 4" in str(err.value)
+    with pytest.raises(TieError):
+        exact_utility_table(1.0, 1.0, spec, pool)
+    # 1e16 + 0.5 rounds to 1e16: a candidate meeting itself is no tie
+    spec = RankingModelSpec.rum(NoiseSpec.discrete(((0.0, 0.5), (0.5, 0.5))), 1.0)
+    assert top_two_pmf(spec, (1e16, 0.0))[0, 1] == 1.0
+
+
+def test_softmax_top_two_pmf_stays_finite_at_high_accuracy():
+    # the other weights sit far below rounding of the best one, so the
+    # plain W - w_1 cancels to 0
+    pmf = top_two_pmf(RankingModelSpec.plackett_luce(800.0), POOL3.as_array())
+    assert pmf[0, 1] == 1.0
+    t = exact_utility_table(800.0, 1.0, RankingModelSpec.plackett_luce(1.0), POOL3)
+    assert (t.u_first_a, t.u_aa) == (1.0, 0.5)
+    assert all(math.isfinite(v) for v in t.as_dict().values())
+
+
+def test_cached_top_two_pmf_is_read_only():
+    spec = RankingModelSpec.plackett_luce(0.7)
+    x = POOL4.as_array()
+    pmf = top_two_pmf(spec, x)
+    assert top_two_pmf(spec, x.copy()) is pmf
+    with pytest.raises(ValueError):
+        pmf[0, 1] = 0.5
 
 
 # ---------------------------------------------------------------- tables
@@ -268,10 +338,35 @@ def test_three_atom_counterexample_value():
     assert abs((t.u_ah - t.u_aa) - (-7.61640625e-4)) < 1e-12
 
 
-def test_table_size_cap():
-    big = CandidatePool(tuple(float(8 - i) for i in range(8)))
-    with pytest.raises(UnsupportedModelError):
-        exact_utility_table(2.0, 1.5, MALLOWS, big)
+def test_mallows_table_past_the_old_size_cap_matches_the_pair_marginal():
+    # n = 8: the cross terms come literally from the pair marginal of the
+    # 8! enumerated rankings
+    big = CandidatePool(tuple(float(8 - i) ** 1.5 for i in range(8)))
+    x = big.as_array()
+    perms = perm_space(8).perms
+
+    def pair_marginal(phi):
+        pmf = np.zeros((8, 8))
+        np.add.at(pmf, (perms[:, 0], perms[:, 1]), permutation_probabilities(RankingModelSpec.mallows(phi), big))
+        return pmf
+
+    def cross(first, second):
+        p1 = first.sum(axis=1)
+        return sum(p1[c] * second[a, b] * (x[b] if a == c else x[a])
+                   for c in range(8) for a in range(8) for b in range(8))
+
+    p_a, p_h = pair_marginal(3.0), pair_marginal(2.5)
+    want = {
+        "u_first_a": p_a.sum(axis=1) @ x,
+        "u_first_h": p_h.sum(axis=1) @ x,
+        "u_aa": p_a.sum(axis=0) @ x,
+        "u_ah": cross(p_a, p_h),
+        "u_ha": cross(p_h, p_a),
+        "u_hh": cross(p_h, p_h),
+    }
+    table = exact_utility_table(2.0, 1.5, MALLOWS, big)
+    for name, val in want.items():
+        assert abs(table.entry(name) - val) < 1e-12, name
 
 
 def test_table_over_distribution_needs_value_independence():
@@ -398,3 +493,34 @@ def test_all_algorithm_firms_walk_down_one_ranking():
     for slot in range(4):
         want = float(probs @ x[space.perms[:, slot]])
         assert abs(got[slot] - want) < 1e-12
+
+
+# ---------------------------------------------------------------- properties
+
+
+@st.composite
+def pools(draw, min_n=3, max_n=12):
+    # values at least 0.01 apart, so affine images stay strictly decreasing
+    n = draw(st.integers(min_n, max_n))
+    steps = draw(st.lists(st.integers(-500, 500), min_size=n, max_size=n, unique=True))
+    return CandidatePool(tuple(v / 100.0 for v in sorted(steps, reverse=True)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(pools(), st.floats(0.05, 3.0))
+def test_softmax_second_mover_is_indifferent_to_sharing_at_any_n(pool, theta):
+    t = exact_utility_table(theta, theta, RankingModelSpec.plackett_luce(1.0), pool)
+    assert abs(t.u_ah - t.u_aa) < 1e-12
+    assert abs(t.u_ha - t.u_hh) < 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(pools(max_n=9), st.floats(0.1, 3.0), st.floats(0.1, 3.0),
+       st.floats(0.01, 100.0), st.floats(-100.0, 100.0))
+def test_mallows_table_is_equivariant_under_positive_affine_maps(pool, theta_a, theta_h, scale, shift):
+    moved = CandidatePool(tuple(scale * v + shift for v in pool.values))
+    base = exact_utility_table(theta_a, theta_h, MALLOWS, pool)
+    got = exact_utility_table(theta_a, theta_h, MALLOWS, moved)
+    tol = 1e-12 * (abs(shift) + scale * 5.0 + 1.0)
+    for name, value in base.as_dict().items():
+        assert abs(got.entry(name) - (scale * value + shift)) < tol, name

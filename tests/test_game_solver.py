@@ -305,7 +305,8 @@ def test_sweep_plane_shapes_and_labels():
 
 
 def test_sweep_plane_records_cell_errors_without_aborting():
-    cells = sweep_plane((1.0,), (0.5, 1.0), GAUSSIAN, POOL4)  # quadrature cap is n=3
+    # exact tables over a pool distribution need a value-independent model
+    cells = sweep_plane((1.0,), (0.5, 1.0), GAUSSIAN, CandidateDistribution.uniform(0.0, 1.0, 4))
     assert len(cells) == 2
     for cell in cells:
         assert cell.outcome is None
