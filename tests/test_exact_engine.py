@@ -338,6 +338,14 @@ def test_three_atom_counterexample_value():
     assert abs((t.u_ah - t.u_aa) - (-7.61640625e-4)) < 1e-12
 
 
+def test_table_size_cap():
+    # the table over discrete noise enumerates every atom combination, so it
+    # still refuses a joint support of 3^14 > 2e6 before allocating any of it
+    big = CandidatePool(tuple(float(14 - i) for i in range(14)))
+    with pytest.raises(UnsupportedModelError):
+        exact_utility_table(2.0, 1.5, RankingModelSpec.rum(THREE_ATOMS, 1.0), big)
+
+
 def test_mallows_table_past_the_old_size_cap_matches_the_pair_marginal():
     # n = 8: the cross terms come literally from the pair marginal of the
     # 8! enumerated rankings
