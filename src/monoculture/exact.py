@@ -2,9 +2,10 @@
 
 Utility tables are linear in the n x n top-two pmf (`top_two_pmf`): closed
 forms, one quadrature per candidate pair, or atom enumeration (at most 2e6
-atom combinations). Selection pmfs and sequential hiring enumerate all n!
-rankings, capped at n <= 8 and n <= 7; continuous-noise permutation
-probabilities at n <= 3. All are exact up to rounding and quadrature error.
+atom combinations). Selection pmfs enumerate all n! rankings (n <= 8), and
+continuous-noise permutation probabilities stop at n <= 3. Sequential hiring
+(n <= 7) keeps one array of mass over (removed set, shared ranking) per
+number of firms hired. All are exact up to rounding and quadrature error.
 """
 from __future__ import annotations
 
@@ -353,83 +354,82 @@ def exact_welfare(table: UtilityTable, profile: str) -> float:
     raise ValueError(f"unknown profile {profile!r}")
 
 
-class MallowsSubsetPicker:
-    """Cached first-choice pmfs over survivor sets for one dispersion phi."""
-
-    def __init__(self, phi: float, n: int):
-        self.phi = phi
-        self.n = n
-        self.space = perm_space(n)
-        self.probs = mallows_perm_probs(phi, n)
-        self._cache: dict[int, np.ndarray] = {}
-
-    def first_choice(self, removed_mask: int) -> np.ndarray:
-        pmf = self._cache.get(removed_mask)
-        if pmf is None:
-            pmf = self.space.first_choice(self.probs, removed_mask)
-            total = pmf.sum()
-            pmf = pmf / total
-            self._cache[removed_mask] = pmf
-        return pmf
+@lru_cache(maxsize=None)
+def _levels(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """Read-only removed-set tables: the masks with h bits set for each h,
+    each mask's index within its level, and tops[mask, row], the first
+    candidate of ranking row not in mask, for every mask but the full one."""
+    space = perm_space(n)
+    sizes = np.array([bin(m).count("1") for m in range(1 << n)])
+    masks = tuple(np.flatnonzero(sizes == h) for h in range(n + 1))
+    index = np.zeros(1 << n, dtype=np.intp)
+    for level in masks:
+        index[level] = np.arange(len(level))
+    tops = np.array([space.top_of_available(m) for m in range((1 << n) - 1)])
+    for arr in (*masks, index, tops):
+        arr.setflags(write=False)
+    return masks, index, tops
 
 
 @lru_cache(maxsize=64)
-def _subset_picker(phi: float, n: int) -> MallowsSubsetPicker:
-    return MallowsSubsetPicker(phi, n)
+def _human_steps(phi_h: float, n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per level h < n, the read-only pair (Q_h, W_h): a fresh ranking's
+    first-choice pmf under each removed set with h members (C(n,h) x n),
+    and the transition it induces onto the sets with h + 1 (C(n,h+1) x C(n,h))."""
+    masks, index, tops = _levels(n)
+    probs = mallows_perm_probs(phi_h, n)
+    steps = []
+    for level, nxt in zip(masks, masks[1:]):
+        q = np.array([np.bincount(tops[m], weights=probs, minlength=n) for m in level])
+        q /= q.sum(axis=1, keepdims=True)
+        src, c = np.nonzero(((level[:, None] >> np.arange(n)) & 1) == 0)
+        w = np.zeros((len(nxt), len(level)))
+        w[index[level[src] | (1 << c)], src] = q[src, c]
+        q.setflags(write=False)
+        w.setflags(write=False)
+        steps.append((q, w))
+    return tuple(steps)
 
 
 class SequentialState:
     """Forward state of the k-firm hiring recursion.
 
-    Mass is tracked jointly over (removed set, shared algorithmic ranking):
-    firms playing A consume the top surviving entry of the shared ranking,
-    while each firm playing H draws a fresh ranking, which integrates out
-    to a survivor-set first-choice pmf.
+    mass[i, row] is the probability that the firms hired so far removed the
+    i-th set of their level and that the shared algorithmic ranking is row.
+    A firm playing A moves each row's mass to its set plus the row's top
+    survivor; a firm playing H draws a fresh ranking, which integrates out
+    to the transition W_h between removed sets.
     """
 
     def __init__(self, phi_a: float, phi_h: float, x: np.ndarray):
-        self.n = len(x)
         self.x = x
-        self.space = perm_space(self.n)
-        self.p_a = mallows_perm_probs(phi_a, self.n)
-        self.picker_h = _subset_picker(phi_h, self.n)
-        self.masses: dict[int, np.ndarray] = {0: self.p_a.copy()}
+        self.levels, self.index, self.tops = _levels(len(x))
+        self.steps_h = _human_steps(phi_h, len(x))
+        self.mass = mallows_perm_probs(phi_a, len(x))[None, :]
         self.hired = 0
 
+    def _level(self) -> np.ndarray:
+        if self.hired >= len(self.x):
+            raise UnsupportedModelError("no candidates left to hire")
+        return self.levels[self.hired]
+
     def utility_of_next(self, strategy: str) -> float:
-        total = 0.0
-        for mask, vec in self.masses.items():
-            if strategy == "A":
-                tops = self.space.top_of_available(mask)
-                total += float(vec @ self.x[tops])
-            else:
-                q = self.picker_h.first_choice(mask)
-                total += float(vec.sum() * (q @ self.x))
-        return total
+        level = self._level()
+        if strategy == "A":
+            return float(np.sum(self.mass * self.x[self.tops[level]]))
+        q, _ = self.steps_h[self.hired]
+        return float(self.mass.sum(axis=1) @ (q @ self.x))
 
     def hire(self, strategy: str) -> None:
-        if self.hired >= self.n:
-            raise UnsupportedModelError("no candidates left to hire")
-        nxt: dict[int, np.ndarray] = {}
-        for mask, vec in self.masses.items():
-            if strategy == "A":
-                tops = self.space.top_of_available(mask)
-                for c in np.unique(tops):
-                    sel = tops == c
-                    key = mask | (1 << int(c))
-                    acc = nxt.get(key)
-                    contrib = np.where(sel, vec, 0.0)
-                    nxt[key] = contrib if acc is None else acc + contrib
-            else:
-                q = self.picker_h.first_choice(mask)
-                for c in range(self.n):
-                    if q[c] <= 0.0:
-                        continue
-                    key = mask | (1 << c)
-                    acc = nxt.get(key)
-                    contrib = q[c] * vec
-                    nxt[key] = contrib if acc is None else acc + contrib
-        self.masses = nxt
+        level = self._level()
+        if strategy == "A":
+            size = self.mass.shape[1]
+            taken = level[:, None] | (1 << self.tops[level].astype(np.intp))
+            dest = self.index[taken] * size + np.arange(size)
+            nxt = len(self.levels[self.hired + 1])
+            self.mass = np.bincount(dest.ravel(), self.mass.ravel(), nxt * size).reshape(nxt, size)
+        else:
+            self.mass = self.steps_h[self.hired][1] @ self.mass
         self.hired += 1
 
 
@@ -438,6 +438,21 @@ def _validate_sequence(sequence) -> tuple[str, ...]:
     if not seq or any(s not in ("A", "H") for s in seq):
         raise ValueError(f"sequence must be nonempty over A/H, got {sequence!r}")
     return seq
+
+
+def _sequential_values(k: int, phi_a: float, phi_h: float, pool_or_d: PoolOrDistribution) -> np.ndarray:
+    """Check the arguments of k firms hiring in order; returns the pool values."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    if not (phi_a > 1 and phi_h > 1):
+        raise UnsupportedModelError(f"need phi > 1, got phi_a={phi_a}, phi_h={phi_h}")
+    x = _resolve_exact_values(pool_or_d, value_independent=True)
+    n = len(x)
+    if n > MAX_SEQUENTIAL_N:
+        raise UnsupportedModelError(f"sequential hiring capped at n={MAX_SEQUENTIAL_N}")
+    if k > n:
+        raise UnsupportedModelError(f"{k} firms cannot hire from {n} candidates")
+    return x
 
 
 def exact_sequential_utilities(
@@ -455,14 +470,7 @@ def exact_sequential_utilities(
     depend on the values).
     """
     seq = _validate_sequence(sequence)
-    if not (phi_a > 1 and phi_h > 1):
-        raise UnsupportedModelError(f"need phi > 1, got phi_a={phi_a}, phi_h={phi_h}")
-    x = _resolve_exact_values(pool_or_d, value_independent=True)
-    n = len(x)
-    if n > MAX_SEQUENTIAL_N:
-        raise UnsupportedModelError(f"sequential hiring capped at n={MAX_SEQUENTIAL_N}")
-    if len(seq) > n:
-        raise UnsupportedModelError(f"{len(seq)} firms cannot hire from {n} candidates")
+    x = _sequential_values(len(seq), phi_a, phi_h, pool_or_d)
     state = SequentialState(phi_a, phi_h, x)
     utilities = []
     for strategy in seq:

@@ -20,7 +20,7 @@ from .estimators import DEFAULT_SWEEP_SAMPLES, DEFAULT_Z_THRESHOLD, mc_utility_t
 from .exact import (
     SequentialState,
     UtilityTable,
-    _resolve_exact_values,
+    _sequential_values,
     exact_sequential_utilities,
     exact_utility_table,
     exact_welfare,
@@ -355,11 +355,7 @@ def sequential_optimal_sequence(
     A firm's utility depends on predecessors only, so choosing the better
     of A and H given the hiring history is dominant; ties go to H.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    seq_probe = exact_sequential_utilities("A" * k, phi_a, phi_h, pool_or_d)
-    del seq_probe  # validates phi, n, and k bounds with the shared messages
-    x = _resolve_exact_values(pool_or_d, value_independent=True)
+    x = _sequential_values(k, phi_a, phi_h, pool_or_d)
     state = SequentialState(phi_a, phi_h, x)
     choices: list[str] = []
     utilities: list[float] = []

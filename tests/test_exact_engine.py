@@ -3,7 +3,8 @@
 The top-two pmf is checked against the (first, second) marginal of the
 enumerated permutation pmf. The table built from it and the removed-set
 recursion in exact_sequential_utilities are both checked against literal
-double enumeration over ranking tuples.
+double enumeration over ranking tuples; the recursion also against a
+replay that branches over each human firm's pick.
 """
 
 import itertools
@@ -33,6 +34,7 @@ from monoculture import (
     top_two_pmf,
     uniform_order_statistic_means,
 )
+from monoculture.exact import SequentialState, _human_steps, _levels
 from monoculture.permspace import perm_space
 
 POOL3 = CandidatePool((1.0, 0.5, 0.0))
@@ -467,6 +469,67 @@ def test_sequential_recursion_matches_brute_force(sequence):
         assert abs(g - w) < 1e-12
 
 
+def replay_sequence_utilities(sequence, phi_a, phi_h, pool):
+    """Walk each shared ranking through the sequence; each H firm branches
+    over its pick, weighted by the first-survivor pmf of a fresh ranking,
+    which enumerates all n! rankings once per removed set."""
+    n, x = pool.n, pool.as_array()
+    rankings = list(itertools.permutations(range(n)))
+    inversions = [sum(r[i] > r[j] for i in range(n) for j in range(i + 1, n)) for r in rankings]
+
+    def weights(phi):
+        w = [phi ** -inv for inv in inversions]
+        return [v / math.fsum(w) for v in w]
+
+    w_a, w_h = weights(phi_a), weights(phi_h)
+    fresh: dict[frozenset, list[float]] = {}
+
+    def fresh_pmf(taken):
+        if taken not in fresh:
+            pmf = [0.0] * n
+            for ranking, w in zip(rankings, w_h):
+                pmf[next(c for c in ranking if c not in taken)] += w
+            fresh[taken] = pmf
+        return fresh[taken]
+
+    totals = [0.0] * len(sequence)
+
+    def walk(shared, slot, taken, weight):
+        if slot == len(sequence):
+            return
+        if sequence[slot] == "A":
+            pick = next(c for c in shared if c not in taken)
+            totals[slot] += weight * x[pick]
+            walk(shared, slot + 1, taken | {pick}, weight)
+            return
+        for pick, q in enumerate(fresh_pmf(taken)):
+            if q > 0.0:
+                totals[slot] += weight * q * x[pick]
+                walk(shared, slot + 1, taken | {pick}, weight * q)
+
+    for shared, w in zip(rankings, w_a):
+        walk(shared, 0, frozenset(), w)
+    return totals
+
+
+POOL5 = CandidatePool((1.0, 0.8, 0.45, 0.3, -0.2))
+POOL6 = CandidatePool((2.0, 1.1, 0.9, 0.4, 0.0, -0.7))
+
+
+@pytest.mark.parametrize(
+    "sequence, pool",
+    [("".join(s), POOL5) for s in itertools.product("AH", repeat=4)]
+    + [("".join(s), POOL6) for s in itertools.product("AH", repeat=3)],
+    ids=lambda v: f"n{v.n}" if isinstance(v, CandidatePool) else v,
+)
+def test_sequential_recursion_matches_the_removed_set_replay(sequence, pool):
+    phi_a, phi_h = 2.3, 1.6
+    got = exact_sequential_utilities(sequence, phi_a, phi_h, pool)
+    want = replay_sequence_utilities(sequence, phi_a, phi_h, pool)
+    for g, w in zip(got, want):
+        assert abs(g - w) < 1e-12
+
+
 def test_sequential_validation():
     with pytest.raises(ValueError):
         exact_sequential_utilities("AB", 2.0, 1.5, POOL4)
@@ -532,3 +595,48 @@ def test_mallows_table_is_equivariant_under_positive_affine_maps(pool, theta_a, 
     tol = 1e-12 * (abs(shift) + scale * 5.0 + 1.0)
     for name, value in base.as_dict().items():
         assert abs(got.entry(name) - (scale * value + shift)) < tol, name
+
+
+@st.composite
+def sequences(draw, n):
+    return "".join(draw(st.lists(st.sampled_from("AH"), min_size=1, max_size=n)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data(), pools(min_n=2, max_n=7), st.floats(1.05, 20.0), st.floats(1.05, 20.0),
+       st.floats(0.01, 100.0), st.floats(-100.0, 100.0))
+def test_sequential_utilities_are_equivariant_under_positive_affine_maps(
+    data, pool, phi_a, phi_h, scale, shift
+):
+    sequence = data.draw(sequences(pool.n))
+    moved = CandidatePool(tuple(scale * v + shift for v in pool.values))
+    base = exact_sequential_utilities(sequence, phi_a, phi_h, pool)
+    got = exact_sequential_utilities(sequence, phi_a, phi_h, moved)
+    tol = 1e-12 * (abs(shift) + scale * 5.0 + 1.0)
+    for g, b in zip(got, base):
+        assert abs(g - (scale * b + shift)) < tol
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(2, 7), st.floats(1.01, 50.0))
+def test_sequential_tables_are_read_only(n, phi_h):
+    masks, index, tops = _levels(n)
+    steps = _human_steps(phi_h, n)
+    arrays = [*masks, index, tops] + [a for step in steps for a in step]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data(), st.integers(2, 7), st.floats(1.05, 20.0), st.floats(1.05, 20.0))
+def test_hiring_past_the_pool_raises(data, n, phi_a, phi_h):
+    state = SequentialState(phi_a, phi_h, np.linspace(1.0, 0.0, n))
+    for strategy in data.draw(st.lists(st.sampled_from("AH"), min_size=n, max_size=n)):
+        state.hire(strategy)
+    for strategy in "AH":
+        with pytest.raises(UnsupportedModelError):
+            state.hire(strategy)
+        with pytest.raises(UnsupportedModelError):
+            state.utility_of_next(strategy)

@@ -13,6 +13,7 @@ from monoculture import (
     PayoffMatrix,
     RankingModelSpec,
     StrategySequence,
+    UnsupportedModelError,
     UtilityTable,
     binary_counter_scan,
     check_dominance,
@@ -213,6 +214,21 @@ def test_near_perfect_shared_ranking_wins_until_the_pool_is_empty():
     assert seq.as_string() == "AAAH"
     assert seq.utilities[0] == pytest.approx(1.0, abs=1e-5)
     assert seq.utilities[3] == pytest.approx(0.0, abs=1e-5)
+
+
+@pytest.mark.parametrize(
+    "k, phi_h, pool, error",
+    [
+        (0, 1.5, POOL4, ValueError),
+        (2, 1.0, POOL4, UnsupportedModelError),
+        (2, 1.5, CandidatePool(tuple(float(v) for v in range(8, 0, -1))), UnsupportedModelError),
+        (5, 1.5, POOL4, UnsupportedModelError),
+    ],
+    ids=["no-firms", "phi-h-one", "pool-past-cap", "more-firms-than-candidates"],
+)
+def test_sequential_optimal_sequence_rejects_bad_arguments(k, phi_h, pool, error):
+    with pytest.raises(error):
+        sequential_optimal_sequence(k, 2.0, phi_h, pool)
 
 
 def test_sequence_utilities_match_the_sequential_engine():
