@@ -2,23 +2,19 @@
 
 The package models firms that fill one position each from a common pool of
 candidates, choosing between a shared algorithmic ranking and independent
-human evaluations. It provides exact enumeration engines for small pools,
-coupled Monte Carlo estimators for larger ones, and a game solver that
-classifies equilibria, certifies welfare losses, and analyzes many-firm
-hiring sequences.
+human evaluations. Rankings are never objects here: the models give their
+probabilities, and the engines hold them as 0-based integer arrays. It
+provides exact engines (closed forms, quadrature, and enumeration for small
+pools), coupled Monte Carlo estimators for larger ones, and a game solver
+that classifies equilibria, certifies welfare losses, and analyzes
+many-firm hiring sequences.
 """
 
 from .core import (
     CandidateDistribution,
     CandidatePool,
-    PartialRanking,
-    Permutation,
     PoolError,
     PoolOrDistribution,
-    RankingError,
-    kendall_tau,
-    remove_candidates,
-    top_value,
     uniform_order_statistic_means,
 )
 from .estimators import (
@@ -52,10 +48,6 @@ from .models import (
     conditional_order_probability,
     mallows_first_choice_pmf,
     mallows_perm_probs,
-    mallows_pmf,
-    mallows_sample,
-    pl_pmf,
-    rum_sample,
     well_ordered_check,
 )
 from .solver import (
@@ -90,12 +82,9 @@ __all__ = [
     "KFirmReport",
     "MallowsModel",
     "NoiseSpec",
-    "PartialRanking",
     "PayoffMatrix",
-    "Permutation",
     "PoolError",
     "PoolOrDistribution",
-    "RankingError",
     "RankingModelSpec",
     "ScanReport",
     "SelectionPmf",
@@ -119,23 +108,16 @@ __all__ = [
     "exact_welfare",
     "find_theta_star",
     "identity_check_uah_uaa",
-    "kendall_tau",
     "kfirm_braess_check",
     "mallows_first_choice_pmf",
     "mallows_perm_probs",
-    "mallows_pmf",
-    "mallows_sample",
     "mc_utility_table",
     "mc_utility_trials",
     "permutation_probabilities",
-    "pl_pmf",
-    "remove_candidates",
-    "rum_sample",
     "sample_rankings",
     "sequential_optimal_sequence",
     "sweep_plane",
     "top_two_pmf",
-    "top_value",
     "uniform_order_statistic_means",
     "well_ordered_check",
 ]

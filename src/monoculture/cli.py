@@ -17,24 +17,23 @@ import csv
 import io
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from .core import CandidateDistribution, CandidatePool, PoolError, RankingError
+from .core import CandidateDistribution, CandidatePool, PoolError
 from .estimators import (
     check_monotonicity,
     check_pref_first_position,
     check_pref_weaker_competition,
     mc_utility_table,
 )
-from .exact import exact_selection_pmf, exact_utility_table, exact_welfare
+from .exact import ENTRY_NAMES, exact_selection_pmf, exact_utility_table, exact_welfare
 from .models import (
     MallowsModel,
     NoiseSpec,
     RankingModelSpec,
     TieError,
-    UnsupportedModelError,
-    UnsupportedNoiseError,
     conditional_order_probability,
     mallows_first_choice_pmf,
     mallows_perm_probs,
@@ -43,24 +42,13 @@ from .models import (
 from .permspace import perm_space
 from .solver import (
     BracketError,
+    binary_counter_scan,
     classify_equilibrium,
     find_theta_star,
     kfirm_braess_check,
     sequential_optimal_sequence,
     sweep_plane,
 )
-
-REPRODUCE_TARGETS = (
-    "counterexample-b1",
-    "counterexample-b2",
-    "kfirm-braess",
-    "theta-star",
-    "figure2",
-    "figure3",
-    "figure4",
-    "four-percent",
-)
-VERIFY_SUITES = ("mallows-lemmas", "conditions", "appendix-c")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -150,7 +138,7 @@ def parse_dist(text: str) -> CandidateDistribution:
             return CandidateDistribution.uniform(float(parts[1]), float(parts[2]), int(parts[3]))
         if kind == "uniform0" and len(parts) == 3:
             return CandidateDistribution.uniform_centered_zero(float(parts[1]), int(parts[2]))
-    except (ValueError, PoolError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad distribution {text!r}: {exc}") from exc
     raise UsageError(
         f"distribution must be uniform:lo:hi:n or uniform0:halfwidth:n, got {text!r}"
@@ -199,39 +187,35 @@ def get_samples(args, default: int) -> int:
         return default
     try:
         n = int(float(args.samples))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise UsageError(f"bad --samples {args.samples!r}") from exc
     if n < 1:
         raise UsageError("--samples must be positive")
     return n
 
 
+def render(rows: list[list], header: list[str], dat: bool = False) -> str:
+    """CSV text, or whitespace-separated columns under a commented header."""
+    buf = io.StringIO()
+    if dat:
+        buf.write("# " + " ".join(header) + "\n")
+        for row in rows:
+            buf.write(" ".join(fmt(v) if fmt(v) != "" else "-" for v in row) + "\n")
+    else:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+    return buf.getvalue()
+
+
 def emit(rows: list[list], header: list[str], out_path: str | None) -> None:
-    """Write rows to stdout, and to out_path when given.
-
-    A .dat path writes whitespace-separated columns with a commented
-    header; anything else gets CSV.
-    """
-    def render(dat: bool) -> str:
-        buf = io.StringIO()
-        if dat:
-            buf.write("# " + " ".join(header) + "\n")
-            for row in rows:
-                buf.write(" ".join(fmt(v) if fmt(v) != "" else "-" for v in row) + "\n")
-        else:
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([fmt(v) for v in row])
-        return buf.getvalue()
-
-    sys.stdout.write(render(bool(out_path and out_path.endswith(".dat"))))
+    """Write rows to stdout, and to out_path when given; a .dat path gets
+    whitespace-separated columns, anything else CSV."""
+    text = render(rows, header, bool(out_path and out_path.endswith(".dat")))
+    sys.stdout.write(text)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(render(out_path.endswith(".dat")))
-
-
-TABLE_COLUMNS = ["u_first_a", "u_first_h", "u_aa", "u_ah", "u_ha", "u_hh"]
+        Path(out_path).write_text(text, encoding="utf-8")
 
 
 def cmd_utilities(args) -> int:
@@ -252,14 +236,14 @@ def cmd_utilities(args) -> int:
         )
     header = (
         ["family", "noise", "engine", "theta_h", "theta_a"]
-        + TABLE_COLUMNS
-        + [f"stderr_{c}" for c in TABLE_COLUMNS]
+        + list(ENTRY_NAMES)
+        + [f"stderr_{c}" for c in ENTRY_NAMES]
         + ["n_samples", "seed"]
     )
     row = (
         [family.kind, family.noise.kind if family.noise else "", engine, theta_h, theta_a]
-        + [table.entry(c) for c in TABLE_COLUMNS]
-        + [table.stderr(c) for c in TABLE_COLUMNS]
+        + [table.entry(c) for c in ENTRY_NAMES]
+        + [table.stderr(c) for c in ENTRY_NAMES]
         + [table.n_samples, seed]
     )
     emit([row], header, args.out)
@@ -435,15 +419,8 @@ class CheckLog:
 
     def finish(self, out_path: str | None) -> int:
         if out_path:
-            emit_rows = self.rows
             header = ["check", "status", "computed", "expected"]
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(header)
-            for row in emit_rows:
-                writer.writerow(row)
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(buf.getvalue())
+            Path(out_path).write_text(render(self.rows, header), encoding="utf-8")
         return EXIT_OK if self.all_pass else EXIT_CHECK_FAILED
 
 
@@ -654,8 +631,6 @@ def reproduce_figure4(log: CheckLog, args) -> None:
         log.rows.append([f"sequence {s}", "INFO", f"phi_h={fmt(ph)}", f"phi_a={fmt(pa)}"])
     log.check("distinct A-prefixed strategy sequences on the slices",
               len(a_prefixed) == 16, len(a_prefixed), "16")
-    from .solver import binary_counter_scan
-
     for phi_h, lo, hi in FIGURE4_SCAN_LINES:
         count = int(round((hi - lo) / 0.01)) + 1
         grid = [round(lo + 0.01 * i, 10) for i in range(count)]
@@ -696,27 +671,6 @@ def reproduce_four_percent(log: CheckLog, args) -> None:
         f"{len(hits)} grid points",
         ">= 1 point in band",
     )
-
-
-def cmd_reproduce(args) -> int:
-    target = args.target
-    if target not in REPRODUCE_TARGETS:
-        print(f"unknown target {target!r}; available: {', '.join(REPRODUCE_TARGETS)}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    log = CheckLog()
-    runner = {
-        "counterexample-b1": reproduce_counterexample_b1,
-        "counterexample-b2": reproduce_counterexample_b2,
-        "kfirm-braess": reproduce_kfirm_braess,
-        "theta-star": reproduce_theta_star,
-        "figure2": reproduce_figure2,
-        "figure3": reproduce_figure3,
-        "figure4": reproduce_figure4,
-        "four-percent": reproduce_four_percent,
-    }[target]
-    runner(log, args)
-    return log.finish(args.out)
 
 
 def verify_mallows_lemmas(log: CheckLog, args) -> None:
@@ -828,18 +782,34 @@ def verify_appendix_c(log: CheckLog, args) -> None:
               worst == 0.0, worst, "= 0.5 exactly")
 
 
-def cmd_verify(args) -> int:
-    suite = args.suite
-    if suite not in VERIFY_SUITES:
-        print(f"unknown suite {suite!r}; available: {', '.join(VERIFY_SUITES)}",
-              file=sys.stderr)
+REPRODUCE_TARGETS = {
+    "counterexample-b1": reproduce_counterexample_b1,
+    "counterexample-b2": reproduce_counterexample_b2,
+    "kfirm-braess": reproduce_kfirm_braess,
+    "theta-star": reproduce_theta_star,
+    "figure2": reproduce_figure2,
+    "figure3": reproduce_figure3,
+    "figure4": reproduce_figure4,
+    "four-percent": reproduce_four_percent,
+}
+VERIFY_SUITES = {
+    "mallows-lemmas": verify_mallows_lemmas,
+    "conditions": verify_conditions,
+    "appendix-c": verify_appendix_c,
+}
+# graded subcommand -> (name of its positional argument, runners by name)
+GRADED = {"reproduce": ("target", REPRODUCE_TARGETS), "verify": ("suite", VERIFY_SUITES)}
+
+
+def cmd_graded(args) -> int:
+    """Run one reproduce target or verify suite and grade its checks."""
+    noun, runners = GRADED[args.command]
+    name = getattr(args, noun)
+    if name not in runners:
+        print(f"unknown {noun} {name!r}; available: {', '.join(runners)}", file=sys.stderr)
         return EXIT_USAGE
     log = CheckLog()
-    {
-        "mallows-lemmas": verify_mallows_lemmas,
-        "conditions": verify_conditions,
-        "appendix-c": verify_appendix_c,
-    }[suite](log, args)
+    runners[name](log, args)
     return log.finish(args.out)
 
 
@@ -917,15 +887,14 @@ def build_parser() -> _Parser:
         ("conditions", cmd_conditions, "behavioral-condition checks with z verdicts"),
         ("braess-search", cmd_braess_search,
          "find the dominance crossing and welfare-loss window"),
-        ("reproduce", cmd_reproduce, "run a pinned headline computation and grade it"),
-        ("verify", cmd_verify, "run an invariant suite and grade it"),
+        ("reproduce", cmd_graded, "run a pinned headline computation and grade it"),
+        ("verify", cmd_graded, "run an invariant suite and grade it"),
     )
     for name, func, help_text in specs:
         sub = subs.add_parser(name, help=help_text)
-        if name == "reproduce":
-            sub.add_argument("target", help=", ".join(REPRODUCE_TARGETS))
-        if name == "verify":
-            sub.add_argument("suite", help=", ".join(VERIFY_SUITES))
+        if name in GRADED:
+            noun, runners = GRADED[name]
+            sub.add_argument(noun, help=", ".join(runners))
         _add_common(sub)
         sub.set_defaults(func=func)
     return parser
@@ -937,15 +906,12 @@ def main(argv=None) -> int:
     try:
         apply_config(args)
         return args.func(args)
-    except UsageError as exc:
-        print(f"monoculture: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PoolError, RankingError, UnsupportedModelError, UnsupportedNoiseError) as exc:
-        print(f"monoculture: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (BracketError, TieError) as exc:
         print(f"monoculture: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:  # UsageError and every library domain error
+        print(f"monoculture: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
-"""Candidate pools, permutations, and partial rankings.
+"""Candidate pools and distributions over them.
 
-Conventions used across the package: candidates are indexed 1..n with
-index i denoting the i-th best candidate, so pool values are strictly
-decreasing in the index. Rankings list candidate indices best-first.
+Conventions used across the package: candidates are indexed 1..n at the
+public boundary, with index i denoting the i-th best candidate, so pool
+values are strictly decreasing in the index. Rankings are held as 0-based
+integer arrays (row r lists candidate indices best-first) by the engines
+that draw or enumerate them.
 """
 from __future__ import annotations
 
@@ -14,10 +16,6 @@ import numpy as np
 
 class PoolError(ValueError):
     """Raised for malformed candidate pools or distributions."""
-
-
-class RankingError(ValueError):
-    """Raised for malformed permutations or partial rankings."""
 
 
 @dataclass(frozen=True)
@@ -117,9 +115,6 @@ class CandidateDistribution:
         vals = self.fixed_values
         return vals[-1], vals[0]
 
-    def sample(self, rng: np.random.Generator) -> CandidatePool:
-        return CandidatePool(tuple(self.sample_matrix(rng, 1)[0]))
-
     def sample_matrix(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """(size, n) array of pools, each row sorted descending."""
         if self.kind == "fixed":
@@ -146,95 +141,3 @@ class CandidateDistribution:
 
 
 PoolOrDistribution = Union[CandidatePool, CandidateDistribution]
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Full ranking: a bijection on {1..n}, best-ranked candidate first."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        order = tuple(int(c) for c in self.order)
-        object.__setattr__(self, "order", order)
-        n = len(order)
-        if n < 1 or sorted(order) != list(range(1, n + 1)):
-            raise RankingError(f"not a bijection on 1..{n}: {order}")
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-    def rank_of(self, candidate: int) -> int:
-        """1-based position of a candidate in this ranking."""
-        return self.order.index(candidate) + 1
-
-
-@dataclass(frozen=True)
-class PartialRanking:
-    """A ranking with some candidates removed; order and removed partition 1..n."""
-
-    order: tuple[int, ...]
-    removed: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "order", tuple(int(c) for c in self.order))
-        object.__setattr__(self, "removed", frozenset(int(c) for c in self.removed))
-        n = len(self.order) + len(self.removed)
-        seen = set(self.order) | self.removed
-        if len(self.order) < 1:
-            raise RankingError("partial ranking must keep at least one candidate")
-        if len(seen) != n or seen != set(range(1, n + 1)):
-            raise RankingError(
-                f"order {self.order} and removed {sorted(self.removed)} "
-                f"do not partition 1..{n}"
-            )
-
-    @property
-    def n(self) -> int:
-        return len(self.order) + len(self.removed)
-
-    @property
-    def top(self) -> int:
-        return self.order[0]
-
-
-def kendall_tau(pi: Permutation, sigma: Permutation) -> int:
-    """Number of candidate pairs the two rankings order differently."""
-    if pi.n != sigma.n:
-        raise RankingError(f"size mismatch: {pi.n} vs {sigma.n}")
-    n = pi.n
-    pos_pi = {c: r for r, c in enumerate(pi.order)}
-    pos_sigma = {c: r for r, c in enumerate(sigma.order)}
-    count = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if (pos_pi[i] - pos_pi[j]) * (pos_sigma[i] - pos_sigma[j]) < 0:
-                count += 1
-    return count
-
-
-def remove_candidates(pi: Permutation, removed: Iterable[int]) -> PartialRanking:
-    """Delete the given candidates from a ranking, keeping the rest in order.
-
-    Removal happens after the ranking is realized; the survivors keep their
-    relative order, which is not the same as ranking the survivors alone.
-    """
-    removed_set = frozenset(int(c) for c in removed)
-    if not removed_set <= set(pi.order):
-        raise RankingError(f"removed {sorted(removed_set)} not a subset of candidates")
-    if len(removed_set) >= pi.n:
-        raise RankingError("cannot remove every candidate")
-    kept = tuple(c for c in pi.order if c not in removed_set)
-    return PartialRanking(kept, removed_set)
-
-
-def top_value(pr: PartialRanking, pool: CandidatePool) -> float:
-    """Pool value of the best-ranked surviving candidate."""
-    if pr.n != pool.n:
-        raise RankingError(f"size mismatch: ranking on {pr.n}, pool of {pool.n}")
-    return pool.value_of(pr.top)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CandidateDistribution, CandidatePool, PoolOrDistribution
-from .exact import UtilityTable, exact_selection_pmf, top_two_pmf
+from .exact import ENTRY_NAMES, UtilityTable, exact_selection_pmf, top_two_pmf
 from .models import RankingModelSpec, TieError, UnsupportedModelError
 
 CHUNK_SIZE = 1 << 15
@@ -103,10 +103,6 @@ def _pool_matrix(pool_or_d: PoolOrDistribution, rng: np.random.Generator, size: 
     if isinstance(pool_or_d, CandidateDistribution):
         return pool_or_d.sample_matrix(rng, size)
     raise TypeError(f"expected pool or distribution, got {type(pool_or_d)!r}")
-
-
-def _pool_n(pool_or_d: PoolOrDistribution) -> int:
-    return pool_or_d.n
 
 
 def _mallows_orders(phi: float, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -283,16 +279,7 @@ def _run_chunks(kernel, n_samples: int, names: tuple[str, ...], threads: int = 1
     return acc.finalize()
 
 
-_TABLE_NAMES = (
-    "u_first_a",
-    "u_first_h",
-    "u_aa",
-    "u_ah",
-    "u_ha",
-    "u_hh",
-    "d_ah_aa",
-    "d_hh_ah",
-)
+_TABLE_NAMES = ENTRY_NAMES + ("d_ah_aa", "d_hh_ah")
 
 
 def mc_utility_trials(
@@ -354,18 +341,8 @@ def mc_utility_table(
     """Monte Carlo counterpart of the exact utility table."""
     est = mc_utility_trials(theta_a, theta_h, spec, pool_or_d, n_samples, seed, threads)
     return UtilityTable(
-        u_first_a=est["u_first_a"].mean,
-        u_first_h=est["u_first_h"].mean,
-        u_aa=est["u_aa"].mean,
-        u_ah=est["u_ah"].mean,
-        u_ha=est["u_ha"].mean,
-        u_hh=est["u_hh"].mean,
-        stderr_u_first_a=est["u_first_a"].stderr,
-        stderr_u_first_h=est["u_first_h"].stderr,
-        stderr_u_aa=est["u_aa"].stderr,
-        stderr_u_ah=est["u_ah"].stderr,
-        stderr_u_ha=est["u_ha"].stderr,
-        stderr_u_hh=est["u_hh"].stderr,
+        **{name: est[name].mean for name in ENTRY_NAMES},
+        **{f"stderr_{name}": est[name].stderr for name in ENTRY_NAMES},
         n_samples=n_samples,
     )
 
@@ -491,9 +468,8 @@ def check_monotonicity(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"theta grid must be increasing, got {grid}")
     removed = frozenset(int(c) for c in removed)
-    n = _pool_n(pool)
-    if len(removed) >= n:
-        raise ValueError("cannot remove every candidate")
+    if not removed <= set(range(1, pool.n + 1)) or len(removed) >= pool.n:
+        raise ValueError(f"removed {sorted(removed)} is not a proper subset of 1..{pool.n}")
 
     means: list[EstimateWithError] = []
     exact_mode = True

@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, special
 
-from .core import CandidatePool, Permutation, kendall_tau
 from .permspace import MAX_EXACT_N, mask_of, perm_space
 
 # unit-variance scale parameters for the continuous noise kinds
@@ -199,17 +198,9 @@ class MallowsModel:
             raise UnsupportedModelError(f"need n >= 2, got {self.n}")
         object.__setattr__(self, "_normalizer", _mallows_normalizer(self.phi, self.n))
 
-    @staticmethod
-    def from_spec(spec: RankingModelSpec, n: int) -> "MallowsModel":
-        return MallowsModel(spec.phi, n)
-
     @property
     def normalizer(self) -> float:
         return self._normalizer
-
-    @property
-    def spec(self) -> RankingModelSpec:
-        return RankingModelSpec.mallows(self.phi)
 
 
 def _mallows_normalizer(phi: float, n: int) -> float:
@@ -218,32 +209,6 @@ def _mallows_normalizer(phi: float, n: int) -> float:
     for j in range(1, n + 1):
         z *= (1.0 - q**j) / (1.0 - q)
     return z
-
-
-def mallows_pmf(model: MallowsModel, pi: Permutation) -> float:
-    """Probability of a full ranking under the distance-based model."""
-    if pi.n != model.n:
-        raise UnsupportedModelError(f"ranking on {pi.n} items, model has {model.n}")
-    d = kendall_tau(pi, Permutation.identity(model.n))
-    return model.phi ** (-d) / model.normalizer
-
-
-def mallows_sample(model: MallowsModel, rng: np.random.Generator) -> Permutation:
-    """Draw one ranking by repeated insertion.
-
-    Item j is inserted so that r of the previously placed (all better) items
-    end up below it with probability proportional to phi^(-r); each such r
-    adds exactly r pairwise disagreements, independently across items.
-    """
-    q = 1.0 / model.phi
-    seq = [1]
-    for j in range(2, model.n + 1):
-        weights = q ** np.arange(j)
-        cum = np.cumsum(weights)
-        r = int(np.searchsorted(cum, rng.uniform(0.0, cum[-1]), side="right"))
-        r = min(r, j - 1)
-        seq.insert(j - 1 - r, j)
-    return Permutation(tuple(seq))
 
 
 def mallows_first_choice_pmf(
@@ -291,40 +256,6 @@ def mallows_perm_probs(phi: float, n: int) -> np.ndarray:
     space = perm_space(n)
     weights = phi ** (-space.inversions.astype(float))
     return weights / weights.sum()
-
-
-def rum_sample(spec: RankingModelSpec, pool: CandidatePool, rng: np.random.Generator) -> Permutation:
-    """Rank candidates by value + noise/theta, best perturbed value first."""
-    if spec.kind != "rum":
-        raise UnsupportedModelError(f"rum_sample needs a rum spec, got {spec.kind}")
-    x = pool.as_array()
-    perturbed = x + spec.noise.sample(rng, pool.n) / spec.theta
-    order = np.argsort(-perturbed, kind="stable")
-    ranked = perturbed[order]
-    for k in range(pool.n - 1):
-        if ranked[k] == ranked[k + 1]:
-            raise TieError(
-                f"candidates {order[k] + 1} and {order[k + 1] + 1} tied at value {ranked[k]!r}"
-            )
-    return Permutation(tuple(int(c) + 1 for c in order))
-
-
-def pl_pmf(spec: RankingModelSpec, pool: CandidatePool, pi: Permutation) -> float:
-    """Sequential-choice probability of a full ranking under Plackett-Luce."""
-    if spec.kind != "plackett_luce":
-        raise UnsupportedModelError(f"pl_pmf needs a plackett_luce spec, got {spec.kind}")
-    if pi.n != pool.n:
-        raise UnsupportedModelError(f"ranking on {pi.n} items, pool of {pool.n}")
-    x = pool.as_array()
-    scores = spec.theta * x
-    scores -= scores.max()
-    w = np.exp(scores)
-    prob = 1.0
-    remaining = w.sum()
-    for c in pi.order:
-        prob *= w[c - 1] / remaining
-        remaining -= w[c - 1]
-    return float(prob)
 
 
 def conditional_order_probability(

@@ -18,14 +18,12 @@ from monoculture import (
     CandidatePool,
     MallowsModel,
     NoiseSpec,
-    Permutation,
     RankingModelSpec,
     conditional_order_probability,
     exact_sequential_utilities,
     exact_utility_table,
     exact_welfare,
     find_theta_star,
-    kendall_tau,
     kfirm_braess_check,
     mallows_first_choice_pmf,
     mc_utility_table,
@@ -34,9 +32,9 @@ from monoculture import (
     well_ordered_check,
 )
 from monoculture.cli import b1_family, b1_polynomial, b2_family, main
+from monoculture.exact import ENTRY_NAMES
 from monoculture.solver import check_dominance
-
-ENTRY_NAMES = ("u_first_a", "u_first_h", "u_aa", "u_ah", "u_ha", "u_hh")
+from tests.oracles import all_orders, inversions
 
 # Three fixed score pools drawn once from default_rng(20260821).uniform(0, 1, 3)
 # and sorted best-first; frozen here so reruns probe identical instances.
@@ -103,21 +101,20 @@ def test_criterion_03_three_firm_uniform_pool_welfare_averages_pin_down():
 def test_criterion_04_distance_family_closed_forms_match_enumeration():
     t0 = time.perf_counter()
     for n in range(2, 7):
-        perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
-        ident = Permutation.identity(n)
+        orders = all_orders(n)
         for phi in (1.1, 2.0, 5.0):
             model = MallowsModel(phi, n)
-            weights = [phi ** -kendall_tau(p, ident) for p in perms]
+            weights = [phi ** -inversions(o) for o in orders]
             z_brute = sum(weights)
             assert model.normalizer == pytest.approx(z_brute, rel=1e-10)
             probs = [w / z_brute for w in weights]
-            for cand in range(1, n + 1):
-                brute = sum(p for p, s in zip(probs, perms) if s.order[0] == cand)
-                assert abs(mallows_first_choice_pmf(model, cand) - brute) < 1e-12
+            for cand in range(n):
+                brute = sum(p for p, o in zip(probs, orders) if o[0] == cand)
+                assert abs(mallows_first_choice_pmf(model, cand + 1) - brute) < 1e-12
             # mass at (i, j, ...) over mass at (j, i, ...) is exactly phi
-            for i, j in itertools.combinations(range(1, n + 1), 2):
-                top_ij = sum(p for p, s in zip(probs, perms) if s.order[:2] == (i, j))
-                top_ji = sum(p for p, s in zip(probs, perms) if s.order[:2] == (j, i))
+            for i, j in itertools.combinations(range(n), 2):
+                top_ij = sum(p for p, o in zip(probs, orders) if o[:2] == (i, j))
+                top_ji = sum(p for p, o in zip(probs, orders) if o[:2] == (j, i))
                 assert top_ij / top_ji == pytest.approx(phi, abs=1e-10)
     assert time.perf_counter() - t0 < 30.0
 

@@ -122,6 +122,18 @@ def test_usage_errors_exit_one(capsys):
         ("utilities", "--theta-h", "1", "--theta-a", "2", "--pool", POOL,
          "--family", "rum"),  # rum needs noise
         ("conditions", "--pool", POOL, "--check", "sideways"),
+        # library ValueErrors and overflow become usage errors, not tracebacks
+        ("utilities", "--theta-h", "1", "--theta-a", "abc", "--pool", POOL),
+        ("utilities", "--theta-h", "1", "--theta-a", "2", "--pool", POOL, "--seed", "x"),
+        ("sweep", "--grid", "1:2:1x1:2:1", "--pool", POOL, "--firms", "two"),
+        ("conditions", "--check", "monotonicity", "--grid", "1:2:0.5", "--pool", POOL,
+         "--removed", "7"),
+        ("conditions", "--check", "weaker-competition", "--theta-a", "1", "--theta-h", "2",
+         "--pool", POOL, "--samples", "100"),
+        ("braess-search", "--theta-h", "-1", "--pool", POOL),
+        ("sweep", "--grid", "1:2:1x1:2:1", "--pool", POOL, "--firms", "1"),
+        ("utilities", "--theta-h", "1", "--theta-a", "2", "--pool", POOL,
+         "--engine", "mc", "--samples", "1e400"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)

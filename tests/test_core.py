@@ -1,23 +1,18 @@
-"""Pools, distributions, rankings, and the Kendall tau distance."""
+"""Pools, distributions, and the inversion counts of the permutation table."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from monoculture import (
     CandidateDistribution,
     CandidatePool,
-    PartialRanking,
-    Permutation,
     PoolError,
-    RankingError,
-    kendall_tau,
-    remove_candidates,
-    top_value,
     uniform_order_statistic_means,
 )
+from monoculture.permspace import mask_of, perm_space
+from tests.oracles import inversions
 
 
 def test_pool_requires_strictly_decreasing_values():
@@ -82,67 +77,28 @@ def test_fixed_distribution_repeats_its_pool():
     assert d.mean_pool().as_array().tolist() == [1.0, 0.5, 0.0]
 
 
-def test_permutation_validation():
-    Permutation((2, 1, 3))
-    with pytest.raises(RankingError):
-        Permutation((1, 1, 2))
-    with pytest.raises(RankingError):
-        Permutation((0, 1, 2))
-    assert Permutation.identity(4).order == (1, 2, 3, 4)
-    assert Permutation((3, 1, 2)).rank_of(3) == 1
+def _row(space, order):
+    return int(space.rows_of(np.array(order))[0])
 
 
 def test_kendall_tau_known_values():
-    ident = Permutation.identity(4)
-    assert kendall_tau(ident, ident) == 0
-    assert kendall_tau(ident, Permutation((4, 3, 2, 1))) == 6
-    assert kendall_tau(ident, Permutation((2, 1, 3, 4))) == 1
-    with pytest.raises(RankingError):
-        kendall_tau(ident, Permutation.identity(3))
-
-
-@st.composite
-def permutations_of(draw, n):
-    order = list(range(1, n + 1))
-    return Permutation(tuple(draw(st.permutations(order))))
-
-
-@given(st.integers(2, 6).flatmap(lambda n: st.tuples(permutations_of(n), permutations_of(n))))
-def test_kendall_tau_is_a_symmetric_bounded_metric(pair):
-    pi, sigma = pair
-    d = kendall_tau(pi, sigma)
-    assert 0 <= d <= pi.n * (pi.n - 1) // 2
-    assert d == kendall_tau(sigma, pi)
-    assert (d == 0) == (pi.order == sigma.order)
-
-
-@given(st.integers(2, 5).flatmap(
-    lambda n: st.tuples(permutations_of(n), permutations_of(n), permutations_of(n))))
-def test_kendall_tau_triangle_inequality(triple):
-    a, b, c = triple
-    assert kendall_tau(a, c) <= kendall_tau(a, b) + kendall_tau(b, c)
+    # the table's inversion count is the Kendall tau distance to the true order
+    space = perm_space(4)
+    assert space.inversions[_row(space, (0, 1, 2, 3))] == 0
+    assert space.inversions[_row(space, (3, 2, 1, 0))] == 6
+    assert space.inversions[_row(space, (1, 0, 2, 3))] == 1
+    for row, order in enumerate(space.perms):
+        assert space.inversions[row] == inversions(tuple(order))
 
 
 def test_remove_candidates_keeps_relative_order():
-    pi = Permutation((3, 1, 4, 2))
-    pr = remove_candidates(pi, {1, 4})
-    assert pr.order == (3, 2)
-    assert pr.removed == frozenset({1, 4})
-    assert pr.top == 3
-    with pytest.raises(RankingError):
-        remove_candidates(pi, {1, 2, 3, 4})
-    with pytest.raises(RankingError):
-        remove_candidates(pi, {9})
-
-
-def test_partial_ranking_must_partition():
-    with pytest.raises(RankingError):
-        PartialRanking((1, 2), frozenset({2}))
-    with pytest.raises(RankingError):
-        PartialRanking((), frozenset({1}))
-
-
-def test_top_value_reads_the_pool():
-    pool = CandidatePool((1.0, 0.5, 0.0))
-    pr = remove_candidates(Permutation((2, 3, 1)), {2})
-    assert top_value(pr, pool) == 0.0
+    # removal happens after the ranking is realized: the top survivor is
+    # the first unremoved candidate of the full order, not a re-ranking
+    space = perm_space(4)
+    top = space.top_of_available(mask_of({0, 3}))
+    assert top[_row(space, (2, 0, 3, 1))] == 2
+    assert top[_row(space, (0, 3, 1, 2))] == 1
+    with pytest.raises(ValueError):
+        space.top_of_available(mask_of({0, 1, 2, 3}))
+    with pytest.raises(ValueError):
+        space.top_of_available(mask_of({8}))

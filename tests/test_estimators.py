@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoculture import (
     CandidateDistribution,
@@ -30,6 +31,7 @@ from monoculture.estimators import (
     _first_survivors,
     sample_top_two,
 )
+from monoculture.exact import ENTRY_NAMES
 from monoculture.permspace import perm_space
 
 POOL3 = CandidatePool((1.0, 0.5, 0.0))
@@ -148,7 +150,7 @@ def test_mc_table_agrees_with_exact_within_four_stderr():
     theta_a, theta_h = 1.5, 1.0
     exact = exact_utility_table(theta_a, theta_h, MALLOWS, POOL4)
     mc = mc_utility_table(theta_a, theta_h, MALLOWS, POOL4, 400_000, seed=314)
-    for name in ("u_first_a", "u_first_h", "u_aa", "u_ah", "u_ha", "u_hh"):
+    for name in ENTRY_NAMES:
         gap = abs(mc.entry(name) - exact.entry(name))
         assert gap < 4 * mc.stderr(name), name
         assert mc.stderr(name) > 0
@@ -159,7 +161,7 @@ def test_gaussian_exact_table_past_three_candidates_agrees_with_mc():
     pool = CandidatePool((1.0, 0.8, 0.5, 0.3, 0.0))
     exact = exact_utility_table(1.4, 1.0, GAUSSIAN, pool)
     mc = mc_utility_table(1.4, 1.0, GAUSSIAN, pool, 400_000, seed=2024)
-    for name in ("u_first_a", "u_first_h", "u_aa", "u_ah", "u_ha", "u_hh"):
+    for name in ENTRY_NAMES:
         assert abs(mc.entry(name) - exact.entry(name)) <= 5 * mc.stderr(name), name
 
 
@@ -230,9 +232,26 @@ def test_stderr_survives_a_large_pool_offset():
     shifted = CandidatePool(tuple(1e8 + values))
     near = mc_utility_table(1.5, 1.0, MALLOWS, POOL4, 100_000, seed=3)
     far = mc_utility_table(1.5, 1.0, MALLOWS, shifted, 100_000, seed=3)
-    for name in ("u_first_a", "u_first_h", "u_aa", "u_ah", "u_ha", "u_hh"):
+    for name in ENTRY_NAMES:
         assert far.stderr(name) > 0, name
         assert far.stderr(name) == pytest.approx(near.stderr(name), rel=1e-6), name
+
+
+@st.composite
+def offset_pools(draw):
+    # gaps of at least 0.05 stay distinct at 1e8, and at most 1.0 keep
+    # every family's picks random at these accuracies
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5))
+    offset = draw(st.floats(-1e8, 1e8))
+    return CandidatePool(tuple(offset - np.concatenate(([0.0], np.cumsum(gaps)))))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from([MALLOWS, SOFTMAX, GAUSSIAN]), offset_pools(), st.integers(0, 2**32 - 1))
+def test_stderr_is_positive_on_any_non_degenerate_pool_at_any_offset(spec, pool, seed):
+    table = mc_utility_table(1.5, 1.0, spec, pool, 4_000, seed=seed)
+    for name in ENTRY_NAMES:
+        assert table.stderr(name) > 0, name
 
 
 # ---------------------------------------------------------------- calibration
@@ -246,7 +265,7 @@ def test_interval_calibration_on_the_exact_table():
     z999 = 3.2905267314919255  # two-sided 99.9%
     runs = 1000
     n = 10_000
-    names = ("u_first_a", "u_first_h", "u_aa", "u_ah", "u_ha", "u_hh")
+    names = ENTRY_NAMES
     covered = dict.fromkeys(names, 0)
     for r in range(runs):
         mc = mc_utility_table(theta_a, theta_h, MALLOWS, POOL3, n, seed=10_000 + r)

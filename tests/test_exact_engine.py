@@ -19,7 +19,6 @@ from monoculture import (
     CandidatePool,
     MallowsModel,
     NoiseSpec,
-    Permutation,
     RankingModelSpec,
     TieError,
     UnsupportedModelError,
@@ -29,13 +28,13 @@ from monoculture import (
     exact_welfare,
     identity_check_uah_uaa,
     mallows_first_choice_pmf,
-    mallows_pmf,
     permutation_probabilities,
     top_two_pmf,
     uniform_order_statistic_means,
 )
-from monoculture.exact import SequentialState, _human_steps, _levels
+from monoculture.exact import ENTRY_NAMES, SequentialState, _human_steps, _levels
 from monoculture.permspace import perm_space
+from tests import oracles
 
 POOL3 = CandidatePool((1.0, 0.5, 0.0))
 POOL4 = CandidatePool((1.0, 0.7, 0.3, 0.0))
@@ -112,10 +111,9 @@ def test_quadrature_permutation_probabilities_capped_at_three():
 def test_permutation_probabilities_match_pmf_for_mallows():
     space = perm_space(3)
     probs = permutation_probabilities(MALLOWS, POOL3)
-    model = MallowsModel(2.0, 3)
+    want = oracles.mallows_pmf(2.0, 3)
     for row, p in zip(space.perms, probs):
-        pi = Permutation(tuple(int(c) + 1 for c in row))
-        assert abs(p - mallows_pmf(model, pi)) < 1e-14
+        assert abs(p - want[tuple(row.tolist())]) < 1e-14
 
 
 def test_gaussian_quadrature_probabilities_sum_to_one():
@@ -267,7 +265,7 @@ def test_first_mover_beats_its_own_second_mover_role():
 def test_all_entries_stay_inside_the_value_range():
     for spec in (MALLOWS, RankingModelSpec.plackett_luce(1.0)):
         t = exact_utility_table(1.7, 0.8, spec, POOL4)
-        for name in ("u_first_a", "u_first_h", "u_aa", "u_ah", "u_ha", "u_hh"):
+        for name in ENTRY_NAMES:
             assert 0.0 - 1e-15 <= t.entry(name) <= 1.0 + 1e-15
 
 
@@ -595,6 +593,19 @@ def test_mallows_table_is_equivariant_under_positive_affine_maps(pool, theta_a, 
     tol = 1e-12 * (abs(shift) + scale * 5.0 + 1.0)
     for name, value in base.as_dict().items():
         assert abs(got.entry(name) - (scale * value + shift)) < tol, name
+
+
+@settings(deadline=None, max_examples=60)
+@given(pools(max_n=10), st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.floats(-100.0, 100.0))
+def test_softmax_table_shifts_with_the_pool(pool, theta_a, theta_h, shift):
+    # choice probabilities depend on value differences only
+    softmax = RankingModelSpec.plackett_luce(1.0)
+    moved = CandidatePool(tuple(v + shift for v in pool.values))
+    base = exact_utility_table(theta_a, theta_h, softmax, pool)
+    got = exact_utility_table(theta_a, theta_h, softmax, moved)
+    tol = 1e-12 * (abs(shift) + 6.0)
+    for name, value in base.as_dict().items():
+        assert abs(got.entry(name) - (value + shift)) < tol, name
 
 
 @st.composite

@@ -1,8 +1,8 @@
 """Distance-based, noisy-score, and softmax ranking families.
 
-Closed forms are checked against brute-force enumeration over all n!
-rankings, samplers against their own pmfs, and the score-noise machinery
-against quadrature.
+Closed forms and the enumerated pmfs are checked against the brute-force
+oracles of tests/oracles.py, the ranking sampler against the exact pmfs,
+and the score-noise machinery against quadrature. Orders are 0-based.
 """
 
 import itertools
@@ -16,25 +16,33 @@ from monoculture import (
     CandidatePool,
     MallowsModel,
     NoiseSpec,
-    Permutation,
     RankingModelSpec,
     TieError,
     UnsupportedModelError,
     UnsupportedNoiseError,
     conditional_order_probability,
-    kendall_tau,
     mallows_first_choice_pmf,
-    mallows_pmf,
-    mallows_sample,
-    pl_pmf,
-    rum_sample,
+    mallows_perm_probs,
+    permutation_probabilities,
+    sample_rankings,
     well_ordered_check,
 )
 from monoculture.permspace import perm_space
+from tests.oracles import all_orders, inversions, luce_pmf, mallows_pmf
 
 
-def all_perms(n):
-    return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+def by_order(probs, n):
+    """Row probabilities of the permutation table, keyed by order."""
+    return dict(zip(map(tuple, perm_space(n).perms.tolist()), probs))
+
+
+def frequencies(orders):
+    rows, counts = np.unique(orders, axis=0, return_counts=True)
+    return {tuple(row): c / len(orders) for row, c in zip(rows.tolist(), counts)}
+
+
+def pools_of(pool, size):
+    return np.broadcast_to(pool.as_array(), (size, pool.n))
 
 
 # ---------------------------------------------------------------- noise
@@ -73,9 +81,9 @@ def test_discrete_noise_has_no_density():
 
 
 def test_mallows_pmf_n3_phi2_enumeration_values():
-    model = MallowsModel(2.0, 3)
-    assert abs(mallows_pmf(model, Permutation((1, 2, 3))) - 8 / 21) < 1e-15
-    assert abs(mallows_pmf(model, Permutation((3, 2, 1))) - 1 / 21) < 1e-15
+    probs = by_order(mallows_perm_probs(2.0, 3), 3)
+    assert abs(probs[(0, 1, 2)] - 8 / 21) < 1e-15
+    assert abs(probs[(2, 1, 0)] - 1 / 21) < 1e-15
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -90,62 +98,54 @@ def test_mallows_pmf_sums_to_one_and_normalizer_matches_enumeration(n, phi):
 
 
 def test_mallows_pmf_concentrates_at_high_accuracy():
-    model = MallowsModel(1e6, 3)
-    assert mallows_pmf(model, Permutation((1, 2, 3))) > 0.999
+    assert by_order(mallows_perm_probs(1e6, 3), 3)[(0, 1, 2)] > 0.999
 
 
 def test_mallows_pmf_depends_only_on_distance():
     model = MallowsModel(3.0, 4)
-    ident = Permutation.identity(4)
-    for pi in all_perms(4):
-        expected = 3.0 ** (-kendall_tau(pi, ident)) / model.normalizer
-        assert abs(mallows_pmf(model, pi) - expected) < 1e-15
+    probs = by_order(mallows_perm_probs(3.0, 4), 4)
+    for order in all_orders(4):
+        expected = 3.0 ** -inversions(order) / model.normalizer
+        assert abs(probs[order] - expected) < 1e-15
 
 
 def test_mallows_sample_matches_pmf():
-    model = MallowsModel(2.0, 3)
-    rng = np.random.default_rng(42)
-    counts = {}
     n_draws = 1_000_000
-    for _ in range(n_draws):
-        pi = mallows_sample(model, rng)
-        counts[pi.order] = counts.get(pi.order, 0) + 1
-    assert abs(counts[(1, 2, 3)] / n_draws - 8 / 21) < 0.002
+    orders = sample_rankings(
+        RankingModelSpec.mallows(2.0), np.zeros((n_draws, 3)), np.random.default_rng(42)
+    )
+    hits = np.all(orders == (0, 1, 2), axis=1).mean()
+    assert abs(hits - 8 / 21) < 0.002
 
 
 def test_mallows_sample_total_variation_n4():
-    model = MallowsModel(2.0, 4)
-    rng = np.random.default_rng(11)
     n_draws = 1_000_000
-    counts = {}
-    for _ in range(n_draws):
-        pi = mallows_sample(model, rng)
-        counts[pi.order] = counts.get(pi.order, 0) + 1
-    tv = 0.5 * sum(
-        abs(counts.get(pi.order, 0) / n_draws - mallows_pmf(model, pi)) for pi in all_perms(4)
+    orders = sample_rankings(
+        RankingModelSpec.mallows(2.0), np.zeros((n_draws, 4)), np.random.default_rng(11)
     )
+    got = frequencies(orders)
+    tv = 0.5 * sum(abs(got.get(order, 0.0) - p) for order, p in mallows_pmf(2.0, 4).items())
     assert tv < 0.005
 
 
 def test_mallows_sample_near_deterministic_at_huge_phi():
-    model = MallowsModel(1e6, 3)
-    rng = np.random.default_rng(3)
-    hits = sum(mallows_sample(model, rng).order == (1, 2, 3) for _ in range(2000))
-    assert hits / 2000 > 0.999
+    orders = sample_rankings(
+        RankingModelSpec.mallows(1e6), np.zeros((2000, 3)), np.random.default_rng(3)
+    )
+    assert np.all(orders == (0, 1, 2), axis=1).mean() > 0.999
 
 
 def test_mallows_two_candidates():
-    model = MallowsModel(3.0, 2)
-    assert abs(mallows_pmf(model, Permutation((1, 2))) - 3 / 4) < 1e-15
+    assert abs(by_order(mallows_perm_probs(3.0, 2), 2)[(0, 1)] - 3 / 4) < 1e-15
 
 
 def brute_first_choice(phi, n, candidate, removed=frozenset()):
-    model = MallowsModel(phi, n)
+    """Oracle mass of orders whose first 1-based survivor is `candidate`."""
     total = 0.0
-    for pi in all_perms(n):
-        top = next(c for c in pi.order if c not in removed)
+    for order, p in mallows_pmf(phi, n).items():
+        top = next(c + 1 for c in order if c + 1 not in removed)
         if top == candidate:
-            total += mallows_pmf(model, pi)
+            total += p
     return total
 
 
@@ -208,14 +208,11 @@ def test_survivor_pair_mass_ratio_is_phi():
     # factor of exactly phi for every candidate pair
     for n in (3, 4, 5):
         for phi in (1.5, 2.0, 5.0):
-            model = MallowsModel(phi, n)
             mass = {}
-            for pi in all_perms(n):
-                key = (pi.order[0], pi.order[1])
-                mass[key] = mass.get(key, 0.0) + mallows_pmf(model, pi)
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    assert abs(mass[(i, j)] / mass[(j, i)] - phi) < 1e-10
+            for order, p in by_order(mallows_perm_probs(phi, n), n).items():
+                mass[order[:2]] = mass.get(order[:2], 0.0) + p
+            for i, j in itertools.combinations(range(n), 2):
+                assert abs(mass[(i, j)] / mass[(j, i)] - phi) < 1e-10
 
 
 def test_projection_to_contiguous_blocks_is_total_variation_zero():
@@ -223,25 +220,21 @@ def test_projection_to_contiguous_blocks_is_total_variation_zero():
     # survivors is the same family on the block
     for n in (4, 5, 6):
         phi = 2.0
-        model = MallowsModel(phi, n)
-        for removed in ({1}, {n}, {1, 2}, {n - 1, n}, {1, n}):
-            survivors = [c for c in range(1, n + 1) if c not in removed]
+        for removed in ({0}, {n - 1}, {0, 1}, {n - 2, n - 1}, {0, n - 1}):
+            survivors = [c for c in range(n) if c not in removed]
             m = len(survivors)
             contiguous = survivors[-1] - survivors[0] + 1 == m
             induced = {}
-            for pi in all_perms(n):
-                key = tuple(c for c in pi.order if c not in removed)
-                induced[key] = induced.get(key, 0.0) + mallows_pmf(model, pi)
-            sub = MallowsModel(phi, m)
-            rank = {c: r for r, c in enumerate(survivors, 1)}
-            tv = 0.0
-            for key, p in induced.items():
-                sub_pi = Permutation(tuple(rank[c] for c in key))
-                tv += abs(p - mallows_pmf(sub, sub_pi))
+            for order, p in by_order(mallows_perm_probs(phi, n), n).items():
+                key = tuple(c for c in order if c not in removed)
+                induced[key] = induced.get(key, 0.0) + p
+            sub = by_order(mallows_perm_probs(phi, m), m)
+            rank = {c: r for r, c in enumerate(survivors)}
+            tv = sum(abs(p - sub[tuple(rank[c] for c in key)]) for key, p in induced.items())
             if contiguous:
                 assert tv / 2 < 1e-10
             else:
-                assert tv / 2 > 1e-3  # the {1, n} gap case genuinely differs
+                assert tv / 2 > 1e-3  # the {first, last} gap case genuinely differs
 
 
 # ---------------------------------------------------------------- softmax
@@ -250,22 +243,23 @@ def test_projection_to_contiguous_blocks_is_total_variation_zero():
 def test_pl_pmf_known_two_candidate_value():
     spec = RankingModelSpec.plackett_luce(math.log(2.0))
     pool = CandidatePool((1.0, 0.0))
-    assert abs(pl_pmf(spec, pool, Permutation((1, 2))) - 2 / 3) < 1e-12
+    assert abs(by_order(permutation_probabilities(spec, pool), 2)[(0, 1)] - 2 / 3) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_pl_pmf_sums_to_one(n):
     spec = RankingModelSpec.plackett_luce(1.3)
     pool = CandidatePool(tuple(float(n - i) / n for i in range(n)))
-    total = sum(pl_pmf(spec, pool, pi) for pi in all_perms(n))
-    assert abs(total - 1.0) < 1e-10
+    probs = by_order(permutation_probabilities(spec, pool), n)
+    assert abs(sum(probs.values()) - 1.0) < 1e-10
+    for order, p in luce_pmf(1.3, pool.values).items():
+        assert abs(probs[order] - p) < 1e-12
 
 
 def test_pl_pmf_near_uniform_at_tiny_accuracy():
     spec = RankingModelSpec.plackett_luce(1e-9)
-    pool = CandidatePool((1.0, 0.5, 0.0))
-    for pi in all_perms(3):
-        assert abs(pl_pmf(spec, pool, pi) - 1 / 6) < 1e-9
+    probs = permutation_probabilities(spec, CandidatePool((1.0, 0.5, 0.0)))
+    assert np.all(np.abs(probs - 1 / 6) < 1e-9)
 
 
 # ---------------------------------------------------------------- noisy scores
@@ -274,9 +268,8 @@ def test_pl_pmf_near_uniform_at_tiny_accuracy():
 def test_rum_sample_vanishing_noise_recovers_the_true_order():
     spec = RankingModelSpec.rum(NoiseSpec.gaussian(), 1e6)
     pool = CandidatePool((1.0, 0.5, 0.0))
-    rng = np.random.default_rng(9)
-    hits = sum(rum_sample(spec, pool, rng).order == (1, 2, 3) for _ in range(2000))
-    assert hits / 2000 > 0.999
+    orders = sample_rankings(spec, pools_of(pool, 2000), np.random.default_rng(9))
+    assert np.all(orders == (0, 1, 2), axis=1).mean() > 0.999
 
 
 def test_rum_sample_first_place_rate_matches_quadrature():
@@ -288,10 +281,9 @@ def test_rum_sample_first_place_rate_matches_quadrature():
         return stats.norm.pdf(t - 1.0) * stats.norm.cdf(t - 0.5) * stats.norm.cdf(t)
 
     want, _ = integrate.quad(integrand, -12.0, 12.0)
-    rng = np.random.default_rng(12)
     n_draws = 200_000
-    hits = sum(rum_sample(spec, pool, rng).order[0] == 1 for _ in range(n_draws))
-    rate = hits / n_draws
+    orders = sample_rankings(spec, pools_of(pool, n_draws), np.random.default_rng(12))
+    rate = (orders[:, 0] == 0).mean()
     se = math.sqrt(rate * (1 - rate) / n_draws)
     assert abs(rate - want) < 3 * se + 1e-9
 
@@ -301,19 +293,15 @@ def test_three_atom_noise_is_tie_free_on_its_pool():
     atoms = NoiseSpec.discrete(((-1.0, delta / 2), (0.0, 1 - delta), (1.0, delta / 2)))
     spec = RankingModelSpec.rum(atoms, 1.0)
     pool = CandidatePool((1.75, 0.5, 0.0))
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        rum_sample(spec, pool, rng)  # would raise on any tie
+    sample_rankings(spec, pools_of(pool, 200), np.random.default_rng(1))  # raises on any tie
 
 
 def test_discrete_noise_tie_raises_with_the_pair_named():
     atoms = NoiseSpec.discrete(((-0.5, 0.5), (0.5, 0.5)))
     spec = RankingModelSpec.rum(atoms, 1.0)
     pool = CandidatePool((1.0, 0.0))  # 1 - 0.5 collides with 0 + 0.5
-    rng = np.random.default_rng(0)
     with pytest.raises(TieError) as err:
-        for _ in range(200):
-            rum_sample(spec, pool, rng)
+        sample_rankings(spec, pools_of(pool, 200), np.random.default_rng(0))
     msg = str(err.value)
     assert "1" in msg and "2" in msg
 
@@ -325,17 +313,11 @@ def test_gumbel_noise_reduces_to_the_softmax_family():
     spec = RankingModelSpec.rum(NoiseSpec.gumbel(), theta)
     pl = RankingModelSpec.plackett_luce(theta * math.pi / math.sqrt(6.0))
     pool = CandidatePool((1.0, 0.4, 0.0))
-    rng = np.random.default_rng(21)
     n_draws = 1_000_000
-    counts = {}
-    for _ in range(n_draws):
-        pi = rum_sample(spec, pool, rng)
-        counts[pi.order] = counts.get(pi.order, 0) + 1
-    for pi in all_perms(3):
-        want = pl_pmf(pl, pool, pi)
-        got = counts.get(pi.order, 0) / n_draws
+    got = frequencies(sample_rankings(spec, pools_of(pool, n_draws), np.random.default_rng(21)))
+    for order, want in by_order(permutation_probabilities(pl, pool), 3).items():
         se = math.sqrt(want * (1 - want) / n_draws)
-        assert abs(got - want) < 4 * se
+        assert abs(got.get(order, 0.0) - want) < 4 * se
 
 
 # ---------------------------------------------------------------- truncated order
