@@ -37,12 +37,6 @@ class CandidatePool:
     def n(self) -> int:
         return len(self.values)
 
-    def value_of(self, candidate: int) -> float:
-        """Value of 1-based candidate index."""
-        if not 1 <= candidate <= len(self.values):
-            raise PoolError(f"candidate {candidate} out of range 1..{len(self.values)}")
-        return self.values[candidate - 1]
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 

@@ -1,21 +1,20 @@
 """Exact selection probabilities, utility tables, and sequential hiring.
 
 Utility tables are linear in the n x n top-two pmf (`top_two_pmf`): closed
-forms, one quadrature per candidate pair, or atom enumeration (at most 2e6
-atom combinations). Selection pmfs enumerate all n! rankings (n <= 8), and
-continuous-noise permutation probabilities stop at n <= 3. Sequential hiring
-(n <= 7) keeps one array of mass over (removed set, shared ranking) per
-number of firms hired. All are exact up to rounding and quadrature error.
+forms, one composite Gauss-Legendre rule shared by all candidate pairs, or
+atom enumeration (at most 2e6 atom combinations). Selection pmfs enumerate
+all n! rankings (n <= 8), and continuous-noise permutation probabilities
+stop at n <= 3. Sequential hiring (n <= 7) keeps one array of mass over
+(removed set, shared ranking) per number of firms hired. All are exact up
+to rounding and quadrature error.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
-from scipy import integrate
 
 from .core import (
     CandidatePool,
@@ -35,6 +34,10 @@ MAX_SEQUENTIAL_N = 7
 MAX_PMF_N = 8
 MAX_QUADRATURE_N = 3
 _DISCRETE_SUPPORT_CAP = 2_000_000
+# continuous-noise quadrature: 16-point Gauss-Legendre panels of width at most
+# 1/theta over candidate windows of R = 40 noise units either side
+_GL_POINTS = 16
+_GL_WINDOW = 40.0
 
 ENTRY_NAMES = ("u_first_a", "u_first_h", "u_aa", "u_ah", "u_ha", "u_hh")
 
@@ -138,7 +141,10 @@ def top_two_pmf(spec: RankingModelSpec, x) -> np.ndarray:
     Distance-based: q^(a + r_b) / (Z_n Z_{n-1}), q = 1/phi, r_b = b's rank
     without a (the multistage decomposition, Fligner & Verducci 1986).
     Plackett-Luce: w_a/W * w_b/(W - w_a), w = exp(theta x) (Luce's choice
-    axiom). Continuous RUMs: the integral of f_b (1 - F_a) prod_{c!=a,b} F_c.
+    axiom). Continuous RUMs: the integral of f_b (1 - F_a) prod_{c!=a,b} F_c
+    over b's perturbed value, by one composite 16-point Gauss-Legendre rule
+    for all pairs (panels at most 1/theta wide over x_c +- 40/theta, split at
+    the pool values); UnsupportedModelError if the pmf misses 1 by over 1e-8.
     Discrete RUMs: atom enumeration, with TieError on a tie anywhere in a
     ranking. The last 128 pmfs are cached by spec and values (by n for the
     distance-based family), so a lattice's rows and columns share them.
@@ -177,22 +183,52 @@ def _pl_top_two(theta: float, x: np.ndarray) -> np.ndarray:
 
 
 def _continuous_rum_top_two(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
-    pmf = np.zeros((len(x), len(x)))
-    for a, b in permutations(range(len(x)), 2):
-        rest = np.array([c for c in range(len(x)) if c not in (a, b)], dtype=int)
-
-        def integrand(t: float, a=a, b=b, rest=rest) -> float:
-            z = (t - x) * theta
-            cdf = noise.cdf(z)
-            return theta * float(noise.pdf(z[b])) * (1.0 - cdf[a]) * cdf[rest].prod()
-
-        pmf[a, b], _ = integrate.quad(
-            integrand, -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=300
-        )
+    pmf = _pair_integrals(noise, theta, x)
     total = pmf.sum()
     if abs(total - 1.0) > 1e-8:
         raise UnsupportedModelError(f"quadrature pmf sums to {total!r}")
     return pmf / total
+
+
+def _pair_integrals(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
+    """P[a, b] = sum_k w_k f_b (1 - F_a) prod_{c != a, b} F_c over the nodes
+    t_k, as the product A^T B so that no K x n x n array is formed. F is
+    floored at 1e-300 before L = log F is taken; f_b exp(-L_b) stays bounded
+    there for all three kinds."""
+    t, w = _gauss_legendre_grid(theta, x)
+    z = theta * (t[:, None] - x)
+    cdf = noise.cdf(z)
+    logs = np.log(np.maximum(cdf, 1e-300))
+    a = w[:, None] * (1.0 - cdf) * np.exp(logs.sum(axis=1, keepdims=True) - logs)
+    b = theta * noise.pdf(z) * np.exp(-logs)
+    pmf = a.T @ b
+    np.fill_diagonal(pmf, 0.0)
+    return pmf
+
+
+def _gauss_legendre_grid(theta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule in perturbed-value space:
+    panels at most 1/theta wide over the union of the windows x_c +- R/theta,
+    with breakpoints at the pool values (the laplacian kink)."""
+    nodes, weights = _legendre_rule()
+    half = _GL_WINDOW / theta
+    edges = np.unique(np.concatenate([x - half, x, x + half]))
+    lo, hi = edges[:-1], edges[1:]
+    inside = np.abs(0.5 * (lo + hi)[:, None] - x).min(axis=1) < half
+    lo, hi = lo[inside], hi[inside]
+    panels = np.ceil((hi - lo) * theta).astype(int)
+    width = np.repeat((hi - lo) / panels, panels)
+    first = np.repeat(np.cumsum(panels) - panels, panels)
+    start = np.repeat(lo, panels) + (np.arange(panels.sum()) - first) * width
+    t = start[:, None] + 0.5 * width[:, None] * (nodes + 1.0)
+    return t.ravel(), (0.5 * width[:, None] * weights).ravel()
+
+
+@lru_cache(maxsize=1)
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    # on first use, not at import: the eigensolver behind leggauss adds about
+    # 1 MB of peak memory to every process that imports the package
+    return np.polynomial.legendre.leggauss(_GL_POINTS)
 
 
 def _atom_enumeration(noise: NoiseSpec, theta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ theta = phi - 1 for the distance-based family.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +24,9 @@ LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
 GUMBEL_SCALE = math.sqrt(6.0) / math.pi
 
 _ATOM_PROB_TOL = 1e-12
+# largest exponent whose exp is finite; the gumbel double exponential is
+# clipped here, which changes no value that did not overflow
+_MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
 class TieError(ValueError):
@@ -111,7 +115,7 @@ class NoiseSpec:
             return -np.abs(z) / LAPLACE_SCALE - math.log(2.0 * LAPLACE_SCALE)
         if self.kind == "gumbel":
             u = z / GUMBEL_SCALE
-            return -u - np.exp(-u) - math.log(GUMBEL_SCALE)
+            return -u - np.exp(np.minimum(-u, _MAX_EXP_ARG)) - math.log(GUMBEL_SCALE)
         raise UnsupportedNoiseError("discrete noise has no density")
 
     def pdf(self, z):
@@ -126,7 +130,7 @@ class NoiseSpec:
             half_tail = 0.5 * np.exp(-np.abs(u))
             return np.where(u < 0, half_tail, 1.0 - half_tail)
         if self.kind == "gumbel":
-            return np.exp(-np.exp(-z / GUMBEL_SCALE))
+            return np.exp(-np.exp(np.minimum(-z / GUMBEL_SCALE, _MAX_EXP_ARG)))
         raise UnsupportedNoiseError("discrete noise cdf not provided")
 
 

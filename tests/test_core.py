@@ -25,22 +25,18 @@ def test_pool_requires_strictly_decreasing_values():
         CandidatePool((1.0,))
 
 
-def test_pool_lookup_is_one_based():
+def test_pool_holds_its_values_best_first():
     pool = CandidatePool((1.75, 0.5, 0.0))
     assert pool.n == 3
-    assert pool.value_of(1) == 1.75
-    assert pool.value_of(3) == 0.0
-    with pytest.raises(PoolError):
-        pool.value_of(0)
-    with pytest.raises(PoolError):
-        pool.value_of(4)
+    assert pool.as_array()[0] == 1.75
+    assert pool.as_array()[2] == 0.0
 
 
 def test_pool_array_is_a_copy():
     pool = CandidatePool((1.0, 0.5, 0.0))
     arr = pool.as_array()
     arr[0] = 99.0
-    assert pool.value_of(1) == 1.0
+    assert pool.as_array()[0] == 1.0
 
 
 def test_uniform_order_statistic_means_closed_form():
@@ -57,7 +53,7 @@ def test_distribution_mean_pool_matches_order_statistics():
     d0 = CandidateDistribution.uniform_centered_zero(math.sqrt(3.0), 3)
     lo, hi = d0.bounds
     assert lo == -math.sqrt(3.0) and hi == math.sqrt(3.0)
-    assert abs(d0.mean_pool().value_of(2)) < 1e-15
+    assert abs(d0.mean_pool().as_array()[1]) < 1e-15
 
 
 def test_distribution_samples_sorted_and_in_bounds():

@@ -9,6 +9,7 @@ replay that branches over each human firm's pick.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from monoculture import (
     top_two_pmf,
     uniform_order_statistic_means,
 )
-from monoculture.exact import ENTRY_NAMES, SequentialState, _human_steps, _levels
+from monoculture.exact import ENTRY_NAMES, SequentialState, _human_steps, _levels, _pair_integrals
 from monoculture.permspace import perm_space
 from tests import oracles
 
@@ -187,6 +188,46 @@ def test_cached_top_two_pmf_is_read_only():
     assert top_two_pmf(spec, x.copy()) is pmf
     with pytest.raises(ValueError):
         pmf[0, 1] = 0.5
+
+
+CONTINUOUS_KINDS = ("gaussian", "laplacian", "gumbel")
+
+
+@pytest.mark.parametrize("kind", CONTINUOUS_KINDS)
+def test_continuous_top_two_pmf_matches_per_pair_quad(kind):
+    for n in (3, 5, 8):
+        x = spread_pool(n).as_array()
+        for theta in (0.3, 1.0, 5.0, 40.0):
+            got = top_two_pmf(RankingModelSpec.rum(NoiseSpec(kind), theta), x)
+            want = np.array(oracles.rum_top_two_quad(kind, theta, x.tolist()))
+            assert np.abs(got - want).max() < 1e-10, (n, theta)
+
+
+def test_gumbel_table_at_high_accuracy_raises_no_warning():
+    # the far left tail of the gumbel cdf is a double exponential that
+    # overflowed; sampling cannot check this case, since nearly every draw
+    # gives the same ranking and a stderr of about 0
+    pool = CandidatePool((3.0, 1.0, 0.0))
+    family = RankingModelSpec.rum(NoiseSpec.gumbel(), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = exact_utility_table(800.0, 1.0, family, pool)
+        pmf = top_two_pmf(family.with_theta(800.0), pool.as_array())
+    assert all(math.isfinite(v) for v in t.as_dict().values())
+    assert pmf[0, 1] >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("theta_a", [2.0, 5.0])
+def test_laplacian_pair_integrals_sum_to_one_on_a_pool_quad_rejected(theta_a):
+    # per-pair adaptive quad summed to 1.00000001..., past the 1e-8 check
+    pool = CandidatePool((0.8277025938204418, 0.7535131086748066, 0.5495936876730595,
+                          0.5381433132192782, 0.4091991363691613, 0.027559113243068367))
+    family = RankingModelSpec.rum(NoiseSpec.laplacian(), 1.0)
+    t = exact_utility_table(theta_a, 1.0, family, pool)
+    assert all(math.isfinite(v) for v in t.as_dict().values())
+    for theta in (theta_a, 1.0):
+        raw = _pair_integrals(NoiseSpec.laplacian(), theta, pool.as_array())
+        assert abs(raw.sum() - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------- tables
@@ -606,6 +647,26 @@ def test_softmax_table_shifts_with_the_pool(pool, theta_a, theta_h, shift):
     tol = 1e-12 * (abs(shift) + 6.0)
     for name, value in base.as_dict().items():
         assert abs(got.entry(name) - (value + shift)) < tol, name
+
+
+@settings(deadline=None, max_examples=40)
+@given(pools(), st.sampled_from(CONTINUOUS_KINDS), st.floats(0.1, 10.0), st.floats(-100.0, 100.0))
+def test_continuous_top_two_pmf_is_invariant_under_shifts(pool, kind, theta, shift):
+    spec = RankingModelSpec.rum(NoiseSpec(kind), theta)
+    base = top_two_pmf(spec, pool.as_array())
+    got = top_two_pmf(spec, pool.as_array() + shift)
+    assert np.abs(got - base).max() < 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(pools(), st.sampled_from(CONTINUOUS_KINDS), st.floats(0.1, 10.0), st.floats(0.01, 100.0))
+def test_continuous_top_two_pmf_is_invariant_under_scaling_pool_and_inverse_accuracy(
+    pool, kind, theta, scale
+):
+    # theta (x_a - x_b) is all the pmf sees
+    base = top_two_pmf(RankingModelSpec.rum(NoiseSpec(kind), theta), pool.as_array())
+    got = top_two_pmf(RankingModelSpec.rum(NoiseSpec(kind), theta / scale), scale * pool.as_array())
+    assert np.abs(got - base).max() < 1e-12
 
 
 @st.composite
