@@ -39,14 +39,12 @@ from .exact import (
     top_two_pmf,
 )
 from .models import (
-    MallowsModel,
     NoiseSpec,
     RankingModelSpec,
     TieError,
     UnsupportedModelError,
     UnsupportedNoiseError,
     conditional_order_probability,
-    mallows_first_choice_pmf,
     mallows_perm_probs,
     well_ordered_check,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "EquilibriumOutcome",
     "EstimateWithError",
     "KFirmReport",
-    "MallowsModel",
     "NoiseSpec",
     "PayoffMatrix",
     "PoolError",
@@ -109,7 +106,6 @@ __all__ = [
     "find_theta_star",
     "identity_check_uah_uaa",
     "kfirm_braess_check",
-    "mallows_first_choice_pmf",
     "mallows_perm_probs",
     "mc_utility_table",
     "mc_utility_trials",

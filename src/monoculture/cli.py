@@ -5,7 +5,8 @@ behavioral-condition checks, Braess-window searches, pinned reproduction
 targets, and invariant verification suites. Output is CSV on stdout (and
 optionally a file); a .dat output path switches to whitespace-separated
 columns for plotting tools. Identical flags and seed give byte-identical
-output regardless of --threads.
+output regardless of --threads. Each subcommand accepts only the flags it
+reads, on the command line or in its --config file.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 a reproduction or
 verification check failed, 3 numerical failure (no bracket, tied scores).
@@ -144,16 +145,15 @@ def parse_dist(text: str) -> CandidateDistribution:
 
 
 def build_family(args) -> RankingModelSpec:
-    family = (args.family or "mallows").replace("_", "-").lower()
-    if family == "mallows":
+    if args.family == "mallows":
         if args.noise:
             raise UsageError("the distance-based family takes no --noise")
         return RankingModelSpec.mallows(2.0)
-    if family in ("plackett-luce", "pl"):
+    if args.family in ("plackett-luce", "pl"):
         if args.noise:
             raise UsageError("--family plackett-luce takes no --noise")
         return RankingModelSpec.plackett_luce(1.0)
-    if family == "rum":
+    if args.family == "rum":
         if not args.noise:
             raise UsageError("--family rum needs --noise")
         return RankingModelSpec.rum(parse_noise(args.noise), 1.0)
@@ -171,25 +171,6 @@ def build_pool(args):
     if args.dist:
         return parse_dist(args.dist)
     raise UsageError("need --pool or --dist")
-
-
-def check_engine(engine: str) -> str:
-    engine = (engine or "exact").lower()
-    if engine not in ("exact", "mc"):
-        raise UsageError(f"engine must be exact or mc, got {engine!r}")
-    return engine
-
-
-def get_samples(args, default: int) -> int:
-    if args.samples is None:
-        return default
-    try:
-        n = int(float(args.samples))
-    except (ValueError, OverflowError) as exc:
-        raise UsageError(f"bad --samples {args.samples!r}") from exc
-    if n < 1:
-        raise UsageError("--samples must be positive")
-    return n
 
 
 def render(rows: list[list], header: list[str], dat: bool = False) -> str:
@@ -219,18 +200,14 @@ def emit(rows: list[list], header: list[str], out_path: str | None) -> None:
 def cmd_utilities(args) -> int:
     family = build_family(args)
     pool = build_pool(args)
-    if args.theta_h is None or args.theta_a is None:
+    theta_h, theta_a = args.theta_h, args.theta_a
+    if theta_h is None or theta_a is None:
         raise UsageError("utilities needs --theta-h and --theta-a")
-    theta_h = float(args.theta_h)
-    theta_a = float(args.theta_a)
-    engine = check_engine(args.engine)
-    samples = get_samples(args, 1_000_000)
-    seed = int(args.seed or 0)
-    if engine == "exact":
+    if args.engine == "exact":
         table = exact_utility_table(theta_a, theta_h, family, pool)
     else:
         table = mc_utility_table(
-            theta_a, theta_h, family, pool, samples, seed, threads=int(args.threads or 1)
+            theta_a, theta_h, family, pool, args.samples, args.seed, threads=args.threads
         )
     header = (
         ["family", "noise", "engine", "theta_h", "theta_a"]
@@ -239,10 +216,10 @@ def cmd_utilities(args) -> int:
         + ["n_samples", "seed"]
     )
     row = (
-        [family.kind, family.noise.kind if family.noise else "", engine, theta_h, theta_a]
+        [family.kind, family.noise.kind if family.noise else "", args.engine, theta_h, theta_a]
         + [table.entry(c) for c in ENTRY_NAMES]
         + [table.stderr(c) for c in ENTRY_NAMES]
-        + [table.n_samples, seed]
+        + [table.n_samples, args.seed]
     )
     emit([row], header, args.out)
     return EXIT_OK
@@ -284,18 +261,16 @@ def cmd_sweep(args) -> int:
     if not args.grid:
         raise UsageError("sweep needs --grid lo:hi:step x lo:hi:step")
     theta_h_values, theta_a_values = parse_grid(args.grid)
-    k = int(args.firms or 2)
-    engine = check_engine(args.engine)
     cells = sweep_plane(
         theta_h_values,
         theta_a_values,
         family,
         pool,
-        engine=engine,
-        k=k,
-        n_samples=get_samples(args, 100_000),
-        seed=int(args.seed or 0),
-        threads=int(args.threads or 1),
+        engine=args.engine,
+        k=args.firms,
+        n_samples=args.samples,
+        seed=args.seed,
+        threads=args.threads,
     )
     emit(sweep_rows(cells), SWEEP_HEADER, args.out)
     return EXIT_OK
@@ -305,21 +280,20 @@ def _phi_args(args) -> tuple[float, float]:
     phi_a = args.phi_a
     phi_h = args.phi_h
     if phi_a is None and args.theta_a is not None:
-        phi_a = 1.0 + float(args.theta_a)
+        phi_a = 1.0 + args.theta_a
     if phi_h is None and args.theta_h is not None:
-        phi_h = 1.0 + float(args.theta_h)
+        phi_h = 1.0 + args.theta_h
     if phi_a is None or phi_h is None:
         raise UsageError("need --phi-a/--phi-h (or --theta-a/--theta-h)")
-    return float(phi_a), float(phi_h)
+    return phi_a, phi_h
 
 
 def cmd_sequential(args) -> int:
     pool = build_pool(args)
     phi_a, phi_h = _phi_args(args)
-    k = int(args.firms or 0)
-    if k < 1:
+    if args.firms is None or args.firms < 1:
         raise UsageError("sequential needs --firms >= 1")
-    seq = sequential_optimal_sequence(k, phi_a, phi_h, pool)
+    seq = sequential_optimal_sequence(args.firms, phi_a, phi_h, pool)
     header = ["position", "choice", "utility", "phi_a", "phi_h", "sequence", "binary_value"]
     rows = [
         [i + 1, seq.choices[i], seq.utilities[i], phi_a, phi_h, seq.as_string(), seq.binary_value]
@@ -332,33 +306,29 @@ def cmd_sequential(args) -> int:
 def cmd_conditions(args) -> int:
     family = build_family(args)
     pool = build_pool(args)
-    check = (args.check or "").replace("_", "-").lower()
-    samples = get_samples(args, 1_000_000)
-    seed = int(args.seed or 0)
-    threads = int(args.threads or 1)
-    if check == "first-position":
+    samples, seed, threads = args.samples, args.seed, args.threads
+    if args.check == "first-position":
         if args.theta_h is None:
             raise UsageError("first-position needs --theta-h")
         report = check_pref_first_position(
-            family, float(args.theta_h), pool, samples, seed, threads=threads
+            family, args.theta_h, pool, samples, seed, threads=threads
         )
-        params = f"theta={fmt(float(args.theta_h))}"
-    elif check == "weaker-competition":
+        params = f"theta={fmt(args.theta_h)}"
+    elif args.check == "weaker-competition":
         if args.theta_a is None or args.theta_h is None:
             raise UsageError("weaker-competition needs --theta-a (stronger) and --theta-h")
         report = check_pref_weaker_competition(
-            family, float(args.theta_a), float(args.theta_h), pool, samples, seed,
-            threads=threads,
+            family, args.theta_a, args.theta_h, pool, samples, seed, threads=threads
         )
-        params = f"theta1={fmt(float(args.theta_a))};theta2={fmt(float(args.theta_h))}"
-    elif check == "monotonicity":
+        params = f"theta1={fmt(args.theta_a)};theta2={fmt(args.theta_h)}"
+    elif args.check == "monotonicity":
         if not args.grid:
             raise UsageError("monotonicity needs --grid lo:hi:step (one axis)")
         grid = parse_axis(args.grid)
-        removed = frozenset(int(c) for c in args.removed.split(",")) if args.removed else frozenset()
-        report = check_monotonicity(family, grid, removed, pool, samples, seed, threads=threads)
+        report = check_monotonicity(family, grid, args.removed, pool, samples, seed,
+                                    threads=threads)
         params = (
-            f"grid={args.grid};removed={','.join(str(c) for c in sorted(removed)) or '-'}"
+            f"grid={args.grid};removed={','.join(str(c) for c in sorted(args.removed)) or '-'}"
         )
     else:
         raise UsageError(
@@ -373,11 +343,13 @@ def cmd_conditions(args) -> int:
 
 
 def cmd_braess_search(args) -> int:
+    family = build_family(args)
     pool = build_pool(args)
-    k = int(args.firms or 2)
-    if k > 2:
+    if args.firms > 2:
+        if family.kind != "mallows":
+            raise UsageError("braess-search with --firms > 2 takes the distance-based family only")
         phi_a, phi_h = _phi_args(args)
-        rep = kfirm_braess_check(k, phi_a, phi_h, pool)
+        rep = kfirm_braess_check(args.firms, phi_a, phi_h, pool)
         header = [
             "k", "phi_a", "phi_h", "all_a_average", "all_h_average",
             "all_a_equilibrium", "a_strictly_dominant", "braess", "best_sequence",
@@ -387,10 +359,9 @@ def cmd_braess_search(args) -> int:
                  rep.best_average_sequence.as_string()]]
         emit(rows, header, args.out)
         return EXIT_OK
-    family = build_family(args)
     if args.theta_h is None:
         raise UsageError("braess-search needs --theta-h")
-    res = find_theta_star(float(args.theta_h), family, pool)
+    res = find_theta_star(args.theta_h, family, pool)
     header = [
         "theta_h", "theta_star", "crossing_residual", "theta_prime", "braess_found",
         "margin_vs_a", "margin_vs_h", "welfare_gap",
@@ -528,7 +499,7 @@ FIGURE2_SEED = 20260821
 
 
 def reproduce_figure2(log: CheckLog, args) -> None:
-    samples = get_samples(args, 1_000_000)
+    samples = args.samples
     halfwidth = math.sqrt(3.0)
     lap = RankingModelSpec.rum(NoiseSpec.laplacian(), 1.0)
     gau = RankingModelSpec.rum(NoiseSpec.gaussian(), 1.0)
@@ -645,7 +616,7 @@ FOUR_PERCENT_SEED = 20260821
 
 
 def reproduce_four_percent(log: CheckLog, args) -> None:
-    samples = get_samples(args, 1_000_000)
+    samples = args.samples
     family = RankingModelSpec.rum(NoiseSpec.gaussian(), 1.0)
     d = CandidateDistribution.uniform_centered_zero(math.sqrt(3.0), 3)
     theta_h = 0.5
@@ -735,7 +706,7 @@ def verify_conditions(log: CheckLog, args) -> None:
         t = exact_utility_table(theta, theta, pl, pool)
         log.check(f"softmax family theta={theta}: sharing is neutral",
                   abs(t.u_ah - t.u_aa) < 1e-12, t.u_ah - t.u_aa, "|.| < 1e-12")
-    samples = get_samples(args, 200_000)
+    samples = args.samples
     for name, noise in (("gaussian", NoiseSpec.gaussian()), ("laplacian", NoiseSpec.laplacian())):
         fam = RankingModelSpec.rum(noise, 1.0)
         rep = check_pref_first_position(fam, 1.0, pool, samples, 7)
@@ -827,48 +798,91 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEYS = (
-    "family", "noise", "theta_h", "theta_a", "phi_a", "phi_h", "grid", "pool",
-    "dist", "engine", "samples", "seed", "threads", "out", "check", "removed",
-    "firms",
-)
+def _lower_dash(text: str) -> str:
+    return text.replace("_", "-").lower()
 
 
-def apply_config(args) -> None:
-    """Fill unset flags from the key=value config file; flags win."""
-    if not getattr(args, "config", None):
-        return
-    values = load_config(args.config)
-    unknown = set(values) - set(_CONFIG_KEYS)
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key, value in values.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+def _engine(text: str) -> str:
+    engine = text.lower()
+    if engine not in ("exact", "mc"):
+        raise ValueError("engine must be exact or mc")
+    return engine
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", help="mallows (default), rum, or plackett-luce")
-    sub.add_argument("--noise",
-                     help="for rum: gaussian, laplacian, gumbel, or discrete:v:p,v:p,...")
-    sub.add_argument("--theta-h", dest="theta_h", help="human-side accuracy")
-    sub.add_argument("--theta-a", dest="theta_a", help="algorithm-side accuracy")
-    sub.add_argument("--phi-a", dest="phi_a",
-                     help="algorithm dispersion (sequential commands; 1 + theta)")
-    sub.add_argument("--phi-h", dest="phi_h", help="human dispersion (sequential commands)")
-    sub.add_argument("--grid", help="lo:hi:step x lo:hi:step (one axis for monotonicity)")
-    sub.add_argument("--pool", help="fixed candidate values, e.g. 1,0.5,0")
-    sub.add_argument("--dist", help="uniform:lo:hi:n or uniform0:halfwidth:n")
-    sub.add_argument("--engine", help="exact or mc")
-    sub.add_argument("--samples", help="Monte Carlo trials (accepts 1e6)")
-    sub.add_argument("--seed", help="base seed for all randomized work")
-    sub.add_argument("--threads", help="worker bound; results do not depend on it")
-    sub.add_argument("--out", help="also write output to this path (.dat for whitespace)")
-    sub.add_argument("--config", help="key=value file supplying defaults for these flags")
-    sub.add_argument("--check", help="conditions: first-position, weaker-competition, "
-                                     "or monotonicity")
-    sub.add_argument("--removed", help="comma-separated candidates removed before selection")
-    sub.add_argument("--firms", help="number of firms (sweep, sequential, braess-search)")
+def _positive_count(text: str) -> int:
+    n = int(float(text))
+    if n < 1:
+        raise ValueError("must be positive")
+    return n
+
+
+# flag -> (converter from its text, value when unset, help)
+FLAGS = {
+    "family": (_lower_dash, "mallows", "mallows (default), rum, or plackett-luce"),
+    "noise": (str, None, "for rum: gaussian, laplacian, gumbel, or discrete:v:p,v:p,..."),
+    "theta_h": (float, None, "human-side accuracy"),
+    "theta_a": (float, None, "algorithm-side accuracy"),
+    "phi_a": (float, None, "algorithm dispersion (1 + theta)"),
+    "phi_h": (float, None, "human dispersion (1 + theta)"),
+    "grid": (str, None, "lo:hi:step x lo:hi:step (one axis for monotonicity)"),
+    "pool": (str, None, "fixed candidate values, e.g. 1,0.5,0"),
+    "dist": (str, None, "uniform:lo:hi:n or uniform0:halfwidth:n"),
+    "engine": (_engine, "exact", "exact (default) or mc"),
+    "samples": (_positive_count, 1_000_000, "Monte Carlo trials (accepts 1e6)"),
+    "seed": (int, 0, "base seed for all randomized work"),
+    "threads": (int, 1, "worker bound; results do not depend on it"),
+    "out": (str, None, "also write output to this path (.dat for whitespace)"),
+    "check": (_lower_dash, None, "first-position, weaker-competition, or monotonicity"),
+    "removed": (lambda text: frozenset(int(c) for c in text.split(",")), frozenset(),
+                "comma-separated candidates removed before selection"),
+    "firms": (int, None, "number of firms"),
+    "config": (str, None, "key=value file supplying defaults for these flags"),
+}
+_MODEL_FLAGS = ("family", "noise", "pool", "dist")
+# subcommand -> (handler, help, the flags it reads besides --config)
+SUBCOMMANDS = {
+    "utilities": (cmd_utilities, "one utility table at (theta_a, theta_h)", _MODEL_FLAGS + (
+        "theta_h", "theta_a", "engine", "samples", "seed", "threads", "out")),
+    "sweep": (cmd_sweep, "classify equilibria over an accuracy lattice", _MODEL_FLAGS + (
+        "grid", "firms", "engine", "samples", "seed", "threads", "out")),
+    "sequential": (cmd_sequential, "optimal strategy sequence for firms hiring in order", (
+        "pool", "dist", "phi_a", "phi_h", "theta_a", "theta_h", "firms", "out")),
+    "conditions": (cmd_conditions, "behavioral-condition checks with z verdicts", _MODEL_FLAGS + (
+        "check", "theta_h", "theta_a", "grid", "removed", "samples", "seed", "threads", "out")),
+    "braess-search": (cmd_braess_search, "find the dominance crossing and welfare-loss window",
+                      _MODEL_FLAGS + ("firms", "phi_a", "phi_h", "theta_a", "theta_h", "out")),
+    "reproduce": (cmd_graded, "run a pinned headline computation and grade it", ("samples", "out")),
+    "verify": (cmd_graded, "run an invariant suite and grade it", ("samples", "out")),
+}
+# unset values that differ from FLAGS for one subcommand
+DEFAULT_OVERRIDES = {
+    "sweep": {"samples": 100_000, "firms": 2},
+    "braess-search": {"firms": 2},
+    "verify": {"samples": 200_000},
+}
+
+
+def resolve_flags(args) -> None:
+    """Fill the subcommand's unset flags from the --config file, then convert
+    each one's text or take its unset value. Flags win over the file, an
+    empty value counts as unset, and a config key the subcommand does not
+    read is an error."""
+    names = SUBCOMMANDS[args.command][2]
+    config = load_config(args.config) if args.config else {}
+    unread = sorted(set(config) - set(names))
+    if unread:
+        raise UsageError(f"config keys not read by {args.command}: {', '.join(unread)}")
+    overrides = DEFAULT_OVERRIDES.get(args.command, {})
+    for name in names:
+        convert, unset, _ = FLAGS[name]
+        text = getattr(args, name) or config.get(name)
+        if not text:
+            setattr(args, name, overrides.get(name, unset))
+            continue
+        try:
+            setattr(args, name, convert(text))
+        except (ValueError, OverflowError) as exc:
+            raise UsageError(f"--{name.replace('_', '-')} {text!r}: {exc}") from exc
 
 
 def build_parser() -> _Parser:
@@ -877,31 +891,21 @@ def build_parser() -> _Parser:
         description="Hiring-competition analysis under shared algorithmic rankings.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    specs = (
-        ("utilities", cmd_utilities, "one utility table at (theta_a, theta_h)"),
-        ("sweep", cmd_sweep, "classify equilibria over an accuracy lattice"),
-        ("sequential", cmd_sequential, "optimal strategy sequence for firms hiring in order"),
-        ("conditions", cmd_conditions, "behavioral-condition checks with z verdicts"),
-        ("braess-search", cmd_braess_search,
-         "find the dominance crossing and welfare-loss window"),
-        ("reproduce", cmd_graded, "run a pinned headline computation and grade it"),
-        ("verify", cmd_graded, "run an invariant suite and grade it"),
-    )
-    for name, func, help_text in specs:
+    for name, (func, help_text, flags) in SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         if name in GRADED:
             noun, runners = GRADED[name]
             sub.add_argument(noun, help=", ".join(runners))
-        _add_common(sub)
+        for flag in flags + ("config",):
+            sub.add_argument("--" + flag.replace("_", "-"), help=FLAGS[flag][2])
         sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        apply_config(args)
+        resolve_flags(args)
         return args.func(args)
     except (BracketError, TieError) as exc:
         print(f"monoculture: numerical failure: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ that draw or enumerate them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -55,27 +55,23 @@ def uniform_order_statistic_means(n: int, lo: float, hi: float) -> tuple[float, 
 
 @dataclass(frozen=True)
 class CandidateDistribution:
-    """Distribution over candidate pools: fixed values or iid uniform draws.
+    """Distribution over candidate pools of n iid uniform draws.
 
-    kind is one of "fixed", "uniform" (params lo, hi) or
-    "uniform_centered_zero" (param halfwidth). Sampling sorts the draws
-    descending and redraws on the zero-probability event of a tie.
+    kind is "uniform" (params lo, hi) or "uniform_centered_zero" (param
+    halfwidth). Sampling sorts the draws descending and redraws on the
+    zero-probability event of a tie. A fixed pool is a CandidatePool.
     """
 
     kind: str
     n: int
     params: tuple[float, ...] = field(default=())
-    fixed_values: tuple[float, ...] | None = None
 
-    _KINDS = ("fixed", "uniform", "uniform_centered_zero")
+    _KINDS = ("uniform", "uniform_centered_zero")
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise PoolError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == "fixed":
-            if self.fixed_values is None:
-                raise PoolError("fixed kind needs values")
-        elif self.kind == "uniform":
+        if self.kind == "uniform":
             lo, hi = self.params
             if not hi > lo:
                 raise PoolError(f"need hi > lo, got [{lo}, {hi}]")
@@ -85,11 +81,6 @@ class CandidateDistribution:
                 raise PoolError(f"need halfwidth > 0, got {halfwidth}")
         if self.n < 2:
             raise PoolError(f"need n >= 2, got {self.n}")
-
-    @staticmethod
-    def fixed(values: Iterable[float]) -> "CandidateDistribution":
-        pool = CandidatePool(tuple(values))
-        return CandidateDistribution("fixed", pool.n, fixed_values=pool.values)
 
     @staticmethod
     def uniform(lo: float, hi: float, n: int) -> "CandidateDistribution":
@@ -103,16 +94,11 @@ class CandidateDistribution:
     def bounds(self) -> tuple[float, float]:
         if self.kind == "uniform":
             return self.params[0], self.params[1]
-        if self.kind == "uniform_centered_zero":
-            h = self.params[0]
-            return -h, h
-        vals = self.fixed_values
-        return vals[-1], vals[0]
+        h = self.params[0]
+        return -h, h
 
     def sample_matrix(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """(size, n) array of pools, each row sorted descending."""
-        if self.kind == "fixed":
-            return np.tile(np.asarray(self.fixed_values), (size, 1))
         lo, hi = self.bounds
         draws = rng.uniform(lo, hi, size=(size, self.n))
         draws.sort(axis=1)
@@ -127,9 +113,7 @@ class CandidateDistribution:
         return draws
 
     def mean_pool(self) -> CandidatePool:
-        """Pool of expected order statistics (the fixed values for kind fixed)."""
-        if self.kind == "fixed":
-            return CandidatePool(self.fixed_values)
+        """Pool of expected order statistics."""
         lo, hi = self.bounds
         return CandidatePool(uniform_order_statistic_means(self.n, lo, hi))
 

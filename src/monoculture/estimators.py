@@ -25,7 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CandidateDistribution, CandidatePool, PoolOrDistribution
-from .exact import ENTRY_NAMES, UtilityTable, exact_selection_pmf, top_two_pmf
+from .exact import (
+    ENTRY_NAMES,
+    UtilityTable,
+    _resolve_exact_values,
+    exact_selection_pmf,
+    top_two_pmf,
+)
 from .models import RankingModelSpec, TieError, UnsupportedModelError
 
 CHUNK_SIZE = 1 << 15
@@ -65,22 +71,21 @@ class EstimateWithError:
 class ConditionReport:
     """Outcome of one behavioral-condition check.
 
-    verdict follows the z rule: holds iff z > z_threshold, fails iff
-    z < -z_threshold, inconclusive otherwise. Exact computations carry
-    stderr 0 and an infinite z of the appropriate sign.
+    verdict follows the z rule: holds iff z > DEFAULT_Z_THRESHOLD, fails
+    iff z < -DEFAULT_Z_THRESHOLD, inconclusive otherwise. Exact
+    computations carry stderr 0 and an infinite z of the appropriate sign.
     """
 
     condition: str
     estimate: EstimateWithError
     verdict: str
-    z_threshold: float = DEFAULT_Z_THRESHOLD
     detail: dict = field(default_factory=dict)
 
 
-def _verdict(z: float, z_threshold: float) -> str:
-    if z > z_threshold:
+def _verdict(z: float) -> str:
+    if z > DEFAULT_Z_THRESHOLD:
         return VERDICT_HOLDS
-    if z < -z_threshold:
+    if z < -DEFAULT_Z_THRESHOLD:
         return VERDICT_FAILS
     return VERDICT_INCONCLUSIVE
 
@@ -353,7 +358,6 @@ def check_pref_first_position(
     pool_or_d: PoolOrDistribution,
     n_samples: int = DEFAULT_CONDITION_SAMPLES,
     seed: int = 0,
-    z_threshold: float = DEFAULT_Z_THRESHOLD,
     threads: int = 1,
 ) -> ConditionReport:
     """Estimate E[(top gap of one ranking) * 1{tops of two rankings differ}].
@@ -378,8 +382,7 @@ def check_pref_first_position(
     return ConditionReport(
         condition="pref_first_position",
         estimate=est,
-        verdict=_verdict(est.z_score_vs_zero, z_threshold),
-        z_threshold=z_threshold,
+        verdict=_verdict(est.z_score_vs_zero),
         detail={"theta": theta},
     )
 
@@ -391,7 +394,6 @@ def check_pref_weaker_competition(
     pool_or_d: PoolOrDistribution,
     n_samples: int = DEFAULT_CONDITION_SAMPLES,
     seed: int = 0,
-    z_threshold: float = DEFAULT_Z_THRESHOLD,
     threads: int = 1,
 ) -> ConditionReport:
     """Whether choosing after a weaker first mover beats a stronger one.
@@ -421,8 +423,7 @@ def check_pref_weaker_competition(
     return ConditionReport(
         condition="pref_weaker_competition",
         estimate=est,
-        verdict=_verdict(est.z_score_vs_zero, z_threshold),
-        z_threshold=z_threshold,
+        verdict=_verdict(est.z_score_vs_zero),
         detail={"theta1": theta1, "theta2": theta2},
     )
 
@@ -454,7 +455,6 @@ def check_monotonicity(
     pool: PoolOrDistribution,
     n_samples: int = DEFAULT_CONDITION_SAMPLES,
     seed: int = 0,
-    z_threshold: float = DEFAULT_Z_THRESHOLD,
     threads: int = 1,
 ) -> ConditionReport:
     """Whether the expected top surviving value increases with accuracy.
@@ -474,15 +474,8 @@ def check_monotonicity(
     means: list[EstimateWithError] = []
     exact_mode = True
     try:
-        if isinstance(pool, CandidateDistribution) and pool.kind != "fixed":
-            if not spec.value_independent:
-                raise UnsupportedModelError("value-dependent model over a pool distribution")
-            fixed = pool.mean_pool()
-        elif isinstance(pool, CandidateDistribution):
-            fixed = CandidatePool(pool.fixed_values)
-        else:
-            fixed = pool
-        x = fixed.as_array()
+        x = _resolve_exact_values(pool, spec.value_independent)
+        fixed = CandidatePool(tuple(x))
         for t in grid:
             pmf = exact_selection_pmf(spec.with_theta(t), fixed, removed)
             means.append(EstimateWithError.exact(pmf.expectation(x)))
@@ -508,7 +501,6 @@ def check_monotonicity(
             condition="monotonicity",
             estimate=EstimateWithError(0.0, 0.0, report_estimate.n_samples),
             verdict=VERDICT_HOLDS,
-            z_threshold=z_threshold,
             detail=detail,
         )
 
@@ -522,7 +514,6 @@ def check_monotonicity(
     return ConditionReport(
         condition="monotonicity",
         estimate=worst,
-        verdict=_verdict(worst.z_score_vs_zero, z_threshold),
-        z_threshold=z_threshold,
+        verdict=_verdict(worst.z_score_vs_zero),
         detail=detail,
     )

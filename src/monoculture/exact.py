@@ -306,8 +306,6 @@ def _resolve_exact_values(pool_or_d: PoolOrDistribution, value_independent: bool
     if isinstance(pool_or_d, CandidatePool):
         return pool_or_d.as_array()
     if isinstance(pool_or_d, CandidateDistribution):
-        if pool_or_d.kind == "fixed":
-            return np.asarray(pool_or_d.fixed_values)
         if not value_independent:
             raise UnsupportedModelError(
                 "exact expectations over a pool distribution need a value-independent "

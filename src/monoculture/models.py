@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, special
 
-from .permspace import MAX_EXACT_N, mask_of, perm_space
+from .permspace import perm_space
 
 # unit-variance scale parameters for the continuous noise kinds
 LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
@@ -181,77 +181,6 @@ class RankingModelSpec:
     def value_independent(self) -> bool:
         """Whether the ranking distribution ignores the pool values."""
         return self.kind == "mallows"
-
-
-@dataclass(frozen=True)
-class MallowsModel:
-    """Distance-based model on n candidates with dispersion phi > 1.
-
-    The normalizer has the closed product form
-    Z = prod_{j=1..n} sum_{r=0..j-1} phi^(-r), which the tests cross-check
-    against brute-force enumeration.
-    """
-
-    phi: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if not self.phi > 1:
-            raise UnsupportedModelError(f"need phi > 1, got {self.phi}")
-        if self.n < 2:
-            raise UnsupportedModelError(f"need n >= 2, got {self.n}")
-        object.__setattr__(self, "_normalizer", _mallows_normalizer(self.phi, self.n))
-
-    @property
-    def normalizer(self) -> float:
-        return self._normalizer
-
-
-def _mallows_normalizer(phi: float, n: int) -> float:
-    q = 1.0 / phi
-    z = 1.0
-    for j in range(1, n + 1):
-        z *= (1.0 - q**j) / (1.0 - q)
-    return z
-
-
-def mallows_first_choice_pmf(
-    model: MallowsModel, candidate: int, removed: frozenset[int] | set[int] = frozenset()
-) -> float:
-    """Probability that `candidate` is the best-ranked survivor.
-
-    With nothing removed this is the closed form
-    (1 - 1/phi) / (phi^(i-1) * (1 - phi^(-n))) for the i-th best candidate.
-    The same form applies on the survivor set when the survivors are a
-    contiguous run of ranks (the relative order of such a block is again
-    distance-based with the same phi). For non-contiguous survivors that
-    restriction property fails, so the probability is computed by exact
-    enumeration, which caps n at 8.
-    """
-    removed = frozenset(int(c) for c in removed)
-    n = model.n
-    if not 1 <= candidate <= n:
-        raise UnsupportedModelError(f"candidate {candidate} out of range 1..{n}")
-    if candidate in removed:
-        raise UnsupportedModelError(f"candidate {candidate} is removed")
-    if not removed <= set(range(1, n + 1)) or len(removed) >= n:
-        raise UnsupportedModelError(f"bad removed set {sorted(removed)} for n={n}")
-
-    survivors = sorted(set(range(1, n + 1)) - removed)
-    m = len(survivors)
-    contiguous = survivors[-1] - survivors[0] + 1 == m
-    if contiguous:
-        rank = survivors.index(candidate) + 1
-        q = 1.0 / model.phi
-        return (1.0 - q) / (model.phi ** (rank - 1) * (1.0 - q**m))
-    if n > MAX_EXACT_N:
-        raise UnsupportedModelError(
-            f"non-contiguous survivor sets need enumeration, capped at n={MAX_EXACT_N}"
-        )
-    space = perm_space(n)
-    probs = mallows_perm_probs(model.phi, n)
-    pmf = space.first_choice(probs, mask_of({c - 1 for c in removed}))
-    return float(pmf[candidate - 1])
 
 
 @lru_cache(maxsize=256)

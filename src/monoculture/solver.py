@@ -35,6 +35,7 @@ STRICT_TOL = 1e-12
 THETA_STAR_TOL = 1e-6
 BRACKET_START_FACTOR = 64.0
 BRACKET_LIMIT_FACTOR = 1024.0
+BISECTION_STEPS = 200
 
 
 class BracketError(RuntimeError):
@@ -94,11 +95,7 @@ class DominanceReport:
         return self.a_dominant_vs_a and self.a_dominant_vs_h
 
 
-def check_dominance(
-    table: UtilityTable,
-    tol: float = STRICT_TOL,
-    z_threshold: float = DEFAULT_Z_THRESHOLD,
-) -> DominanceReport:
+def check_dominance(table: UtilityTable) -> DominanceReport:
     margin_a = (table.u_first_a + table.u_aa) - (table.u_first_h + table.u_ah)
     margin_h = (table.u_first_a + table.u_ha) - (table.u_first_h + table.u_hh)
     se_a = _margin_stderr(table, ("u_first_a", "u_aa", "u_first_h", "u_ah"))
@@ -106,13 +103,13 @@ def check_dominance(
 
     def strict(margin: float, se: float) -> bool:
         if se > 0:
-            return margin > z_threshold * se
-        return margin > tol
+            return margin > DEFAULT_Z_THRESHOLD * se
+        return margin > STRICT_TOL
 
     def tie(margin: float, se: float) -> bool:
         if se > 0:
-            return abs(margin) <= z_threshold * se
-        return abs(margin) <= tol
+            return abs(margin) <= DEFAULT_Z_THRESHOLD * se
+        return abs(margin) <= STRICT_TOL
 
     return DominanceReport(
         margin_vs_a=margin_a,
@@ -148,17 +145,13 @@ class EquilibriumOutcome:
     detail: dict = field(default_factory=dict)
 
 
-def classify_equilibrium(
-    table: UtilityTable,
-    tol: float = STRICT_TOL,
-    z_threshold: float = DEFAULT_Z_THRESHOLD,
-) -> EquilibriumOutcome:
+def classify_equilibrium(table: UtilityTable) -> EquilibriumOutcome:
     pm = PayoffMatrix.from_table(table)
-    dom = check_dominance(table, tol=tol, z_threshold=z_threshold)
+    dom = check_dominance(table)
     alpha = pm.a_vs_a - pm.h_vs_a
     beta = pm.a_vs_h - pm.h_vs_h
-    aa_stable = alpha >= -tol
-    hh_stable = beta <= tol
+    aa_stable = alpha >= -STRICT_TOL
+    hh_stable = beta <= STRICT_TOL
     boundary = dom.tie_vs_a or dom.tie_vs_h
 
     p = None
@@ -179,9 +172,9 @@ def classify_equilibrium(
     gap = welfare_hh - welfare_aa
     gap_se = _margin_stderr(table, ("u_first_h", "u_hh", "u_first_a", "u_aa"))
     if gap_se > 0:
-        welfare_loss = gap > z_threshold * gap_se
+        welfare_loss = gap > DEFAULT_Z_THRESHOLD * gap_se
     else:
-        welfare_loss = gap > tol
+        welfare_loss = gap > STRICT_TOL
     braess = dom.a_strictly_dominant and welfare_loss
 
     return EquilibriumOutcome(
@@ -224,8 +217,6 @@ def find_theta_star(
     theta_h: float,
     family: RankingModelSpec,
     pool_or_d: PoolOrDistribution,
-    tol: float = THETA_STAR_TOL,
-    max_iterations: int = 200,
 ) -> ThetaStarResult:
     """Locate the dominance crossing and certify a welfare-loss window.
 
@@ -247,7 +238,7 @@ def find_theta_star(
     lo = theta_h
     hi = BRACKET_START_FACTOR * theta_h
     m_lo = margin(lo)
-    if not m_lo < -tol:
+    if not m_lo < -THETA_STAR_TOL:
         raise BracketError(
             f"margin at theta_a = theta_h is {m_lo:.3e}, not negative; "
             "no crossing to bracket"
@@ -264,8 +255,8 @@ def find_theta_star(
 
     theta_star = 0.5 * (lo + hi)
     residual = margin(theta_star)
-    for _ in range(max_iterations):
-        if abs(residual) < tol:
+    for _ in range(BISECTION_STEPS):
+        if abs(residual) < THETA_STAR_TOL:
             break
         if residual < 0.0:
             lo = theta_star
@@ -274,12 +265,12 @@ def find_theta_star(
         nxt = 0.5 * (lo + hi)
         if nxt == theta_star:
             raise BracketError(
-                f"bisection interval collapsed with residual {residual:.3e} >= tol"
+                f"bisection interval collapsed with residual {residual:.3e} >= {THETA_STAR_TOL:g}"
             )
         theta_star = nxt
         residual = margin(theta_star)
     else:
-        raise BracketError(f"no convergence in {max_iterations} bisection steps")
+        raise BracketError(f"no convergence in {BISECTION_STEPS} bisection steps")
 
     theta_prime = None
     braess_found = False
@@ -348,7 +339,6 @@ def sequential_optimal_sequence(
     phi_a: float,
     phi_h: float,
     pool_or_d: PoolOrDistribution,
-    tie_tol: float = STRICT_TOL,
 ) -> StrategySequence:
     """Strategy choices of k firms hiring in order, each maximizing itself.
 
@@ -362,7 +352,7 @@ def sequential_optimal_sequence(
     for _ in range(k):
         u_a = state.utility_of_next("A")
         u_h = state.utility_of_next("H")
-        choice = "A" if u_a > u_h + tie_tol else "H"
+        choice = "A" if u_a > u_h + STRICT_TOL else "H"
         choices.append(choice)
         utilities.append(u_a if choice == "A" else u_h)
         state.hire(choice)
@@ -454,7 +444,6 @@ def kfirm_braess_check(
     phi_a: float,
     phi_h: float,
     pool_or_d: PoolOrDistribution,
-    tol: float = STRICT_TOL,
 ) -> KFirmReport:
     if k < 2:
         raise ValueError(f"need k >= 2 firms, got {k}")
@@ -484,23 +473,23 @@ def kfirm_braess_check(
     for rivals in product("AH", repeat=k - 1):
         margin = positional_average("A", rivals) - positional_average("H", rivals)
         profile_margins["".join(rivals)] = margin
-        if not margin > tol:
+        if not margin > STRICT_TOL:
             dominant = False
     margin_all_a = profile_margins["A" * (k - 1)]
     margin_all_h = profile_margins["H" * (k - 1)]
-    all_a_equilibrium = margin_all_a >= -tol
-    all_h_equilibrium = margin_all_h <= tol
+    all_a_equilibrium = margin_all_a >= -STRICT_TOL
+    all_h_equilibrium = margin_all_h <= STRICT_TOL
 
     best_seq = None
     best_avg = -math.inf
     for bits in range(2**k):
         seq = format(bits, f"0{k}b").replace("1", "A").replace("0", "H")
         avg = sum(utilities(seq)) / k
-        if avg > best_avg + tol:
+        if avg > best_avg + STRICT_TOL:
             best_avg = avg
             best_seq = seq
 
-    braess = dominant and all_h_avg > all_a_avg + tol
+    braess = dominant and all_h_avg > all_a_avg + STRICT_TOL
     return KFirmReport(
         k=k,
         phi_a=phi_a,

@@ -1,5 +1,6 @@
-"""Independent oracles for the ranking models, by brute enumeration and,
-for continuous noise, scipy's adaptive quadrature.
+"""Independent oracles for the ranking models, by brute enumeration, the
+distance-based family's closed forms and, for continuous noise, scipy's
+adaptive quadrature.
 
 Nothing here imports monoculture. Orders are tuples of 0-based candidate
 indices, best first, with candidate 0 the best; each pmf is a dict from
@@ -26,6 +27,25 @@ def mallows_pmf(phi, n):
     weights = {order: phi ** -inversions(order) for order in all_orders(n)}
     total = math.fsum(weights.values())
     return {order: w / total for order, w in weights.items()}
+
+
+def mallows_normalizer(phi, n):
+    """The distance-based normalizer's product form,
+    prod_{j=1..n} sum_{r=0..j-1} phi^(-r)."""
+    q = 1.0 / phi
+    z = 1.0
+    for j in range(1, n + 1):
+        z *= (1.0 - q**j) / (1.0 - q)
+    return z
+
+
+def mallows_block_first_choice(phi, m, rank):
+    """Probability that the rank-th best of a contiguous run of m surviving
+    ranks is picked first: (1 - q) q^(rank - 1) / (1 - q^m), q = 1/phi.
+    The run's relative order is again distance-based with the same phi;
+    with nothing removed the run is the whole pool (m = n)."""
+    q = 1.0 / phi
+    return (1.0 - q) * q ** (rank - 1) / (1.0 - q**m)
 
 
 def luce_pmf(theta, values):

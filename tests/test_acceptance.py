@@ -16,7 +16,6 @@ import pytest
 from monoculture import (
     CandidateDistribution,
     CandidatePool,
-    MallowsModel,
     NoiseSpec,
     RankingModelSpec,
     conditional_order_probability,
@@ -24,8 +23,8 @@ from monoculture import (
     exact_utility_table,
     exact_welfare,
     find_theta_star,
+    exact_selection_pmf,
     kfirm_braess_check,
-    mallows_first_choice_pmf,
     mc_utility_table,
     mc_utility_trials,
     sequential_optimal_sequence,
@@ -34,7 +33,7 @@ from monoculture import (
 from monoculture.cli import b1_family, b1_polynomial, b2_family, main
 from monoculture.exact import ENTRY_NAMES
 from monoculture.solver import check_dominance
-from tests.oracles import all_orders, inversions
+from tests.oracles import all_orders, inversions, mallows_block_first_choice, mallows_normalizer
 
 # Three fixed score pools drawn once from default_rng(20260821).uniform(0, 1, 3)
 # and sorted best-first; frozen here so reruns probe identical instances.
@@ -102,15 +101,17 @@ def test_criterion_04_distance_family_closed_forms_match_enumeration():
     t0 = time.perf_counter()
     for n in range(2, 7):
         orders = all_orders(n)
+        pool = CandidatePool(tuple(float(n - i) for i in range(n)))
         for phi in (1.1, 2.0, 5.0):
-            model = MallowsModel(phi, n)
             weights = [phi ** -inversions(o) for o in orders]
             z_brute = sum(weights)
-            assert model.normalizer == pytest.approx(z_brute, rel=1e-10)
+            assert mallows_normalizer(phi, n) == pytest.approx(z_brute, rel=1e-10)
             probs = [w / z_brute for w in weights]
+            pmf = exact_selection_pmf(RankingModelSpec.mallows(phi), pool)
             for cand in range(n):
                 brute = sum(p for p, o in zip(probs, orders) if o[0] == cand)
-                assert abs(mallows_first_choice_pmf(model, cand + 1) - brute) < 1e-12
+                assert abs(mallows_block_first_choice(phi, n, cand + 1) - brute) < 1e-12
+                assert abs(pmf.prob_of(cand + 1) - brute) < 1e-12
             # mass at (i, j, ...) over mass at (j, i, ...) is exactly phi
             for i, j in itertools.combinations(range(n), 2):
                 top_ij = sum(p for p, o in zip(probs, orders) if o[:2] == (i, j))

@@ -1,10 +1,13 @@
-"""The public API: what `monoculture.__all__` promises and the README imports."""
+"""The public API: what `monoculture.__all__` promises, the README imports,
+and the README CLI examples."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import monoculture
+from monoculture.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +32,16 @@ def test_readme_python_blocks_import_only_exported_names():
     }
     assert imported, "README has no `from monoculture import` in its python blocks"
     assert imported <= set(monoculture.__all__), sorted(imported - set(monoculture.__all__))
+
+
+def test_readme_cli_examples_run():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    commands = [
+        shlex.split(line)
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("monoculture ")
+    ]
+    assert len(commands) == 7
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv

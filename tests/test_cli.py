@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, output formats, and reproducibility."""
 
+import argparse
 import csv
 import io
 
 import pytest
 
 from monoculture import CandidatePool, NoiseSpec, RankingModelSpec, exact_utility_table
-from monoculture.cli import main, parse_axis, parse_grid
+from monoculture.cli import build_parser, main, parse_axis, parse_grid
 
 POOL = "1,0.5,0"
 
@@ -139,6 +140,56 @@ def test_usage_errors_exit_one(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.strip()
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    pairs = [
+        (name, option)
+        for name, sub in subs.choices.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    ]
+    assert len(pairs) == 64
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("sequential", "--firms", "3", "--phi-a", "2", "--phi-h", "1.75", "--pool", POOL,
+      "--family", "plackett-luce"), "--family"),
+    (("conditions", "--check", "monotonicity", "--grid", "0.5:2.0:0.5", "--pool", POOL,
+      "--engine", "mc"), "--engine"),
+    (("utilities", "--theta-h", "1", "--theta-a", "2", "--pool", POOL, "--firms", "3"),
+     "--firms"),
+    (("sweep", "--grid", "1:2:1x1:2:1", "--pool", POOL, "--removed", "1"), "--removed"),
+    (("braess-search", "--theta-h", "1", "--pool", POOL, "--seed", "1"), "--seed"),
+    (("reproduce", "kfirm-braess", "--theta-a", "2"), "--theta-a"),
+    (("verify", "appendix-c", "--threads", "2"), "--threads"),
+])
+def test_unread_flags_exit_one_and_name_themselves(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    assert flag in capsys.readouterr().err
+
+
+def test_config_rejects_keys_the_subcommand_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("phi-a = 2\nphi-h = 1.75\nfirms = 3\nengine = mc\n")
+    code, out, err = run(capsys, "sequential", "--config", str(cfg), "--pool", POOL)
+    assert code == 1
+    assert out == ""
+    assert "engine" in err
+
+
+def test_braess_search_k_firm_rejects_other_families(capsys):
+    code, out, err = run(
+        capsys, "braess-search", "--firms", "3", "--family", "rum", "--noise", "gaussian",
+        "--phi-a", "2.0", "--phi-h", "1.75", "--dist", "uniform:0:1:4",
+    )
+    assert code == 1
+    assert out == ""
+    assert "distance-based" in err
 
 
 def test_unknown_subcommand_exits_one(capsys):

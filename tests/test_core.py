@@ -65,14 +65,6 @@ def test_distribution_samples_sorted_and_in_bounds():
     assert mat.min() >= -1.0 and mat.max() <= 2.0
 
 
-def test_fixed_distribution_repeats_its_pool():
-    d = CandidateDistribution.fixed((1.0, 0.5, 0.0))
-    rng = np.random.default_rng(0)
-    mat = d.sample_matrix(rng, 3)
-    assert np.allclose(mat, [[1.0, 0.5, 0.0]] * 3)
-    assert d.mean_pool().as_array().tolist() == [1.0, 0.5, 0.0]
-
-
 def _row(space, order):
     return int(space.rows_of(np.array(order))[0])
 

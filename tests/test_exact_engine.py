@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from monoculture import (
     CandidateDistribution,
     CandidatePool,
-    MallowsModel,
     NoiseSpec,
     RankingModelSpec,
     TieError,
@@ -28,7 +27,6 @@ from monoculture import (
     exact_utility_table,
     exact_welfare,
     identity_check_uah_uaa,
-    mallows_first_choice_pmf,
     permutation_probabilities,
     top_two_pmf,
     uniform_order_statistic_means,
@@ -465,10 +463,8 @@ def test_two_firm_sequences_reproduce_the_table():
 def test_single_firm_sequence_is_the_first_choice_expectation():
     phi_a, phi_h = 2.3, 1.4
     x = POOL4.as_array()
-    model_a = MallowsModel(phi_a, 4)
-    model_h = MallowsModel(phi_h, 4)
-    want_a = sum(mallows_first_choice_pmf(model_a, c) * x[c - 1] for c in range(1, 5))
-    want_h = sum(mallows_first_choice_pmf(model_h, c) * x[c - 1] for c in range(1, 5))
+    want_a = sum(oracles.mallows_block_first_choice(phi_a, 4, c) * x[c - 1] for c in range(1, 5))
+    want_h = sum(oracles.mallows_block_first_choice(phi_h, 4, c) * x[c - 1] for c in range(1, 5))
     assert abs(exact_sequential_utilities("A", phi_a, phi_h, POOL4)[0] - want_a) < 1e-12
     assert abs(exact_sequential_utilities("H", phi_a, phi_h, POOL4)[0] - want_h) < 1e-12
 

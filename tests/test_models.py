@@ -14,21 +14,26 @@ from scipy import integrate, stats
 
 from monoculture import (
     CandidatePool,
-    MallowsModel,
     NoiseSpec,
     RankingModelSpec,
     TieError,
-    UnsupportedModelError,
     UnsupportedNoiseError,
     conditional_order_probability,
-    mallows_first_choice_pmf,
+    exact_selection_pmf,
     mallows_perm_probs,
     permutation_probabilities,
     sample_rankings,
     well_ordered_check,
 )
 from monoculture.permspace import perm_space
-from tests.oracles import all_orders, inversions, luce_pmf, mallows_pmf
+from tests.oracles import (
+    all_orders,
+    inversions,
+    luce_pmf,
+    mallows_block_first_choice,
+    mallows_normalizer,
+    mallows_pmf,
+)
 
 
 def by_order(probs, n):
@@ -89,12 +94,10 @@ def test_mallows_pmf_n3_phi2_enumeration_values():
 @pytest.mark.parametrize("n", range(2, 8))
 @pytest.mark.parametrize("phi", [1.1, 2.0, 5.0])
 def test_mallows_pmf_sums_to_one_and_normalizer_matches_enumeration(n, phi):
-    model = MallowsModel(phi, n)
     space = perm_space(n)
     enum_z = float(((1.0 / phi) ** space.inversions.astype(float)).sum())
-    assert abs(model.normalizer - enum_z) / enum_z < 1e-12
-    total = ((1.0 / phi) ** space.inversions.astype(float) / model.normalizer).sum()
-    assert abs(total - 1.0) < 1e-10
+    assert abs(mallows_normalizer(phi, n) - enum_z) / enum_z < 1e-12
+    assert abs(mallows_perm_probs(phi, n).sum() - 1.0) < 1e-10
 
 
 def test_mallows_pmf_concentrates_at_high_accuracy():
@@ -102,10 +105,10 @@ def test_mallows_pmf_concentrates_at_high_accuracy():
 
 
 def test_mallows_pmf_depends_only_on_distance():
-    model = MallowsModel(3.0, 4)
+    z = mallows_normalizer(3.0, 4)
     probs = by_order(mallows_perm_probs(3.0, 4), 4)
     for order in all_orders(4):
-        expected = 3.0 ** -inversions(order) / model.normalizer
+        expected = 3.0 ** -inversions(order) / z
         assert abs(probs[order] - expected) < 1e-15
 
 
@@ -139,6 +142,13 @@ def test_mallows_two_candidates():
     assert abs(by_order(mallows_perm_probs(3.0, 2), 2)[(0, 1)] - 3 / 4) < 1e-15
 
 
+def first_choice(phi, n, removed=frozenset()):
+    """The engine's pmf of the best-ranked survivor; the distance-based
+    family ignores the pool values."""
+    pool = CandidatePool(tuple(float(n - i) for i in range(n)))
+    return exact_selection_pmf(RankingModelSpec.mallows(phi), pool, removed)
+
+
 def brute_first_choice(phi, n, candidate, removed=frozenset()):
     """Oracle mass of orders whose first 1-based survivor is `candidate`."""
     total = 0.0
@@ -152,26 +162,25 @@ def brute_first_choice(phi, n, candidate, removed=frozenset()):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_first_choice_closed_form_matches_enumeration(n):
     for phi in (1.1, 2.0, 5.0):
-        model = MallowsModel(phi, n)
+        pmf = first_choice(phi, n)
         for i in range(1, n + 1):
-            got = mallows_first_choice_pmf(model, i)
+            closed = mallows_block_first_choice(phi, n, i)
             want = brute_first_choice(phi, n, i)
-            assert abs(got - want) < 1e-12
+            assert abs(closed - want) < 1e-12
+            assert abs(pmf.prob_of(i) - want) < 1e-12
 
 
 def test_first_choice_known_values_n3():
-    model = MallowsModel(2.0, 3)
-    assert abs(mallows_first_choice_pmf(model, 1) - 4 / 7) < 1e-15
-    assert abs(mallows_first_choice_pmf(model, 3) - 1 / 7) < 1e-15
-    assert abs(mallows_first_choice_pmf(model, 2, {1}) - 2 / 3) < 1e-12
+    assert abs(first_choice(2.0, 3).prob_of(1) - 4 / 7) < 1e-15
+    assert abs(first_choice(2.0, 3).prob_of(3) - 1 / 7) < 1e-15
+    assert abs(first_choice(2.0, 3, {1}).prob_of(2) - 2 / 3) < 1e-12
 
 
 def test_first_choice_rejects_bad_arguments():
-    model = MallowsModel(2.0, 3)
-    with pytest.raises(UnsupportedModelError):
-        mallows_first_choice_pmf(model, 1, {1})
-    with pytest.raises(UnsupportedModelError):
-        mallows_first_choice_pmf(model, 4)
+    with pytest.raises(ValueError):
+        first_choice(2.0, 3, {1, 2, 3})
+    with pytest.raises(ValueError):
+        first_choice(2.0, 3, {4})
 
 
 def test_contiguous_survivor_blocks_keep_the_closed_form():
@@ -179,14 +188,13 @@ def test_contiguous_survivor_blocks_keep_the_closed_form():
     # order is again the same family, so the subset closed form is exact
     for n in (4, 5, 6):
         for phi in (1.5, 2.0):
-            model = MallowsModel(phi, n)
-            q = 1.0 / phi
             for cut in range(1, n - 1):
                 removed = frozenset(range(1, cut + 1))
+                pmf = first_choice(phi, n, removed)
                 m = n - cut
                 for rank, cand in enumerate(range(cut + 1, n + 1), 1):
-                    got = mallows_first_choice_pmf(model, cand, removed)
-                    closed = (1 - q) * q ** (rank - 1) / (1 - q**m)
+                    got = pmf.prob_of(cand)
+                    closed = mallows_block_first_choice(phi, m, rank)
                     brute = brute_first_choice(phi, n, cand, removed)
                     assert abs(got - closed) < 1e-12
                     assert abs(got - brute) < 1e-12
@@ -195,12 +203,11 @@ def test_contiguous_survivor_blocks_keep_the_closed_form():
 def test_non_contiguous_survivors_break_the_subset_shortcut():
     # n=3, phi=2, removing the middle candidate: the naive subset closed
     # form would give (2/3, 1/3), enumeration gives (16/21, 5/21). The
-    # implementation must return the enumerated value.
-    model = MallowsModel(2.0, 3)
-    got = mallows_first_choice_pmf(model, 1, {2})
-    assert abs(got - 16 / 21) < 1e-12
-    assert abs(got - 2 / 3) > 0.09
-    assert abs(mallows_first_choice_pmf(model, 3, {2}) - 5 / 21) < 1e-12
+    # engine must return the enumerated value.
+    pmf = first_choice(2.0, 3, {2})
+    assert abs(pmf.prob_of(1) - 16 / 21) < 1e-12
+    assert abs(pmf.prob_of(1) - mallows_block_first_choice(2.0, 2, 1)) > 0.09
+    assert abs(pmf.prob_of(3) - 5 / 21) < 1e-12
 
 
 def test_survivor_pair_mass_ratio_is_phi():
