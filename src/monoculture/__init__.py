@@ -28,13 +28,11 @@ from .estimators import (
     sample_rankings,
 )
 from .exact import (
-    SelectionPmf,
     UtilityTable,
     exact_selection_pmf,
     exact_sequential_utilities,
     exact_utility_table,
     exact_welfare,
-    identity_check_uah_uaa,
     permutation_probabilities,
     top_two_pmf,
 )
@@ -53,7 +51,6 @@ from .solver import (
     DominanceReport,
     EquilibriumOutcome,
     KFirmReport,
-    PayoffMatrix,
     ScanReport,
     StrategySequence,
     SweepCell,
@@ -79,12 +76,10 @@ __all__ = [
     "EstimateWithError",
     "KFirmReport",
     "NoiseSpec",
-    "PayoffMatrix",
     "PoolError",
     "PoolOrDistribution",
     "RankingModelSpec",
     "ScanReport",
-    "SelectionPmf",
     "StrategySequence",
     "SweepCell",
     "ThetaStarResult",
@@ -104,7 +99,6 @@ __all__ = [
     "exact_utility_table",
     "exact_welfare",
     "find_theta_star",
-    "identity_check_uah_uaa",
     "kfirm_braess_check",
     "mallows_perm_probs",
     "mc_utility_table",

@@ -18,6 +18,7 @@ import csv
 import io
 import math
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .estimators import (
     check_pref_weaker_competition,
     mc_utility_table,
 )
-from .exact import ENTRY_NAMES, exact_selection_pmf, exact_utility_table, exact_welfare
+from .exact import exact_selection_pmf, exact_utility_table, exact_welfare
 from .models import (
     NoiseSpec,
     RankingModelSpec,
@@ -197,6 +198,13 @@ def emit(rows: list[list], header: list[str], out_path: str | None) -> None:
         Path(out_path).write_text(text, encoding="utf-8")
 
 
+def reject_given(args, names: tuple[str, ...], context: str) -> None:
+    """UsageError naming the flags among names that were set but go unread."""
+    given = [f"--{name.replace('_', '-')}" for name in names if name in args.given]
+    if given:
+        raise UsageError(f"{context} does not read {', '.join(given)}")
+
+
 def cmd_utilities(args) -> int:
     family = build_family(args)
     pool = build_pool(args)
@@ -204,23 +212,17 @@ def cmd_utilities(args) -> int:
     if theta_h is None or theta_a is None:
         raise UsageError("utilities needs --theta-h and --theta-a")
     if args.engine == "exact":
+        reject_given(args, ("samples", "seed", "threads"), "utilities --engine exact")
         table = exact_utility_table(theta_a, theta_h, family, pool)
     else:
         table = mc_utility_table(
             theta_a, theta_h, family, pool, args.samples, args.seed, threads=args.threads
         )
-    header = (
-        ["family", "noise", "engine", "theta_h", "theta_a"]
-        + list(ENTRY_NAMES)
-        + [f"stderr_{c}" for c in ENTRY_NAMES]
-        + ["n_samples", "seed"]
-    )
-    row = (
-        [family.kind, family.noise.kind if family.noise else "", args.engine, theta_h, theta_a]
-        + [table.entry(c) for c in ENTRY_NAMES]
-        + [table.stderr(c) for c in ENTRY_NAMES]
-        + [table.n_samples, args.seed]
-    )
+    # the table's fields in declaration order: entries, stderrs, n_samples
+    header = ["family", "noise", "engine", "theta_h", "theta_a"] + [
+        f.name for f in fields(table)] + ["seed"]
+    row = [family.kind, family.noise.kind if family.noise else "", args.engine, theta_h,
+           theta_a] + list(astuple(table)) + [args.seed]
     emit([row], header, args.out)
     return EXIT_OK
 
@@ -307,7 +309,9 @@ def cmd_conditions(args) -> int:
     family = build_family(args)
     pool = build_pool(args)
     samples, seed, threads = args.samples, args.seed, args.threads
+    context = f"conditions --check {args.check}"
     if args.check == "first-position":
+        reject_given(args, ("theta_a", "grid", "removed"), context)
         if args.theta_h is None:
             raise UsageError("first-position needs --theta-h")
         report = check_pref_first_position(
@@ -315,6 +319,7 @@ def cmd_conditions(args) -> int:
         )
         params = f"theta={fmt(args.theta_h)}"
     elif args.check == "weaker-competition":
+        reject_given(args, ("grid", "removed"), context)
         if args.theta_a is None or args.theta_h is None:
             raise UsageError("weaker-competition needs --theta-a (stronger) and --theta-h")
         report = check_pref_weaker_competition(
@@ -322,6 +327,7 @@ def cmd_conditions(args) -> int:
         )
         params = f"theta1={fmt(args.theta_a)};theta2={fmt(args.theta_h)}"
     elif args.check == "monotonicity":
+        reject_given(args, ("theta_h", "theta_a"), context)
         if not args.grid:
             raise UsageError("monotonicity needs --grid lo:hi:step (one axis)")
         grid = parse_axis(args.grid)
@@ -345,6 +351,8 @@ def cmd_conditions(args) -> int:
 def cmd_braess_search(args) -> int:
     family = build_family(args)
     pool = build_pool(args)
+    if args.firms < 2:
+        raise UsageError("braess-search needs --firms >= 2")
     if args.firms > 2:
         if family.kind != "mallows":
             raise UsageError("braess-search with --firms > 2 takes the distance-based family only")
@@ -654,7 +662,7 @@ def verify_mallows_lemmas(log: CheckLog, args) -> None:
             q = 1.0 / phi
             for i in range(1, n + 1):
                 closed = (1 - q) * q ** (i - 1) / (1 - q**n)
-                worst = max(worst, abs(pmf.prob_of(i) - closed))
+                worst = max(worst, abs(pmf[i - 1] - closed))
             log.check(f"n={n} phi={phi}: first-choice closed form vs enumeration",
                       worst <= 1e-12, worst, "<= 1e-12")
             worst_ratio = 0.0
@@ -866,19 +874,21 @@ def resolve_flags(args) -> None:
     """Fill the subcommand's unset flags from the --config file, then convert
     each one's text or take its unset value. Flags win over the file, an
     empty value counts as unset, and a config key the subcommand does not
-    read is an error."""
+    read is an error. args.given records the flags set either way."""
     names = SUBCOMMANDS[args.command][2]
     config = load_config(args.config) if args.config else {}
     unread = sorted(set(config) - set(names))
     if unread:
         raise UsageError(f"config keys not read by {args.command}: {', '.join(unread)}")
     overrides = DEFAULT_OVERRIDES.get(args.command, {})
+    args.given = set()
     for name in names:
         convert, unset, _ = FLAGS[name]
         text = getattr(args, name) or config.get(name)
         if not text:
             setattr(args, name, overrides.get(name, unset))
             continue
+        args.given.add(name)
         try:
             setattr(args, name, convert(text))
         except (ValueError, OverflowError) as exc:

@@ -262,25 +262,19 @@ class _MomentAccumulator:
 
 
 def _run_chunks(kernel, n_samples: int, names: tuple[str, ...], threads: int = 1):
-    """Run `kernel(chunk_index, start, size)` over all chunks and reduce."""
+    """Run `kernel(chunk_index, size)` over all chunks and reduce."""
     sizes = _chunk_sizes(n_samples)
     acc = _MomentAccumulator(names, len(sizes))
 
-    def job(args) -> None:
-        index, start, size = args
-        acc.put(index, kernel(index, start, size))
+    def job(index: int) -> None:
+        acc.put(index, kernel(index, sizes[index]))
 
-    tasks = []
-    start = 0
-    for index, size in enumerate(sizes):
-        tasks.append((index, start, size))
-        start += size
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(job, tasks))
+            list(pool.map(job, range(len(sizes))))
     else:
-        for t in tasks:
-            job(t)
+        for index in range(len(sizes)):
+            job(index)
     return acc.finalize()
 
 
@@ -308,7 +302,7 @@ def mc_utility_trials(
     spec_a = spec.with_theta(theta_a)
     spec_h = spec.with_theta(theta_h)
 
-    def kernel(chunk_index: int, start: int, size: int) -> dict[str, np.ndarray]:
+    def kernel(chunk_index: int, size: int) -> dict[str, np.ndarray]:
         rng = _chunk_rng(seed, chunk_index)
         pools = _pool_matrix(pool_or_d, rng, size)
         sigma = sample_top_two(spec_a, pools, rng)
@@ -369,7 +363,7 @@ def check_pref_first_position(
     """
     spec_t = spec.with_theta(theta)
 
-    def kernel(chunk_index: int, start: int, size: int) -> dict[str, np.ndarray]:
+    def kernel(chunk_index: int, size: int) -> dict[str, np.ndarray]:
         rng = _chunk_rng(seed, chunk_index)
         pools = _pool_matrix(pool_or_d, rng, size)
         pi = sample_top_two(spec_t, pools, rng)
@@ -409,7 +403,7 @@ def check_pref_weaker_competition(
     spec_strong = spec.with_theta(theta1)
     spec_weak = spec.with_theta(theta2)
 
-    def kernel(chunk_index: int, start: int, size: int) -> dict[str, np.ndarray]:
+    def kernel(chunk_index: int, size: int) -> dict[str, np.ndarray]:
         rng = _chunk_rng(seed, chunk_index)
         pools = _pool_matrix(pool_or_d, rng, size)
         sigma = sample_top_two(spec_strong, pools, rng)
@@ -439,7 +433,7 @@ def _mc_selection_mean(
 ) -> EstimateWithError:
     removed0 = np.array(sorted(c - 1 for c in removed), dtype=np.int64)
 
-    def kernel(chunk_index: int, start: int, size: int) -> dict[str, np.ndarray]:
+    def kernel(chunk_index: int, size: int) -> dict[str, np.ndarray]:
         rng = _chunk_rng(seed, chunk_index, stream)
         pools = _pool_matrix(pool_or_d, rng, size)
         picks = _first_survivors(spec, pools, removed0, rng)
@@ -478,7 +472,7 @@ def check_monotonicity(
         fixed = CandidatePool(tuple(x))
         for t in grid:
             pmf = exact_selection_pmf(spec.with_theta(t), fixed, removed)
-            means.append(EstimateWithError.exact(pmf.expectation(x)))
+            means.append(EstimateWithError.exact(float(pmf @ x)))
     except UnsupportedModelError:
         exact_mode = False
         means = [

@@ -10,7 +10,6 @@ to rounding and quadrature error.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,7 +48,10 @@ class UtilityTable:
     u_first_a / u_first_h are the utilities of moving first with the
     algorithmic / human ranking; u_xy is the second mover's utility when
     the first mover played x and the second plays y. stderr_* fields are
-    zero for exact computation.
+    zero for exact computation. The solver judges every margin of a table,
+    exact or sampled, by one rule: strict when it exceeds both
+    DEFAULT_Z_THRESHOLD times its stderr and STRICT_TOL, a tie when neither
+    it nor its negation is strict.
     """
 
     u_first_a: float
@@ -65,50 +67,6 @@ class UtilityTable:
     stderr_u_ha: float = 0.0
     stderr_u_hh: float = 0.0
     n_samples: int = 0
-
-    def entry(self, name: str) -> float:
-        if name not in ENTRY_NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
-
-    def stderr(self, name: str) -> float:
-        if name not in ENTRY_NAMES:
-            raise KeyError(name)
-        return getattr(self, "stderr_" + name)
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in ENTRY_NAMES}
-
-
-@dataclass(frozen=True)
-class SelectionPmf:
-    """Pmf of the top surviving candidate; removed entries are zero."""
-
-    probs: tuple[float, ...]
-    removed: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        object.__setattr__(self, "removed", frozenset(int(c) for c in self.removed))
-        if any(p < 0 for p in self.probs):
-            raise ValueError(f"negative probability in {self.probs}")
-        if abs(math.fsum(self.probs) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {math.fsum(self.probs)!r}")
-        if any(self.probs[c - 1] != 0.0 for c in self.removed):
-            raise ValueError("removed candidates must carry zero probability")
-
-    @property
-    def n(self) -> int:
-        return len(self.probs)
-
-    def prob_of(self, candidate: int) -> float:
-        return self.probs[candidate - 1]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.probs)
-
-    def expectation(self, values: np.ndarray) -> float:
-        return float(self.as_array() @ np.asarray(values))
 
 
 def permutation_probabilities(spec: RankingModelSpec, pool: CandidatePool) -> np.ndarray:
@@ -285,8 +243,10 @@ def exact_selection_pmf(
     spec: RankingModelSpec,
     pool: CandidatePool,
     removed: frozenset[int] | set[int] = frozenset(),
-) -> SelectionPmf:
-    """Pmf of the best-ranked surviving candidate after removing a set."""
+) -> np.ndarray:
+    """Pmf of the best-ranked surviving candidate after removing a set of
+    1-based candidates, as a length-n array over 0-based candidates whose
+    removed entries are 0."""
     n = pool.n
     if n > MAX_PMF_N:
         raise UnsupportedModelError(f"exact selection pmf capped at n={MAX_PMF_N}")
@@ -298,8 +258,7 @@ def exact_selection_pmf(
     probs = permutation_probabilities(spec, pool)
     space = perm_space(n)
     pmf = space.first_choice(probs, mask_of({c - 1 for c in removed}))
-    pmf = pmf / pmf.sum()
-    return SelectionPmf(tuple(pmf), removed)
+    return pmf / pmf.sum()
 
 
 def _resolve_exact_values(pool_or_d: PoolOrDistribution, value_independent: bool) -> np.ndarray:
@@ -346,30 +305,6 @@ def exact_utility_table(
         u_ha=float(first_h @ g_a),
         u_hh=float(first_h @ g_h),
     )
-
-
-def identity_check_uah_uaa(
-    theta_a: float,
-    theta_h: float,
-    spec: RankingModelSpec,
-    pool: CandidatePool,
-) -> float:
-    """Residual of the equal-accuracy identity
-    u_AH - u_AA = sum_{a,b} P[a, b] (x_a - x_b) (1 - p1[a]).
-
-    P is the top-two pmf of the second mover's ranking and p1 its first-pick
-    pmf, so the right side is the first-vs-second pick gap of that ranking,
-    counted only when its top pick survives the first mover. Requires
-    theta_a = theta_h; returns |LHS - RHS|.
-    """
-    if theta_a != theta_h:
-        raise ValueError("the identity is an equal-accuracy statement; need theta_a = theta_h")
-    table = exact_utility_table(theta_a, theta_h, spec, pool)
-    x = _resolve_exact_values(pool, spec.value_independent)
-    p = top_two_pmf(spec.with_theta(theta_a), x)
-    survives = 1.0 - p.sum(axis=1)
-    rhs = float(np.sum(p * (x[:, None] - x[None, :]) * survives[:, None]))
-    return abs(table.u_ah - table.u_aa - rhs)
 
 
 def exact_welfare(table: UtilityTable, profile: str) -> float:

@@ -42,33 +42,18 @@ class BracketError(RuntimeError):
     """Raised when the dominance margin cannot be sign-bracketed."""
 
 
-@dataclass(frozen=True)
-class PayoffMatrix:
-    """Expected payoff of each strategy against each rival strategy."""
-
-    a_vs_a: float
-    a_vs_h: float
-    h_vs_a: float
-    h_vs_h: float
-
-    @staticmethod
-    def from_table(table: UtilityTable) -> "PayoffMatrix":
-        return PayoffMatrix(
-            a_vs_a=0.5 * (table.u_first_a + table.u_aa),
-            a_vs_h=0.5 * (table.u_first_a + table.u_ha),
-            h_vs_a=0.5 * (table.u_first_h + table.u_ah),
-            h_vs_h=0.5 * (table.u_first_h + table.u_hh),
-        )
-
-    def payoff(self, own: str, rival: str) -> float:
-        key = f"{own.lower()}_vs_{rival.lower()}"
-        return getattr(self, key)
-
-
 def _margin_stderr(table: UtilityTable, names: tuple[str, ...]) -> float:
     # entries share trial draws, so treating them as independent overstates
     # the error; the overstatement only ever downgrades a verdict
-    return math.sqrt(sum(table.stderr(name) ** 2 for name in names))
+    return math.sqrt(sum(getattr(table, "stderr_" + name) ** 2 for name in names))
+
+
+def _strict(margin: float, se: float) -> bool:
+    """The one strictness rule: a margin is strict when it clears both the z
+    threshold on its stderr and the rounding floor STRICT_TOL, so exact
+    tables (stderr 0) and sampled ones share it and no branch infers
+    exactness. A margin is a tie when neither it nor its negation is strict."""
+    return margin > max(DEFAULT_Z_THRESHOLD * se, STRICT_TOL)
 
 
 @dataclass(frozen=True)
@@ -78,7 +63,7 @@ class DominanceReport:
     margin_vs_a compares playing A against playing H when the rival runs
     the shared ranking; margin_vs_h is the same comparison against a human
     rival. Margins are full-table differences (the one-half payoff weights
-    cancel). Monte Carlo tables gate strictness on the z-score as well.
+    cancel). Strictness and ties follow `_strict`.
     """
 
     margin_vs_a: float
@@ -100,26 +85,15 @@ def check_dominance(table: UtilityTable) -> DominanceReport:
     margin_h = (table.u_first_a + table.u_ha) - (table.u_first_h + table.u_hh)
     se_a = _margin_stderr(table, ("u_first_a", "u_aa", "u_first_h", "u_ah"))
     se_h = _margin_stderr(table, ("u_first_a", "u_ha", "u_first_h", "u_hh"))
-
-    def strict(margin: float, se: float) -> bool:
-        if se > 0:
-            return margin > DEFAULT_Z_THRESHOLD * se
-        return margin > STRICT_TOL
-
-    def tie(margin: float, se: float) -> bool:
-        if se > 0:
-            return abs(margin) <= DEFAULT_Z_THRESHOLD * se
-        return abs(margin) <= STRICT_TOL
-
     return DominanceReport(
         margin_vs_a=margin_a,
         margin_vs_h=margin_h,
         stderr_vs_a=se_a,
         stderr_vs_h=se_h,
-        a_dominant_vs_a=strict(margin_a, se_a),
-        a_dominant_vs_h=strict(margin_h, se_h),
-        tie_vs_a=tie(margin_a, se_a),
-        tie_vs_h=tie(margin_h, se_h),
+        a_dominant_vs_a=_strict(margin_a, se_a),
+        a_dominant_vs_h=_strict(margin_h, se_h),
+        tie_vs_a=not (_strict(margin_a, se_a) or _strict(-margin_a, se_a)),
+        tie_vs_h=not (_strict(margin_h, se_h) or _strict(-margin_h, se_h)),
     )
 
 
@@ -130,10 +104,9 @@ class EquilibriumOutcome:
     label is AA or HH when that pure profile is the stable one, and
     AH_asymmetric in the anti-coordination case, where the two asymmetric
     pure equilibria coexist with a symmetric mixed one; p then carries the
-    mixed-equilibrium probability of playing A. boundary marks margins
-    inside tolerance (or, for Monte Carlo tables, inside the z threshold).
-    braess is set only when A is strictly dominant yet the all-A welfare
-    falls strictly short of the all-H welfare, with the same gating.
+    mixed-equilibrium probability of playing A. boundary marks a dominance
+    margin that ties. braess is set only when A is strictly dominant yet the
+    all-A welfare falls strictly short of the all-H welfare.
     """
 
     label: str
@@ -146,10 +119,18 @@ class EquilibriumOutcome:
 
 
 def classify_equilibrium(table: UtilityTable) -> EquilibriumOutcome:
-    pm = PayoffMatrix.from_table(table)
+    """Label, mixing weight, welfare and Braess flag of one utility table.
+
+    One strictness rule judges both dominance margins and the welfare gap,
+    for exact and sampled tables alike: a difference is strict when it
+    exceeds both DEFAULT_Z_THRESHOLD times its stderr and STRICT_TOL, and a
+    tie when neither it nor its negation is strict.
+    """
     dom = check_dominance(table)
-    alpha = pm.a_vs_a - pm.h_vs_a
-    beta = pm.a_vs_h - pm.h_vs_h
+    # payoff of A minus payoff of H against an A rival (alpha) and an H
+    # rival (beta); each payoff averages the first- and second-mover entries
+    alpha = 0.5 * (table.u_first_a + table.u_aa) - 0.5 * (table.u_first_h + table.u_ah)
+    beta = 0.5 * (table.u_first_a + table.u_ha) - 0.5 * (table.u_first_h + table.u_hh)
     aa_stable = alpha >= -STRICT_TOL
     hh_stable = beta <= STRICT_TOL
     boundary = dom.tie_vs_a or dom.tie_vs_h
@@ -169,13 +150,8 @@ def classify_equilibrium(table: UtilityTable) -> EquilibriumOutcome:
 
     welfare_aa = exact_welfare(table, "AA")
     welfare_hh = exact_welfare(table, "HH")
-    gap = welfare_hh - welfare_aa
     gap_se = _margin_stderr(table, ("u_first_h", "u_hh", "u_first_a", "u_aa"))
-    if gap_se > 0:
-        welfare_loss = gap > DEFAULT_Z_THRESHOLD * gap_se
-    else:
-        welfare_loss = gap > STRICT_TOL
-    braess = dom.a_strictly_dominant and welfare_loss
+    braess = dom.a_strictly_dominant and _strict(welfare_hh - welfare_aa, gap_se)
 
     return EquilibriumOutcome(
         label=label,
@@ -279,16 +255,14 @@ def find_theta_star(
         candidate = theta_star * (1.0 + 2.0 ** (-m))
         if candidate == theta_star:
             break
-        t = tables(candidate)
-        dom = check_dominance(t)
-        gap = exact_welfare(t, "HH") - exact_welfare(t, "AA")
-        if dom.a_strictly_dominant and gap > STRICT_TOL:
+        out = classify_equilibrium(tables(candidate))
+        if out.braess:
             theta_prime = candidate
             braess_found = True
             certificate = {
-                "margin_vs_a": dom.margin_vs_a,
-                "margin_vs_h": dom.margin_vs_h,
-                "welfare_gap": gap,
+                "margin_vs_a": out.detail["dominance"].margin_vs_a,
+                "margin_vs_h": out.detail["dominance"].margin_vs_h,
+                "welfare_gap": out.welfare_hh - out.welfare_aa,
                 "exponent": m,
             }
             break

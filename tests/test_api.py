@@ -1,5 +1,5 @@
-"""The public API: what `monoculture.__all__` promises, the README imports,
-and the README CLI examples."""
+"""The public API: what `monoculture.__all__` promises (pinned name by name),
+the README imports, and the README CLI examples."""
 
 import ast
 import re
@@ -15,6 +15,55 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_every_exported_name_resolves():
     for name in monoculture.__all__:
         assert getattr(monoculture, name, None) is not None, name
+
+
+def test_exports_are_pinned():
+    # any change to the public API shows up as a change to this list
+    assert monoculture.__all__ == [
+        "BracketError",
+        "CandidateDistribution",
+        "CandidatePool",
+        "ConditionReport",
+        "DominanceReport",
+        "EquilibriumOutcome",
+        "EstimateWithError",
+        "KFirmReport",
+        "NoiseSpec",
+        "PoolError",
+        "PoolOrDistribution",
+        "RankingModelSpec",
+        "ScanReport",
+        "StrategySequence",
+        "SweepCell",
+        "ThetaStarResult",
+        "TieError",
+        "UnsupportedModelError",
+        "UnsupportedNoiseError",
+        "UtilityTable",
+        "binary_counter_scan",
+        "check_dominance",
+        "check_monotonicity",
+        "check_pref_first_position",
+        "check_pref_weaker_competition",
+        "classify_equilibrium",
+        "conditional_order_probability",
+        "exact_selection_pmf",
+        "exact_sequential_utilities",
+        "exact_utility_table",
+        "exact_welfare",
+        "find_theta_star",
+        "kfirm_braess_check",
+        "mallows_perm_probs",
+        "mc_utility_table",
+        "mc_utility_trials",
+        "permutation_probabilities",
+        "sample_rankings",
+        "sequential_optimal_sequence",
+        "sweep_plane",
+        "top_two_pmf",
+        "uniform_order_statistic_means",
+        "well_ordered_check",
+    ]
 
 
 def test_exports_have_no_duplicates():

@@ -62,8 +62,9 @@ def test_utilities_exact_matches_the_engine(capsys):
     assert row["engine"] == "exact"
     for name in ("u_first_a", "u_first_h", "u_aa", "u_ah", "u_ha", "u_hh"):
         # 17 significant digits round-trip doubles exactly
-        assert float(row[name]) == table.entry(name)
+        assert float(row[name]) == getattr(table, name)
         assert float(row["stderr_" + name]) == 0.0
+    assert row["n_samples"] == "0"
 
 
 def test_utilities_exact_continuous_noise_past_three_candidates(capsys):
@@ -77,7 +78,7 @@ def test_utilities_exact_continuous_noise_past_three_candidates(capsys):
                                 CandidatePool((1.0, 0.7, 0.3, 0.0)))
     assert row["engine"] == "exact"
     for name in ("u_first_a", "u_first_h", "u_aa", "u_ah", "u_ha", "u_hh"):
-        assert float(row[name]) == table.entry(name)
+        assert float(row[name]) == getattr(table, name)
 
 
 def test_utilities_mc_is_thread_invariant(capsys):
@@ -171,6 +172,43 @@ def test_unread_flags_exit_one_and_name_themselves(capsys, argv, flag):
         main(list(argv))
     assert exc.value.code == 1
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("utilities", "--theta-h", "1", "--theta-a", "2", "--pool", POOL, "--samples", "5"),
+     "--samples"),
+    (("utilities", "--theta-h", "1", "--theta-a", "2", "--pool", POOL, "--seed", "3"), "--seed"),
+    (("utilities", "--theta-h", "1", "--theta-a", "2", "--pool", POOL, "--engine", "exact",
+      "--threads", "4"), "--threads"),
+    (("conditions", "--check", "first-position", "--theta-h", "1", "--pool", POOL,
+      "--grid", "1:2:1"), "--grid"),
+    (("conditions", "--check", "weaker-competition", "--theta-a", "2", "--theta-h", "1",
+      "--pool", POOL, "--removed", "1"), "--removed"),
+    (("conditions", "--check", "first-position", "--theta-h", "1", "--theta-a", "2",
+      "--pool", POOL), "--theta-a"),
+    (("conditions", "--check", "monotonicity", "--grid", "0.5:2.0:0.5", "--pool", POOL,
+      "--theta-h", "1"), "--theta-h"),
+    (("conditions", "--check", "monotonicity", "--grid", "0.5:2.0:0.5", "--pool", POOL,
+      "--theta-a", "1"), "--theta-a"),
+    (("braess-search", "--firms", "1", "--theta-h", "1", "--pool", POOL),
+     "needs --firms >= 2"),
+    (("braess-search", "--firms", "0", "--theta-h", "1", "--pool", POOL),
+     "needs --firms >= 2"),
+])
+def test_flags_the_chosen_path_does_not_read_exit_one(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_flags_from_config_count_as_given(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\n")
+    code, out, err = run(capsys, "utilities", "--config", str(cfg), "--theta-h", "1",
+                         "--theta-a", "2", "--pool", POOL)
+    assert code == 1
+    assert "--seed" in err
 
 
 def test_config_rejects_keys_the_subcommand_does_not_read(tmp_path, capsys):

@@ -151,9 +151,9 @@ def test_mc_table_agrees_with_exact_within_four_stderr():
     exact = exact_utility_table(theta_a, theta_h, MALLOWS, POOL4)
     mc = mc_utility_table(theta_a, theta_h, MALLOWS, POOL4, 400_000, seed=314)
     for name in ENTRY_NAMES:
-        gap = abs(mc.entry(name) - exact.entry(name))
-        assert gap < 4 * mc.stderr(name), name
-        assert mc.stderr(name) > 0
+        gap = abs(getattr(mc, name) - getattr(exact, name))
+        assert gap < 4 * getattr(mc, "stderr_" + name), name
+        assert getattr(mc, "stderr_" + name) > 0
     assert mc.n_samples == 400_000
 
 
@@ -162,7 +162,8 @@ def test_gaussian_exact_table_past_three_candidates_agrees_with_mc():
     exact = exact_utility_table(1.4, 1.0, GAUSSIAN, pool)
     mc = mc_utility_table(1.4, 1.0, GAUSSIAN, pool, 400_000, seed=2024)
     for name in ENTRY_NAMES:
-        assert abs(mc.entry(name) - exact.entry(name)) <= 5 * mc.stderr(name), name
+        se = getattr(mc, "stderr_" + name)
+        assert abs(getattr(mc, name) - getattr(exact, name)) <= 5 * se, name
 
 
 def test_mc_respects_the_softmax_null():
@@ -183,7 +184,7 @@ def test_mc_over_pool_distribution_matches_order_statistic_means():
     exact = exact_utility_table(1.5, 1.0, MALLOWS, d)
     mc = mc_utility_table(1.5, 1.0, MALLOWS, d, 400_000, seed=55)
     for name in ("u_first_a", "u_hh"):
-        assert abs(mc.entry(name) - exact.entry(name)) < 4 * mc.stderr(name)
+        assert abs(getattr(mc, name) - getattr(exact, name)) < 4 * getattr(mc, "stderr_" + name)
 
 
 # ---------------------------------------------------------------- reproducibility
@@ -233,8 +234,9 @@ def test_stderr_survives_a_large_pool_offset():
     near = mc_utility_table(1.5, 1.0, MALLOWS, POOL4, 100_000, seed=3)
     far = mc_utility_table(1.5, 1.0, MALLOWS, shifted, 100_000, seed=3)
     for name in ENTRY_NAMES:
-        assert far.stderr(name) > 0, name
-        assert far.stderr(name) == pytest.approx(near.stderr(name), rel=1e-6), name
+        se_far, se_near = getattr(far, "stderr_" + name), getattr(near, "stderr_" + name)
+        assert se_far > 0, name
+        assert se_far == pytest.approx(se_near, rel=1e-6), name
 
 
 @st.composite
@@ -251,7 +253,7 @@ def offset_pools(draw):
 def test_stderr_is_positive_on_any_non_degenerate_pool_at_any_offset(spec, pool, seed):
     table = mc_utility_table(1.5, 1.0, spec, pool, 4_000, seed=seed)
     for name in ENTRY_NAMES:
-        assert table.stderr(name) > 0, name
+        assert getattr(table, "stderr_" + name) > 0, name
 
 
 # ---------------------------------------------------------------- calibration
@@ -270,8 +272,8 @@ def test_interval_calibration_on_the_exact_table():
     for r in range(runs):
         mc = mc_utility_table(theta_a, theta_h, MALLOWS, POOL3, n, seed=10_000 + r)
         for name in names:
-            half = z999 * mc.stderr(name)
-            if abs(mc.entry(name) - exact.entry(name)) <= half:
+            half = z999 * getattr(mc, "stderr_" + name)
+            if abs(getattr(mc, name) - getattr(exact, name)) <= half:
                 covered[name] += 1
     for name in names:
         assert covered[name] >= 990, (name, covered[name])

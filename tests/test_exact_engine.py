@@ -26,12 +26,19 @@ from monoculture import (
     exact_sequential_utilities,
     exact_utility_table,
     exact_welfare,
-    identity_check_uah_uaa,
     permutation_probabilities,
     top_two_pmf,
     uniform_order_statistic_means,
 )
-from monoculture.exact import ENTRY_NAMES, SequentialState, _human_steps, _levels, _pair_integrals
+from monoculture.exact import (
+    ENTRY_NAMES,
+    MAX_PMF_N,
+    MAX_QUADRATURE_N,
+    SequentialState,
+    _human_steps,
+    _levels,
+    _pair_integrals,
+)
 from monoculture.permspace import perm_space
 from tests import oracles
 
@@ -45,20 +52,20 @@ MALLOWS = RankingModelSpec.mallows(2.0)
 
 def test_selection_pmf_known_values():
     pmf = exact_selection_pmf(MALLOWS, POOL3)
-    assert abs(pmf.prob_of(1) - 4 / 7) < 1e-14
-    assert abs(pmf.prob_of(2) - 2 / 7) < 1e-14
-    assert abs(pmf.prob_of(3) - 1 / 7) < 1e-14
+    assert abs(pmf[0] - 4 / 7) < 1e-14
+    assert abs(pmf[1] - 2 / 7) < 1e-14
+    assert abs(pmf[2] - 1 / 7) < 1e-14
 
 
 def test_selection_pmf_is_a_point_mass_at_high_accuracy():
     pmf = exact_selection_pmf(RankingModelSpec.mallows(1e9), POOL3)
-    assert pmf.prob_of(1) > 1.0 - 1e-8
+    assert pmf[0] > 1.0 - 1e-8
 
 
 def test_selection_pmf_tiny_accuracy_softmax_is_uniform():
     pmf = exact_selection_pmf(RankingModelSpec.plackett_luce(1e-9), POOL3)
     for c in (1, 2, 3):
-        assert abs(pmf.prob_of(c) - 1 / 3) < 1e-8
+        assert abs(pmf[c - 1] - 1 / 3) < 1e-8
 
 
 @pytest.mark.parametrize(
@@ -67,15 +74,23 @@ def test_selection_pmf_tiny_accuracy_softmax_is_uniform():
         RankingModelSpec.mallows(1.7),
         RankingModelSpec.plackett_luce(0.9),
         RankingModelSpec.rum(NoiseSpec.gaussian(), 1.1),
+        RankingModelSpec.rum(NoiseSpec.discrete(((-1.0, 0.3), (0.0, 0.4), (1.0, 0.3))), 1.3),
     ],
 )
 def test_selection_pmf_is_a_distribution(spec):
-    for removed in (frozenset(), {1}, {3}, {1, 2}):
-        pmf = exact_selection_pmf(spec, POOL3, removed)
-        assert all(p >= 0 for p in pmf.probs)
-        assert abs(sum(pmf.probs) - 1.0) < 1e-12
-        for c in removed:
-            assert pmf.prob_of(c) == 0.0
+    # a length-n array over 0-based candidates at every n the engine takes:
+    # entries >= 0 summing to 1 within 1e-12, exactly 0 on removed candidates
+    continuous = spec.kind == "rum" and spec.noise.is_continuous
+    rng = np.random.default_rng(8)
+    for n in range(2, (MAX_QUADRATURE_N if continuous else MAX_PMF_N) + 1):
+        pool = CandidatePool(tuple(np.sort(rng.uniform(0.0, 1.0, n))[::-1]))
+        for size in (0, *rng.integers(1, n, 3)):
+            removed = {int(c) + 1 for c in rng.choice(n, size, replace=False)}
+            pmf = exact_selection_pmf(spec, pool, removed)
+            assert pmf.shape == (n,)
+            assert (pmf >= 0).all()
+            assert abs(math.fsum(pmf) - 1.0) <= 1e-12
+            assert all(pmf[c - 1] == 0.0 for c in removed)
 
 
 def test_selection_pmf_removal_shifts_mass_to_survivors():
@@ -83,9 +98,9 @@ def test_selection_pmf_removal_shifts_mass_to_survivors():
     # removing the middle candidate is the non-contiguous case where the
     # naive two-candidate shortcut (2/3, 1/3) is wrong
     gapped = exact_selection_pmf(MALLOWS, POOL3, {2})
-    assert gapped.prob_of(1) > base.prob_of(1)
-    assert abs(gapped.prob_of(1) - 16 / 21) < 1e-12
-    assert abs(gapped.prob_of(3) - 5 / 21) < 1e-12
+    assert gapped[0] > base[0]
+    assert abs(gapped[0] - 16 / 21) < 1e-12
+    assert abs(gapped[2] - 5 / 21) < 1e-12
 
 
 def test_selection_pmf_rejects_bad_removals():
@@ -176,7 +191,7 @@ def test_softmax_top_two_pmf_stays_finite_at_high_accuracy():
     assert pmf[0, 1] == 1.0
     t = exact_utility_table(800.0, 1.0, RankingModelSpec.plackett_luce(1.0), POOL3)
     assert (t.u_first_a, t.u_aa) == (1.0, 0.5)
-    assert all(math.isfinite(v) for v in t.as_dict().values())
+    assert all(math.isfinite(getattr(t, name)) for name in ENTRY_NAMES)
 
 
 def test_cached_top_two_pmf_is_read_only():
@@ -211,7 +226,7 @@ def test_gumbel_table_at_high_accuracy_raises_no_warning():
         warnings.simplefilter("error")
         t = exact_utility_table(800.0, 1.0, family, pool)
         pmf = top_two_pmf(family.with_theta(800.0), pool.as_array())
-    assert all(math.isfinite(v) for v in t.as_dict().values())
+    assert all(math.isfinite(getattr(t, name)) for name in ENTRY_NAMES)
     assert pmf[0, 1] >= 1.0 - 1e-12
 
 
@@ -222,7 +237,7 @@ def test_laplacian_pair_integrals_sum_to_one_on_a_pool_quad_rejected(theta_a):
                           0.5381433132192782, 0.4091991363691613, 0.027559113243068367))
     family = RankingModelSpec.rum(NoiseSpec.laplacian(), 1.0)
     t = exact_utility_table(theta_a, 1.0, family, pool)
-    assert all(math.isfinite(v) for v in t.as_dict().values())
+    assert all(math.isfinite(getattr(t, name)) for name in ENTRY_NAMES)
     for theta in (theta_a, 1.0):
         raw = _pair_integrals(NoiseSpec.laplacian(), theta, pool.as_array())
         assert abs(raw.sum() - 1.0) < 1e-12
@@ -279,16 +294,7 @@ def test_utility_table_matches_double_enumeration(theta_a, theta_h, family, pool
     table = exact_utility_table(theta_a, theta_h, family, pool)
     want = double_enumeration_table(theta_a, theta_h, family, pool)
     for name, val in want.items():
-        assert abs(table.entry(name) - val) < 1e-12
-
-
-def test_table_entry_and_stderr_accessors():
-    table = exact_utility_table(2.0, 1.5, MALLOWS, POOL3)
-    assert table.entry("u_aa") == table.u_aa
-    assert table.stderr("u_aa") == 0.0
-    assert table.n_samples == 0
-    with pytest.raises(KeyError):
-        table.entry("u_xx")
+        assert abs(getattr(table, name) - val) < 1e-12
 
 
 def test_first_mover_beats_its_own_second_mover_role():
@@ -305,7 +311,7 @@ def test_all_entries_stay_inside_the_value_range():
     for spec in (MALLOWS, RankingModelSpec.plackett_luce(1.0)):
         t = exact_utility_table(1.7, 0.8, spec, POOL4)
         for name in ENTRY_NAMES:
-            assert 0.0 - 1e-15 <= t.entry(name) <= 1.0 + 1e-15
+            assert 0.0 - 1e-15 <= getattr(t, name) <= 1.0 + 1e-15
 
 
 def test_equal_accuracy_table_is_symmetric():
@@ -354,16 +360,28 @@ def test_softmax_family_second_mover_is_indifferent_to_sharing():
         assert abs(t.u_ha - t.u_hh) < 1e-12
 
 
+def identity_residual_uah_uaa(theta, spec, pool):
+    """Residual of the equal-accuracy identity
+    u_AH - u_AA = sum_{a,b} P[a, b] (x_a - x_b) (1 - p1[a]).
+
+    P is the top-two pmf of the second mover's ranking and p1 its first-pick
+    pmf, so the right side is the first-vs-second pick gap of that ranking,
+    counted only when its top pick survives the first mover; returns
+    |LHS - RHS|.
+    """
+    table = exact_utility_table(theta, theta, spec, pool)
+    x = pool.as_array()
+    p = top_two_pmf(spec.with_theta(theta), x)
+    survives = 1.0 - p.sum(axis=1)
+    rhs = float(np.sum(p * (x[:, None] - x[None, :]) * survives[:, None]))
+    return abs(table.u_ah - table.u_aa - rhs)
+
+
 def test_identity_check_residuals_are_tiny():
     for spec in (MALLOWS, RankingModelSpec.plackett_luce(1.0),
                  RankingModelSpec.rum(NoiseSpec.gaussian(), 1.0)):
-        assert identity_check_uah_uaa(1.3, 1.3, spec, POOL3) < 1e-10
-    assert identity_check_uah_uaa(2.0, 2.0, MALLOWS, POOL4) < 1e-10
-
-
-def test_identity_check_requires_equal_accuracy():
-    with pytest.raises(ValueError):
-        identity_check_uah_uaa(2.0, 1.5, MALLOWS, POOL3)
+        assert identity_residual_uah_uaa(1.3, spec, POOL3) < 1e-10
+    assert identity_residual_uah_uaa(2.0, MALLOWS, POOL4) < 1e-10
 
 
 def test_three_atom_counterexample_value():
@@ -413,7 +431,7 @@ def test_mallows_table_past_the_old_size_cap_matches_the_pair_marginal():
     }
     table = exact_utility_table(2.0, 1.5, MALLOWS, big)
     for name, val in want.items():
-        assert abs(table.entry(name) - val) < 1e-12, name
+        assert abs(getattr(table, name) - val) < 1e-12, name
 
 
 def test_table_over_distribution_needs_value_independence():
@@ -628,8 +646,9 @@ def test_mallows_table_is_equivariant_under_positive_affine_maps(pool, theta_a, 
     base = exact_utility_table(theta_a, theta_h, MALLOWS, pool)
     got = exact_utility_table(theta_a, theta_h, MALLOWS, moved)
     tol = 1e-12 * (abs(shift) + scale * 5.0 + 1.0)
-    for name, value in base.as_dict().items():
-        assert abs(got.entry(name) - (scale * value + shift)) < tol, name
+    for name in ENTRY_NAMES:
+        value = getattr(base, name)
+        assert abs(getattr(got, name) - (scale * value + shift)) < tol, name
 
 
 @settings(deadline=None, max_examples=60)
@@ -641,8 +660,9 @@ def test_softmax_table_shifts_with_the_pool(pool, theta_a, theta_h, shift):
     base = exact_utility_table(theta_a, theta_h, softmax, pool)
     got = exact_utility_table(theta_a, theta_h, softmax, moved)
     tol = 1e-12 * (abs(shift) + 6.0)
-    for name, value in base.as_dict().items():
-        assert abs(got.entry(name) - (value + shift)) < tol, name
+    for name in ENTRY_NAMES:
+        value = getattr(base, name)
+        assert abs(getattr(got, name) - (value + shift)) < tol, name
 
 
 @settings(deadline=None, max_examples=40)

@@ -4,13 +4,13 @@ k-firm hiring sequences."""
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from monoculture import (
     BracketError,
     CandidateDistribution,
     CandidatePool,
     NoiseSpec,
-    PayoffMatrix,
     RankingModelSpec,
     StrategySequence,
     UnsupportedModelError,
@@ -26,6 +26,7 @@ from monoculture import (
     sequential_optimal_sequence,
     sweep_plane,
 )
+from monoculture.exact import ENTRY_NAMES
 
 POOL3 = CandidatePool((1.0, 0.5, 0.0))
 POOL4 = CandidatePool((1.0, 0.7, 0.3, 0.0))
@@ -40,16 +41,12 @@ SENTINELS = UtilityTable(
 # ---------------------------------------------------------------- payoffs
 
 
-def test_payoff_matrix_wiring():
+def test_payoff_margin_wiring():
     # second-mover entries are named first-mover-then-second-mover, so my
     # payoff playing A against a rival H averages u_first_a with u_ha
-    pm = PayoffMatrix.from_table(SENTINELS)
-    assert pm.a_vs_a == 0.5 * (1.0 + 4.0)
-    assert pm.a_vs_h == 0.5 * (1.0 + 16.0)
-    assert pm.h_vs_a == 0.5 * (2.0 + 8.0)
-    assert pm.h_vs_h == 0.5 * (2.0 + 32.0)
-    assert pm.payoff("A", "H") == pm.a_vs_h
-    assert pm.payoff("h", "a") == pm.h_vs_a
+    detail = classify_equilibrium(SENTINELS).detail
+    assert detail["payoff_margin_vs_a"] == 0.5 * (1.0 + 4.0) - 0.5 * (2.0 + 8.0)
+    assert detail["payoff_margin_vs_h"] == 0.5 * (1.0 + 16.0) - 0.5 * (2.0 + 32.0)
 
 
 def test_dominance_margins_are_table_differences():
@@ -77,6 +74,32 @@ def test_dominance_tie_detection_exact_and_sampled():
     assert noisy_rep.margin_vs_a > 0
     assert not noisy_rep.a_dominant_vs_a  # 0.01 margin, 0.02 stderr
     assert noisy_rep.tie_vs_a
+
+
+def sampled(se, **entries):
+    """A Monte Carlo-style table whose six entries all carry stderr se."""
+    return UtilityTable(**entries, **{f"stderr_{n}": se for n in ENTRY_NAMES}, n_samples=10**6)
+
+
+def test_margin_at_rounding_level_is_never_strict():
+    # four entries of stderr 0.5e-14 give a margin stderr of 1e-14, so a
+    # z test alone would call a 5e-13 margin strict; STRICT_TOL still holds
+    tied = sampled(0.5e-14, u_first_a=0.5 + 5e-13, u_first_h=0.5,
+                   u_aa=0.25, u_ah=0.25, u_ha=0.25, u_hh=0.25)
+    rep = check_dominance(tied)
+    assert rep.margin_vs_a == pytest.approx(5e-13, rel=1e-3)
+    assert rep.stderr_vs_a == pytest.approx(1e-14)
+    assert not rep.a_dominant_vs_a and rep.tie_vs_a
+    assert not rep.a_dominant_vs_h and rep.tie_vs_h
+    assert classify_equilibrium(tied).boundary
+    # the welfare gap follows the same rule: A strictly dominant, all-H
+    # welfare ahead by 5e-13 only, so no welfare loss is certified
+    gap = sampled(0.5e-14, u_first_a=1.0, u_first_h=0.5,
+                  u_aa=0.2, u_ah=0.2, u_ha=0.3, u_hh=0.7 + 5e-13)
+    out = classify_equilibrium(gap)
+    assert out.detail["dominance"].a_strictly_dominant
+    assert out.welfare_hh - out.welfare_aa == pytest.approx(5e-13, rel=1e-3)
+    assert not out.braess
 
 
 # ---------------------------------------------------------------- classification
@@ -118,9 +141,10 @@ def test_gaussian_scores_anticoordinate_in_a_thin_band():
     assert out.label == "AH_asymmetric"
     assert 0.0 < out.p < 1.0
     # the mixed probability solves the indifference equation
-    pm = PayoffMatrix.from_table(t)
-    own_a = out.p * pm.a_vs_a + (1 - out.p) * pm.a_vs_h
-    own_h = out.p * pm.h_vs_a + (1 - out.p) * pm.h_vs_h
+    a_vs_a, h_vs_a = 0.5 * (t.u_first_a + t.u_aa), 0.5 * (t.u_first_h + t.u_ah)
+    a_vs_h, h_vs_h = 0.5 * (t.u_first_a + t.u_ha), 0.5 * (t.u_first_h + t.u_hh)
+    own_a = out.p * a_vs_a + (1 - out.p) * a_vs_h
+    own_h = out.p * h_vs_a + (1 - out.p) * h_vs_h
     assert abs(own_a - own_h) < 1e-12
     assert not out.braess
 
@@ -131,6 +155,41 @@ def test_gaussian_scores_braess_cell_above_the_band():
     assert out.braess
     assert out.welfare_hh > out.welfare_aa
     assert out.detail["dominance"].a_strictly_dominant
+
+
+AFFINE_FAMILIES = {
+    "mallows": MALLOWS,
+    "plackett_luce": RankingModelSpec.plackett_luce(1.0),
+    "gaussian": GAUSSIAN,
+}
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(sorted(AFFINE_FAMILIES)),
+       st.lists(st.integers(-500, 500), min_size=3, max_size=6, unique=True),
+       st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.1, 10.0), st.floats(-10.0, 10.0))
+def test_equilibrium_is_invariant_under_positive_affine_maps(
+    kind, steps, theta_a, theta_h, scale, shift
+):
+    # x -> scale x + shift scales every margin by scale; softmax and noisy
+    # scores see the pool through theta x, so they also take theta / scale
+    values = [v / 100.0 for v in sorted(steps, reverse=True)]
+    family = AFFINE_FAMILIES[kind]
+    k = 1.0 if kind == "mallows" else scale
+    base = classify_equilibrium(exact_utility_table(theta_a, theta_h, family, CandidatePool(values)))
+    moved = CandidatePool(tuple(scale * v + shift for v in values))
+    got = classify_equilibrium(exact_utility_table(theta_a / k, theta_h / k, family, moved))
+    alpha, beta = base.detail["payoff_margin_vs_a"], base.detail["payoff_margin_vs_h"]
+    dom = base.detail["dominance"]
+    margins = (alpha, beta, alpha + beta, dom.margin_vs_a, dom.margin_vs_h,
+               base.welfare_hh - base.welfare_aa)
+    # every boundary sits within STRICT_TOL of 0, so this keeps each mapped
+    # margin more than 1e-9 * scale from all of them
+    assume(min(abs(m) for m in margins) > 1e-9)
+    assert (got.label, got.braess) == (base.label, base.braess)
+    assert (got.p is None) == (base.p is None)
+    if base.p is not None:
+        assert got.p == pytest.approx(base.p, rel=1e-6)
 
 
 def test_welfare_fields_match_the_welfare_function():

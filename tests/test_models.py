@@ -167,13 +167,13 @@ def test_first_choice_closed_form_matches_enumeration(n):
             closed = mallows_block_first_choice(phi, n, i)
             want = brute_first_choice(phi, n, i)
             assert abs(closed - want) < 1e-12
-            assert abs(pmf.prob_of(i) - want) < 1e-12
+            assert abs(pmf[i - 1] - want) < 1e-12
 
 
 def test_first_choice_known_values_n3():
-    assert abs(first_choice(2.0, 3).prob_of(1) - 4 / 7) < 1e-15
-    assert abs(first_choice(2.0, 3).prob_of(3) - 1 / 7) < 1e-15
-    assert abs(first_choice(2.0, 3, {1}).prob_of(2) - 2 / 3) < 1e-12
+    assert abs(first_choice(2.0, 3)[0] - 4 / 7) < 1e-15
+    assert abs(first_choice(2.0, 3)[2] - 1 / 7) < 1e-15
+    assert abs(first_choice(2.0, 3, {1})[1] - 2 / 3) < 1e-12
 
 
 def test_first_choice_rejects_bad_arguments():
@@ -193,7 +193,7 @@ def test_contiguous_survivor_blocks_keep_the_closed_form():
                 pmf = first_choice(phi, n, removed)
                 m = n - cut
                 for rank, cand in enumerate(range(cut + 1, n + 1), 1):
-                    got = pmf.prob_of(cand)
+                    got = pmf[cand - 1]
                     closed = mallows_block_first_choice(phi, m, rank)
                     brute = brute_first_choice(phi, n, cand, removed)
                     assert abs(got - closed) < 1e-12
@@ -205,9 +205,9 @@ def test_non_contiguous_survivors_break_the_subset_shortcut():
     # form would give (2/3, 1/3), enumeration gives (16/21, 5/21). The
     # engine must return the enumerated value.
     pmf = first_choice(2.0, 3, {2})
-    assert abs(pmf.prob_of(1) - 16 / 21) < 1e-12
-    assert abs(pmf.prob_of(1) - mallows_block_first_choice(2.0, 2, 1)) > 0.09
-    assert abs(pmf.prob_of(3) - 5 / 21) < 1e-12
+    assert abs(pmf[0] - 16 / 21) < 1e-12
+    assert abs(pmf[0] - mallows_block_first_choice(2.0, 2, 1)) > 0.09
+    assert abs(pmf[2] - 5 / 21) < 1e-12
 
 
 def test_survivor_pair_mass_ratio_is_phi():
