@@ -36,6 +36,7 @@ from .models import RankingModelSpec, TieError, UnsupportedModelError
 
 CHUNK_SIZE = 1 << 15
 DEFAULT_Z_THRESHOLD = 3.0
+STRICT_TOL = 1e-12
 DEFAULT_CONDITION_SAMPLES = 1_000_000
 DEFAULT_SWEEP_SAMPLES = 100_000
 
@@ -56,6 +57,7 @@ class EstimateWithError:
 
     @property
     def z_score_vs_zero(self) -> float:
+        """mean / stderr, for display; verdicts are judged by `_strict`."""
         if self.stderr > 0:
             return self.mean / self.stderr
         if self.mean == 0:
@@ -67,13 +69,22 @@ class EstimateWithError:
         return EstimateWithError(float(mean), 0.0, 0)
 
 
+def _strict(margin: float, se: float) -> bool:
+    """The one strictness rule: a margin is strict when it clears both the z
+    threshold on its stderr and the rounding floor STRICT_TOL, so exact and
+    sampled results share it and no branch infers exactness. A margin (or
+    NaN) is a tie when neither it nor its negation is strict."""
+    return margin > max(DEFAULT_Z_THRESHOLD * se, STRICT_TOL)
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     """Outcome of one behavioral-condition check.
 
-    verdict follows the z rule: holds iff z > DEFAULT_Z_THRESHOLD, fails
-    iff z < -DEFAULT_Z_THRESHOLD, inconclusive otherwise. Exact
-    computations carry stderr 0 and an infinite z of the appropriate sign.
+    verdict follows `_strict`, the rule the solver judges margins by, for
+    exact and sampled estimates alike: holds when the estimate exceeds both
+    DEFAULT_Z_THRESHOLD times its stderr and STRICT_TOL, fails when its
+    negation does, and is inconclusive otherwise.
     """
 
     condition: str
@@ -82,10 +93,10 @@ class ConditionReport:
     detail: dict = field(default_factory=dict)
 
 
-def _verdict(z: float) -> str:
-    if z > DEFAULT_Z_THRESHOLD:
+def _verdict(est: EstimateWithError) -> str:
+    if _strict(est.mean, est.stderr):
         return VERDICT_HOLDS
-    if z < -DEFAULT_Z_THRESHOLD:
+    if _strict(-est.mean, est.stderr):
         return VERDICT_FAILS
     return VERDICT_INCONCLUSIVE
 
@@ -255,14 +266,14 @@ class _MomentAccumulator:
                 mean += delta * n_c / total
                 m2 += m2_c + delta * delta * count * n_c / total
                 count = total
-            var = m2 / count
-            stderr = math.sqrt(var / count) if count > 1 else 0.0
-            out[name] = EstimateWithError(mean, stderr, count)
+            out[name] = EstimateWithError(mean, math.sqrt(m2 / count / count), count)
         return out
 
 
 def _run_chunks(kernel, n_samples: int, names: tuple[str, ...], threads: int = 1):
-    """Run `kernel(chunk_index, size)` over all chunks and reduce."""
+    """Run `kernel(chunk_index, size)` over all chunks and reduce; a stderr needs 2+ trials."""
+    if n_samples < 2:
+        raise ValueError(f"need n_samples >= 2, got {n_samples}")
     sizes = _chunk_sizes(n_samples)
     acc = _MomentAccumulator(names, len(sizes))
 
@@ -297,8 +308,6 @@ def mc_utility_trials(
     d_ah_aa and d_hh_ah are computed trial-by-trial before averaging, so
     their stderr reflects the common-random-number coupling.
     """
-    if n_samples < 1:
-        raise ValueError(f"need n_samples >= 1, got {n_samples}")
     spec_a = spec.with_theta(theta_a)
     spec_h = spec.with_theta(theta_h)
 
@@ -376,7 +385,7 @@ def check_pref_first_position(
     return ConditionReport(
         condition="pref_first_position",
         estimate=est,
-        verdict=_verdict(est.z_score_vs_zero),
+        verdict=_verdict(est),
         detail={"theta": theta},
     )
 
@@ -417,7 +426,7 @@ def check_pref_weaker_competition(
     return ConditionReport(
         condition="pref_weaker_competition",
         estimate=est,
-        verdict=_verdict(est.z_score_vs_zero),
+        verdict=_verdict(est),
         detail={"theta1": theta1, "theta2": theta2},
     )
 
@@ -454,9 +463,11 @@ def check_monotonicity(
     """Whether the expected top surviving value increases with accuracy.
 
     Evaluates E[value of best survivor] on the accuracy grid, exactly when
-    the model admits enumeration and by Monte Carlo otherwise, and examines
-    consecutive differences. The reported estimate is the worst difference
-    by z-score; a one-point grid holds trivially.
+    the model admits enumeration and by Monte Carlo otherwise, and judges
+    each consecutive difference by `_verdict`: the check fails if any
+    difference fails, holds if all hold (so a one-point grid holds), and is
+    inconclusive otherwise. The reported estimate is the first difference
+    whose verdict is the report's.
     """
     grid = [float(t) for t in theta_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -465,14 +476,12 @@ def check_monotonicity(
     if not removed <= set(range(1, pool.n + 1)) or len(removed) >= pool.n:
         raise ValueError(f"removed {sorted(removed)} is not a proper subset of 1..{pool.n}")
 
-    means: list[EstimateWithError] = []
-    exact_mode = True
     try:
         x = _resolve_exact_values(pool, spec.value_independent)
         fixed = CandidatePool(tuple(x))
-        for t in grid:
-            pmf = exact_selection_pmf(spec.with_theta(t), fixed, removed)
-            means.append(EstimateWithError.exact(float(pmf @ x)))
+        pmfs = [exact_selection_pmf(spec.with_theta(t), fixed, removed) for t in grid]
+        means = [EstimateWithError.exact(float(pmf @ x)) for pmf in pmfs]
+        exact_mode = True
     except UnsupportedModelError:
         exact_mode = False
         means = [
@@ -482,32 +491,25 @@ def check_monotonicity(
             for i, t in enumerate(grid)
         ]
 
-    detail = {
-        "theta_grid": tuple(grid),
-        "removed": tuple(sorted(removed)),
-        "means": tuple(m.mean for m in means),
-        "stderrs": tuple(m.stderr for m in means),
-        "exact": exact_mode,
-    }
-    if len(grid) == 1:
-        report_estimate = EstimateWithError.exact(0.0) if exact_mode else means[0]
-        return ConditionReport(
-            condition="monotonicity",
-            estimate=EstimateWithError(0.0, 0.0, report_estimate.n_samples),
-            verdict=VERDICT_HOLDS,
-            detail=detail,
-        )
-
-    worst: EstimateWithError | None = None
-    for a, b in zip(means, means[1:]):
-        diff = b.mean - a.mean
-        stderr = math.hypot(a.stderr, b.stderr)
-        est = EstimateWithError(diff, stderr, max(a.n_samples, b.n_samples))
-        if worst is None or est.z_score_vs_zero < worst.z_score_vs_zero:
-            worst = est
+    diffs = [
+        EstimateWithError(b.mean - a.mean, math.hypot(a.stderr, b.stderr),
+                          max(a.n_samples, b.n_samples))
+        for a, b in zip(means, means[1:])
+    ]
+    verdicts = [_verdict(d) for d in diffs]
+    # the worst verdict of any difference; with no differences, holds
+    verdict = min(verdicts, key=(VERDICT_FAILS, VERDICT_INCONCLUSIVE, VERDICT_HOLDS).index,
+                  default=VERDICT_HOLDS)
     return ConditionReport(
         condition="monotonicity",
-        estimate=worst,
-        verdict=_verdict(worst.z_score_vs_zero),
-        detail=detail,
+        estimate=next((d for d, v in zip(diffs, verdicts) if v == verdict),
+                      EstimateWithError(0.0, 0.0, means[0].n_samples)),
+        verdict=verdict,
+        detail={
+            "theta_grid": tuple(grid),
+            "removed": tuple(sorted(removed)),
+            "means": tuple(m.mean for m in means),
+            "stderrs": tuple(m.stderr for m in means),
+            "exact": exact_mode,
+        },
     )

@@ -49,9 +49,9 @@ class UtilityTable:
     algorithmic / human ranking; u_xy is the second mover's utility when
     the first mover played x and the second plays y. stderr_* fields are
     zero for exact computation. The solver judges every margin of a table,
-    exact or sampled, by one rule: strict when it exceeds both
-    DEFAULT_Z_THRESHOLD times its stderr and STRICT_TOL, a tie when neither
-    it nor its negation is strict.
+    exact or sampled, by one rule, `estimators._strict`: strict when it
+    exceeds both DEFAULT_Z_THRESHOLD times its stderr and STRICT_TOL, a tie
+    when neither it nor its negation is strict.
     """
 
     u_first_a: float
@@ -224,12 +224,11 @@ def _discrete_rum_top_two(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.n
 
 
 def _pl_perm_probs(theta: float, x: np.ndarray) -> np.ndarray:
-    space = perm_space(len(x))
+    # per-stage log-probabilities, so no stage divides 0 by 0 once exp underflows
     scores = theta * x
-    w = np.exp(scores - scores.max())
-    picked = w[space.perms]
-    remaining = np.cumsum(picked[:, ::-1], axis=1)[:, ::-1]
-    return np.prod(picked / remaining, axis=1)
+    picked = (scores - scores.max())[perm_space(len(x)).perms]
+    remaining = np.logaddexp.accumulate(picked[:, ::-1], axis=1)[:, ::-1]
+    return np.exp((picked - remaining).sum(axis=1))
 
 
 def _discrete_rum_perm_probs(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ from itertools import product
 import numpy as np
 
 from .core import PoolOrDistribution
-from .estimators import DEFAULT_SWEEP_SAMPLES, DEFAULT_Z_THRESHOLD, mc_utility_table
+from .estimators import DEFAULT_SWEEP_SAMPLES, _strict, mc_utility_table
+from .estimators import DEFAULT_Z_THRESHOLD, STRICT_TOL  # noqa: F401 - the rule's constants
 from .exact import (
     SequentialState,
     UtilityTable,
@@ -31,7 +32,6 @@ LABEL_AA = "AA"
 LABEL_HH = "HH"
 LABEL_ASYMMETRIC = "AH_asymmetric"
 
-STRICT_TOL = 1e-12
 THETA_STAR_TOL = 1e-6
 BRACKET_START_FACTOR = 64.0
 BRACKET_LIMIT_FACTOR = 1024.0
@@ -46,14 +46,6 @@ def _margin_stderr(table: UtilityTable, names: tuple[str, ...]) -> float:
     # entries share trial draws, so treating them as independent overstates
     # the error; the overstatement only ever downgrades a verdict
     return math.sqrt(sum(getattr(table, "stderr_" + name) ** 2 for name in names))
-
-
-def _strict(margin: float, se: float) -> bool:
-    """The one strictness rule: a margin is strict when it clears both the z
-    threshold on its stderr and the rounding floor STRICT_TOL, so exact
-    tables (stderr 0) and sampled ones share it and no branch infers
-    exactness. A margin is a tie when neither it nor its negation is strict."""
-    return margin > max(DEFAULT_Z_THRESHOLD * se, STRICT_TOL)
 
 
 @dataclass(frozen=True)
@@ -121,18 +113,20 @@ class EquilibriumOutcome:
 def classify_equilibrium(table: UtilityTable) -> EquilibriumOutcome:
     """Label, mixing weight, welfare and Braess flag of one utility table.
 
-    One strictness rule judges both dominance margins and the welfare gap,
-    for exact and sampled tables alike: a difference is strict when it
-    exceeds both DEFAULT_Z_THRESHOLD times its stderr and STRICT_TOL, and a
-    tie when neither it nor its negation is strict.
+    One strictness rule, `estimators._strict`, judges both dominance
+    margins and the welfare gap, for exact and sampled tables alike: a
+    difference is strict when it exceeds both DEFAULT_Z_THRESHOLD times its
+    stderr and STRICT_TOL, and a tie when neither it nor its negation is
+    strict. A pure profile is stable unless its payoff margin is strictly
+    negative by the same rule at stderr 0.
     """
     dom = check_dominance(table)
     # payoff of A minus payoff of H against an A rival (alpha) and an H
     # rival (beta); each payoff averages the first- and second-mover entries
     alpha = 0.5 * (table.u_first_a + table.u_aa) - 0.5 * (table.u_first_h + table.u_ah)
     beta = 0.5 * (table.u_first_a + table.u_ha) - 0.5 * (table.u_first_h + table.u_hh)
-    aa_stable = alpha >= -STRICT_TOL
-    hh_stable = beta <= STRICT_TOL
+    aa_stable = not _strict(-alpha, 0.0)
+    hh_stable = not _strict(beta, 0.0)
     boundary = dom.tie_vs_a or dom.tie_vs_h
 
     p = None
@@ -326,7 +320,7 @@ def sequential_optimal_sequence(
     for _ in range(k):
         u_a = state.utility_of_next("A")
         u_h = state.utility_of_next("H")
-        choice = "A" if u_a > u_h + STRICT_TOL else "H"
+        choice = "A" if _strict(u_a - u_h, 0.0) else "H"
         choices.append(choice)
         utilities.append(u_a if choice == "A" else u_h)
         state.hire(choice)
@@ -442,28 +436,26 @@ def kfirm_braess_check(
     all_a_avg = sum(all_a) / k
     all_h_avg = sum(all_h) / k
 
-    dominant = True
-    profile_margins = {}
-    for rivals in product("AH", repeat=k - 1):
-        margin = positional_average("A", rivals) - positional_average("H", rivals)
-        profile_margins["".join(rivals)] = margin
-        if not margin > STRICT_TOL:
-            dominant = False
+    profile_margins = {
+        "".join(rivals): positional_average("A", rivals) - positional_average("H", rivals)
+        for rivals in product("AH", repeat=k - 1)
+    }
+    dominant = all(_strict(margin, 0.0) for margin in profile_margins.values())
     margin_all_a = profile_margins["A" * (k - 1)]
     margin_all_h = profile_margins["H" * (k - 1)]
-    all_a_equilibrium = margin_all_a >= -STRICT_TOL
-    all_h_equilibrium = margin_all_h <= STRICT_TOL
+    all_a_equilibrium = not _strict(-margin_all_a, 0.0)
+    all_h_equilibrium = not _strict(margin_all_h, 0.0)
 
     best_seq = None
     best_avg = -math.inf
     for bits in range(2**k):
         seq = format(bits, f"0{k}b").replace("1", "A").replace("0", "H")
         avg = sum(utilities(seq)) / k
-        if avg > best_avg + STRICT_TOL:
+        if _strict(avg - best_avg, 0.0):
             best_avg = avg
             best_seq = seq
 
-    braess = dominant and all_h_avg > all_a_avg + STRICT_TOL
+    braess = dominant and _strict(all_h_avg - all_a_avg, 0.0)
     return KFirmReport(
         k=k,
         phi_a=phi_a,
@@ -520,6 +512,8 @@ def sweep_plane(
         raise ValueError(f"need k >= 2, got {k}")
     if k > 2 and engine != "exact":
         raise ValueError("k-firm sweeps are exact-only")
+    if k > 2 and family.kind != "mallows":
+        raise ValueError("k-firm sweeps support the distance-based family only")
     rows = [float(t) for t in theta_h_values]
     cols = [float(t) for t in theta_a_values]
 
@@ -528,8 +522,6 @@ def sweep_plane(
         theta_h, theta_a = rows[i], cols[j]
         try:
             if k > 2:
-                if family.kind != "mallows":
-                    raise ValueError("k-firm sweeps support the distance-based family only")
                 seq = sequential_optimal_sequence(k, 1.0 + theta_a, 1.0 + theta_h, pool_or_d)
                 return SweepCell(theta_h, theta_a, seq)
             if engine == "exact":

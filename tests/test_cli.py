@@ -194,12 +194,43 @@ def test_unread_flags_exit_one_and_name_themselves(capsys, argv, flag):
      "needs --firms >= 2"),
     (("braess-search", "--firms", "0", "--theta-h", "1", "--pool", POOL),
      "needs --firms >= 2"),
+    (("braess-search", "--theta-h", "1", "--pool", POOL, "--theta-a", "5"), "--theta-a"),
+    (("braess-search", "--theta-h", "1", "--pool", POOL, "--phi-a", "9"), "--phi-a"),
+    (("braess-search", "--firms", "2", "--theta-h", "1", "--pool", POOL, "--phi-h", "3"),
+     "--phi-h"),
+    (("sequential", "--firms", "3", "--phi-a", "2", "--phi-h", "1.75", "--theta-a", "9",
+      "--dist", "uniform:0:1:4"), "--phi-a or --theta-a"),
+    (("sequential", "--firms", "3", "--phi-a", "2", "--phi-h", "1.75", "--theta-h", "9",
+      "--dist", "uniform:0:1:4"), "--phi-h or --theta-h"),
+    (("braess-search", "--firms", "3", "--phi-a", "2", "--phi-h", "1.75", "--theta-a", "9",
+      "--dist", "uniform:0:1:4"), "--phi-a or --theta-a"),
+    (("braess-search", "--firms", "3", "--theta-a", "1", "--phi-h", "1.75", "--theta-h", "9",
+      "--dist", "uniform:0:1:4"), "--phi-h or --theta-h"),
+    (("sweep", "--grid", "0.75:0.75:1x0.5:1:0.5", "--pool", "1,0.7,0.3,0", "--firms", "3",
+      "--samples", "7"), "--samples"),
+    (("sweep", "--grid", "0.75:0.75:1x0.5:1:0.5", "--pool", "1,0.7,0.3,0", "--firms", "3",
+      "--seed", "4"), "--seed"),
+    (("sweep", "--grid", "0.75:0.75:1x0.5:1:0.5", "--pool", "1,0.7,0.3,0", "--firms", "3",
+      "--family", "pl"), "sweep with --firms > 2 takes the distance-based family only"),
 ])
 def test_flags_the_chosen_path_does_not_read_exit_one(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("utilities", "--engine", "mc", "--theta-h", "1", "--theta-a", "2", "--pool", POOL),
+    ("sweep", "--engine", "mc", "--grid", "1:1:1x1:1:1", "--pool", POOL),
+    ("conditions", "--check", "first-position", "--theta-h", "1", "--pool", POOL),
+], ids=["utilities", "sweep", "conditions"])
+def test_a_single_trial_exits_one(capsys, argv):
+    # one trial gives no stderr, so its estimate would pass for exact
+    code, out, err = run(capsys, *argv, "--samples", "1")
+    assert code == 1
+    assert out == ""
+    assert "--samples" in err
 
 
 def test_flags_from_config_count_as_given(tmp_path, capsys):

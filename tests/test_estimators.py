@@ -29,6 +29,7 @@ from monoculture.estimators import (
     VERDICT_HOLDS,
     VERDICT_INCONCLUSIVE,
     _first_survivors,
+    _verdict,
     sample_top_two,
 )
 from monoculture.exact import ENTRY_NAMES
@@ -62,6 +63,36 @@ def test_estimate_z_score_rules():
 def test_trials_require_at_least_one_sample():
     with pytest.raises(ValueError):
         mc_utility_trials(1.5, 1.0, MALLOWS, POOL3, 0, seed=1)
+
+
+@pytest.mark.parametrize("n_samples", [0, 1])
+@pytest.mark.parametrize("estimate", [
+    lambda n: mc_utility_trials(1.5, 1.0, MALLOWS, POOL3, n, seed=1),
+    lambda n: mc_utility_table(1.5, 1.0, GAUSSIAN, UNIFORM15, n, seed=1),
+    lambda n: check_pref_first_position(MALLOWS, 1.0, POOL3, n_samples=n, seed=0),
+    lambda n: check_pref_weaker_competition(MALLOWS, 2.0, 1.0, POOL3, n_samples=n),
+    lambda n: check_monotonicity(GAUSSIAN, (0.5, 1.0), {1}, POOL4, n_samples=n),
+], ids=["trials", "table", "first-position", "weaker-competition", "monotonicity"])
+def test_every_sampled_estimate_needs_two_trials(estimate, n_samples):
+    # one trial has no stderr; it must not pass for an exact result
+    with pytest.raises(ValueError, match="n_samples >= 2"):
+        estimate(n_samples)
+
+
+def test_a_rounding_level_estimate_is_inconclusive():
+    # a z test alone would call these decisive (z = +-1000)
+    for mean in (1e-12, -1e-12, 5e-13):
+        assert _verdict(EstimateWithError(mean, 1e-15, 10**6)) == VERDICT_INCONCLUSIVE
+    assert _verdict(EstimateWithError(math.nan, 0.0, 0)) == VERDICT_INCONCLUSIVE
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.floats(), st.floats(min_value=0.0))
+def test_negating_an_estimate_swaps_holds_and_fails(mean, stderr):
+    swap = {VERDICT_HOLDS: VERDICT_FAILS, VERDICT_FAILS: VERDICT_HOLDS,
+            VERDICT_INCONCLUSIVE: VERDICT_INCONCLUSIVE}
+    verdict = _verdict(EstimateWithError(mean, stderr, 100))
+    assert _verdict(EstimateWithError(-mean, stderr, 100)) == swap[verdict]
 
 
 # ---------------------------------------------------------------- sampling
@@ -345,6 +376,15 @@ def test_monotonicity_falls_back_to_sampling_for_large_continuous_models():
     stderrs = report.detail["stderrs"]
     for (m0, m1), (s0, s1) in zip(zip(means, means[1:]), zip(stderrs, stderrs[1:])):
         assert m1 - m0 > -4 * math.hypot(s0, s1)
+
+
+def test_exact_softmax_monotonicity_at_rounding_level_is_inconclusive():
+    # the two means differ by one rounding step (-1.1e-16), not by a trend
+    pool = CandidatePool((0.973, 0.626, 0.442, 0.363))
+    report = check_monotonicity(RankingModelSpec.plackett_luce(1.0), (106.0, 116.0), set(), pool)
+    assert report.detail["exact"]
+    assert abs(report.estimate.mean) <= 1e-12
+    assert report.verdict == VERDICT_INCONCLUSIVE
 
 
 def test_monotonicity_single_point_grid_holds():

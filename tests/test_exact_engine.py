@@ -194,6 +194,16 @@ def test_softmax_top_two_pmf_stays_finite_at_high_accuracy():
     assert all(math.isfinite(getattr(t, name)) for name in ENTRY_NAMES)
 
 
+def test_softmax_selection_pmf_stays_finite_at_high_accuracy():
+    # exp underflows for every candidate but the best, so the per-stage
+    # ratios of the plain weights divide 0 by 0
+    pool = CandidatePool((1.0, 0.7, 0.3, 0.0))
+    pmf = exact_selection_pmf(RankingModelSpec.plackett_luce(1000.0), pool, {1})
+    assert np.all(np.isfinite(pmf))
+    assert abs(pmf.sum() - 1.0) <= 1e-12
+    assert pmf[1] >= 1.0 - 1e-12
+
+
 def test_cached_top_two_pmf_is_read_only():
     spec = RankingModelSpec.plackett_luce(0.7)
     x = POOL4.as_array()

@@ -424,3 +424,12 @@ def test_sweep_plane_validation():
         sweep_plane((1.0,), (1.0,), MALLOWS, POOL3, k=1)
     with pytest.raises(ValueError):
         sweep_plane((1.0,), (1.0,), MALLOWS, POOL3, k=3, engine="mc")
+    with pytest.raises(ValueError, match="distance-based"):
+        sweep_plane((1.0,), (1.0,), RankingModelSpec.plackett_luce(1.0), POOL4, k=3)
+
+
+def test_sweep_plane_mc_cells_need_two_trials():
+    for n_samples in (0, 1):
+        (cell,) = sweep_plane((1.0,), (1.5,), MALLOWS, POOL3, engine="mc", n_samples=n_samples)
+        assert cell.outcome is None
+        assert "n_samples >= 2" in cell.error
