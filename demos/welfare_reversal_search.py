@@ -9,7 +9,7 @@ wanting to deviate to H. A little above the crossing, at theta_prime,
 both firms strictly prefer A, and yet total welfare at the all-A
 profile is LOWER than it would be at all-H.
 
-find_theta_star brackets the crossing, bisects it to tolerance, then
+find_theta_star brackets the crossing, finds it with Brent's method, then
 certifies the welfare reversal with exact tables at theta_prime.
 """
 

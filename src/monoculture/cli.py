@@ -30,7 +30,7 @@ from .estimators import (
     check_pref_weaker_competition,
     mc_utility_table,
 )
-from .exact import exact_selection_pmf, exact_utility_table, exact_welfare
+from .exact import exact_selection_pmf, exact_utility_table
 from .models import (
     NoiseSpec,
     RankingModelSpec,
@@ -337,6 +337,9 @@ def cmd_conditions(args) -> int:
         grid = parse_axis(args.grid)
         report = check_monotonicity(family, grid, args.removed, pool, samples, seed,
                                     threads=threads)
+        # the engine is picked inside the check, so the flags are judged after it
+        if report.detail["exact"]:
+            reject_given(args, ("samples", "seed", "threads"), f"{context} on the exact path")
         params = (
             f"grid={args.grid};removed={','.join(str(c) for c in sorted(args.removed)) or '-'}"
         )
@@ -498,8 +501,7 @@ def reproduce_theta_star(log: CheckLog, args) -> None:
             "window found",
         )
         if res.braess_found:
-            t = exact_utility_table(res.theta_prime, theta_h, family, THETA_STAR_POOL)
-            gap = exact_welfare(t, "HH") - exact_welfare(t, "AA")
+            gap = res.detail["welfare_gap"]
             log.check(
                 f"phi_h={phi_h}: welfare gap at the witness accuracy",
                 gap > 0,

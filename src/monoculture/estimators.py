@@ -57,12 +57,9 @@ class EstimateWithError:
 
     @property
     def z_score_vs_zero(self) -> float:
-        """mean / stderr, for display; verdicts are judged by `_strict`."""
-        if self.stderr > 0:
-            return self.mean / self.stderr
-        if self.mean == 0:
-            return 0.0
-        return math.copysign(math.inf, self.mean)
+        """mean / stderr, for display, and NaN without a stderr; verdicts are
+        judged by `_strict`."""
+        return self.mean / self.stderr if self.stderr > 0 else math.nan
 
     @staticmethod
     def exact(mean: float) -> "EstimateWithError":

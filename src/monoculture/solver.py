@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .core import PoolOrDistribution
 from .estimators import DEFAULT_SWEEP_SAMPLES, _strict, mc_utility_table
@@ -35,7 +37,6 @@ LABEL_ASYMMETRIC = "AH_asymmetric"
 THETA_STAR_TOL = 1e-6
 BRACKET_START_FACTOR = 64.0
 BRACKET_LIMIT_FACTOR = 1024.0
-BISECTION_STEPS = 200
 
 
 class BracketError(RuntimeError):
@@ -123,8 +124,8 @@ def classify_equilibrium(table: UtilityTable) -> EquilibriumOutcome:
     dom = check_dominance(table)
     # payoff of A minus payoff of H against an A rival (alpha) and an H
     # rival (beta); each payoff averages the first- and second-mover entries
-    alpha = 0.5 * (table.u_first_a + table.u_aa) - 0.5 * (table.u_first_h + table.u_ah)
-    beta = 0.5 * (table.u_first_a + table.u_ha) - 0.5 * (table.u_first_h + table.u_hh)
+    alpha = 0.5 * dom.margin_vs_a
+    beta = 0.5 * dom.margin_vs_h
     aa_stable = not _strict(-alpha, 0.0)
     hh_stable = not _strict(beta, 0.0)
     boundary = dom.tie_vs_a or dom.tie_vs_h
@@ -169,7 +170,8 @@ class ThetaStarResult:
     theta_star solves f(theta_a) = g(theta_a), where f is the all-A welfare
     (also firm A's stability margin numerator against an A rival) and g is
     the deviation payoff to H against an A rival, both doubled to drop the
-    one-half weights. theta_prime is the first accuracy of the form
+    one-half weights; Brent's method finds it, and crossing_residual is
+    f - g there. theta_prime is the first accuracy of the form
     theta_star * (1 + 2**-m) at which A is strictly dominant and all-A
     welfare falls strictly below all-H welfare; braess_found reports
     whether any such point exists at float resolution.
@@ -190,20 +192,19 @@ def find_theta_star(
 ) -> ThetaStarResult:
     """Locate the dominance crossing and certify a welfare-loss window.
 
-    Bisection on the margin f - g over theta_a, starting from the bracket
-    [theta_h, 64 theta_h] and doubling the upper end as needed; no sign
-    change by 1024 theta_h raises BracketError. The margin is a difference
-    of exact expectations, so the exact engine backs every evaluation.
+    Brent's method on the margin f - g, `check_dominance`'s margin_vs_a on
+    exact tables, from the bracket [theta_h, 64 theta_h], doubling the upper
+    end as needed. BracketError when no sign change shows by 1024 theta_h,
+    or when the search ends with |margin| >= THETA_STAR_TOL, as it does on
+    a margin that jumps across zero (discrete noise).
     """
     if theta_h <= 0:
         raise ValueError(f"need theta_h > 0, got {theta_h}")
 
-    def tables(theta_a: float) -> UtilityTable:
-        return exact_utility_table(theta_a, theta_h, family, pool_or_d)
-
+    @cache  # brentq evaluates the bracket ends again and returns a point it evaluated
     def margin(theta_a: float) -> float:
-        t = tables(theta_a)
-        return (t.u_first_a + t.u_aa) - (t.u_first_h + t.u_ah)
+        table = exact_utility_table(theta_a, theta_h, family, pool_or_d)
+        return check_dominance(table).margin_vs_a
 
     lo = theta_h
     hi = BRACKET_START_FACTOR * theta_h
@@ -223,52 +224,28 @@ def find_theta_star(
             )
         m_hi = margin(hi)
 
-    theta_star = 0.5 * (lo + hi)
+    theta_star, root = brentq(margin, lo, hi, full_output=True, disp=False)
     residual = margin(theta_star)
-    for _ in range(BISECTION_STEPS):
-        if abs(residual) < THETA_STAR_TOL:
-            break
-        if residual < 0.0:
-            lo = theta_star
-        else:
-            hi = theta_star
-        nxt = 0.5 * (lo + hi)
-        if nxt == theta_star:
-            raise BracketError(
-                f"bisection interval collapsed with residual {residual:.3e} >= {THETA_STAR_TOL:g}"
-            )
-        theta_star = nxt
-        residual = margin(theta_star)
-    else:
-        raise BracketError(f"no convergence in {BISECTION_STEPS} bisection steps")
+    if not (root.converged and abs(residual) < THETA_STAR_TOL):
+        raise BracketError(
+            f"root search {root.flag} at theta_a = {theta_star:.6g} with residual "
+            f"{residual:.3e}, not below {THETA_STAR_TOL:g}"
+        )
 
-    theta_prime = None
-    braess_found = False
-    certificate: dict = {}
     for m in range(0, 64):
         candidate = theta_star * (1.0 + 2.0 ** (-m))
         if candidate == theta_star:
             break
-        out = classify_equilibrium(tables(candidate))
+        out = classify_equilibrium(exact_utility_table(candidate, theta_h, family, pool_or_d))
         if out.braess:
-            theta_prime = candidate
-            braess_found = True
             certificate = {
                 "margin_vs_a": out.detail["dominance"].margin_vs_a,
                 "margin_vs_h": out.detail["dominance"].margin_vs_h,
                 "welfare_gap": out.welfare_hh - out.welfare_aa,
                 "exponent": m,
             }
-            break
-
-    return ThetaStarResult(
-        theta_h=theta_h,
-        theta_star=theta_star,
-        crossing_residual=residual,
-        theta_prime=theta_prime,
-        braess_found=braess_found,
-        detail=certificate,
-    )
+            return ThetaStarResult(theta_h, theta_star, residual, candidate, True, certificate)
+    return ThetaStarResult(theta_h, theta_star, residual, None, False)
 
 
 @dataclass(frozen=True)

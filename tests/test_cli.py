@@ -376,6 +376,33 @@ def test_conditions_monotonicity_exact(capsys):
     assert code == 0
     (row,) = rows_of(out)
     assert row["verdict"] == "holds"
+    # an exact difference has no stderr, so it has no z either
+    assert row["z_score"] == "nan"
+
+
+SAMPLING_FLAGS = ("--samples", "1000", "--seed", "9", "--threads", "3")
+
+
+def test_conditions_monotonicity_exact_rejects_sampling_flags(capsys):
+    code, out, err = run(
+        capsys, "conditions", "--check", "monotonicity", "--grid", "0.5:2.0:0.5",
+        "--pool", POOL, *SAMPLING_FLAGS,
+    )
+    assert code == 1
+    assert out == ""
+    assert all(flag in err for flag in SAMPLING_FLAGS[::2])
+
+
+def test_conditions_monotonicity_sampled_reads_sampling_flags(capsys):
+    # gaussian noise over ten candidates is past the exact pmf, so this samples
+    code, out, _ = run(
+        capsys, "conditions", "--check", "monotonicity", "--family", "rum",
+        "--noise", "gaussian", "--grid", "0.5:1:0.5",
+        "--pool", "1,0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1", *SAMPLING_FLAGS,
+    )
+    assert code == 0
+    (row,) = rows_of(out)
+    assert row["n_samples"] == "1000"
 
 
 def test_braess_search_two_firm_row(capsys):

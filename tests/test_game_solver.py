@@ -3,6 +3,7 @@ k-firm hiring sequences."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -227,6 +228,32 @@ def test_crossing_point_equates_staying_and_deviating():
     stay = t.u_first_a + t.u_aa
     deviate = t.u_first_h + t.u_ah
     assert abs(stay - deviate) < 1e-6
+
+
+def _drawn_pool(n: int) -> tuple[float, CandidatePool]:
+    rng = np.random.default_rng(n)
+    return rng.uniform(0.5, 1.5), CandidatePool(tuple(np.sort(rng.uniform(0, 1, n))[::-1]))
+
+
+@pytest.mark.parametrize(
+    "theta_h, pool",
+    [pytest.param(theta_h, POOL3, id=f"pool3-theta_h{theta_h}") for theta_h in (0.5, 1.0, 2.0)]
+    + [pytest.param(*_drawn_pool(n), id=f"drawn-n{n}") for n in range(3, 8)],
+)
+def test_crossing_residual_is_at_rounding_level(theta_h, pool):
+    res = find_theta_star(theta_h, MALLOWS, pool)
+    assert abs(res.crossing_residual) <= 1e-12
+    t = exact_utility_table(res.theta_star, theta_h, MALLOWS, pool)
+    assert res.crossing_residual == check_dominance(t).margin_vs_a
+
+
+def test_crossing_search_rejects_a_margin_that_jumps_across_zero():
+    # two noise atoms make the margin piecewise constant in theta_a, and
+    # here it steps across zero, so the search ends on the step
+    coin = RankingModelSpec.rum(NoiseSpec.discrete(((-1.0, 0.5), (1.0, 0.5))), 1.0)
+    pool = CandidatePool((0.8764842308107038, 0.23936944299295215, 0.05856803480519435))
+    with pytest.raises(BracketError, match="residual"):
+        find_theta_star(1.141127769527849, coin, pool)
 
 
 def test_crossing_search_rejects_families_without_a_sharing_penalty():
