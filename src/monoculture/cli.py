@@ -490,9 +490,9 @@ def reproduce_theta_star(log: CheckLog, args) -> None:
         res = find_theta_star(theta_h, family, THETA_STAR_POOL)
         log.check(
             f"phi_h={phi_h}: crossing residual",
-            abs(res.crossing_residual) < 1e-6,
+            abs(res.crossing_residual) < 1e-12,
             res.crossing_residual,
-            "|.| < 1e-06",
+            "|.| < 1e-12",
         )
         log.check(
             f"phi_h={phi_h}: strict dominance with welfare loss just above the crossing",

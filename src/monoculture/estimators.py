@@ -7,13 +7,17 @@ given seed no matter how many workers run the chunks. Within a trial all
 quantities share the same draws (common random numbers), which shrinks the
 variance of every estimated difference.
 
-Every two-firm estimand reads only the top two of each ranking, so those
-paths draw just (top, runner-up) with `sample_top_two`: the distance-based
-family samples the pair from its closed-form n x n pmf, and RUM and
-Plackett-Luce take two argmax passes over the same perturbed scores that
-`sample_rankings`, the full-ranking sampler, sorts. Under equal seeds the
-RUM and Plackett-Luce picks equal the first two columns of
-`sample_rankings`; the distance-based pairs have the same law but come from
+No estimator samples a whole ranking. Every two-firm estimand reads only
+the top two of each ranking, and the monotonicity check only the best
+survivor of a removed set, so those paths draw just (top, runner-up) with
+`sample_top_two` and the best survivor with `_first_survivors`. The
+distance-based family draws pairs and first survivors from their exact
+laws, one uniform per row inverted through the cumulative closed-form
+top-two pmf or the repeated-insertion first-survivor pmf. RUM and
+Plackett-Luce take argmax passes over the same perturbed scores that
+`sample_rankings`, the public API's full-ranking sampler, sorts. Under equal
+seeds the RUM and Plackett-Luce picks equal the matching entries of
+`sample_rankings`; the distance-based picks have the same law but come from
 different draws.
 """
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .core import CandidateDistribution, CandidatePool, PoolOrDistribution
 from .exact import (
     ENTRY_NAMES,
     UtilityTable,
+    _mallows_first_survivor_pmf,
     _resolve_exact_values,
     exact_selection_pmf,
     top_two_pmf,
@@ -137,13 +142,20 @@ def _mallows_orders(phi: float, n: int, size: int, rng: np.random.Generator) -> 
     return out
 
 
-def _mallows_top_two(spec: RankingModelSpec, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """(top, runner-up) pairs as (size, 2) 0-based candidates, one uniform per
-    row, inverted through the cumulative closed-form pmf of `top_two_pmf`."""
-    first, second = np.nonzero(~np.eye(n, dtype=bool))
-    cum = np.cumsum(top_two_pmf(spec, range(n))[first, second])
+def _inverse_cdf(weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """size indices into weights, drawn in proportion to them: one uniform per
+    row, inverted through their cumulative sum. The clip catches a uniform
+    that rounds up onto the total, so no draw leaves the support."""
+    cum = np.cumsum(weights)
     idx = np.searchsorted(cum, rng.uniform(0.0, cum[-1], size), side="right")
-    idx = np.minimum(idx, cum.size - 1)
+    return np.minimum(idx, cum.size - 1)
+
+
+def _mallows_top_two(spec: RankingModelSpec, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """(top, runner-up) pairs as (size, 2) 0-based candidates, drawn from the
+    closed-form pmf of `top_two_pmf`."""
+    first, second = np.nonzero(~np.eye(n, dtype=bool))
+    idx = _inverse_cdf(top_two_pmf(spec, range(n))[first, second], size, rng)
     return np.stack((first[idx], second[idx]), axis=1)
 
 
@@ -212,11 +224,18 @@ def sample_top_two(
 def _first_survivors(
     spec: RankingModelSpec, pools: np.ndarray, removed0: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Best-ranked candidate outside removed0 in one ranking per pool row."""
+    """Best-ranked candidate outside removed0 in one ranking per pool row.
+
+    The distance-based family draws it from its exact law,
+    `_mallows_first_survivor_pmf`, restricted to the survivors; RUM and
+    Plackett-Luce take the argmax of the perturbed scores with removed0
+    masked out.
+    """
     if spec.kind == "mallows":
-        orders = sample_rankings(spec, pools, rng)
-        first = np.argmax(~np.isin(orders, removed0), axis=1)
-        return np.take_along_axis(orders, first[:, None], axis=1)[:, 0]
+        size, n = pools.shape
+        survivors = np.setdiff1d(np.arange(n), removed0)
+        pmf = _mallows_first_survivor_pmf(spec.phi, n, tuple(removed0.tolist()))
+        return survivors[_inverse_cdf(pmf[survivors], size, rng)]
     keys = _perturbed_keys(spec, pools, rng)
     keys[:, removed0] = -np.inf
     return np.argmax(keys, axis=1)

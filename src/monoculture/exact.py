@@ -4,9 +4,10 @@ Utility tables are linear in the n x n top-two pmf (`top_two_pmf`): closed
 forms, one composite Gauss-Legendre rule shared by all candidate pairs, or
 atom enumeration (at most 2e6 atom combinations). Selection pmfs enumerate
 all n! rankings (n <= 8), and continuous-noise permutation probabilities
-stop at n <= 3. Sequential hiring (n <= 7) keeps one array of mass over
-(removed set, shared ranking) per number of firms hired. All are exact up
-to rounding and quadrature error.
+stop at n <= 3. The distance-based first-survivor pmf that Monte Carlo
+draws from is computed by repeated insertion for any n. Sequential hiring
+(n <= 7) keeps one array of mass over (removed set, shared ranking) per
+number of firms hired. All are exact up to rounding and quadrature error.
 """
 from __future__ import annotations
 
@@ -130,6 +131,43 @@ def _mallows_top_two(phi: float, n: int) -> np.ndarray:
     weights = (1.0 / phi) ** (c[:, None] + c[None, :] - (c[None, :] > c[:, None]))
     np.fill_diagonal(weights, 0.0)
     return weights / weights.sum()
+
+
+@lru_cache(maxsize=128)
+def _mallows_first_survivor_pmf(phi: float, n: int, removed0: tuple[int, ...]) -> np.ndarray:
+    """Pmf of the best-ranked candidate outside removed0 (0-based) in one
+    distance-based ranking, as a read-only n-vector, by repeated insertion
+    (Doignon, Pekec & Regenwetter 2004). Candidates enter in reference
+    order, candidate j at position p in 0..j with probability proportional
+    to q^(j - p), q = 1/phi. mass[a, t] is the probability that survivor a
+    heads the survivors entered so far, at position t; `none` is the
+    probability that no survivor has entered. A removed entrant at p <= t
+    pushes the head down one place; a survivor entering at p <= t, or into
+    `none`, becomes the head at p. O(n^2) per entrant, O(n^3) in all."""
+    q = 1.0 / phi
+    removed = set(removed0)
+    mass = np.zeros((n, n))
+    none = 1.0
+    for j in range(n):
+        w = q ** np.arange(j, -1, -1.0)
+        w /= w.sum()
+        # at_or_above[t] = Pr(p <= t), below[t] = Pr(p > t), both as direct
+        # sums so that neither is a difference of numbers near 1
+        at_or_above = np.cumsum(w[:j])
+        below = np.cumsum(w[::-1])[::-1][1:]
+        old = mass[:j, :j]
+        if j in removed:
+            shifted = old * at_or_above
+            old *= below
+            mass[:j, 1 : j + 1] += shifted
+        else:
+            tail = np.cumsum(old.sum(axis=0)[::-1])[::-1]
+            old *= below
+            mass[j, : j + 1] = w * (none + np.append(tail, 0.0))
+            none = 0.0
+    pmf = mass.sum(axis=1)
+    pmf.setflags(write=False)
+    return pmf
 
 
 def _pl_top_two(theta: float, x: np.ndarray) -> np.ndarray:

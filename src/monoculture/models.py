@@ -6,6 +6,10 @@ the mode. Random-utility models (RUMs) rank candidates by value plus scaled
 noise; the Plackett-Luce model picks candidates sequentially in proportion
 to exp(theta * value). Accuracy theta > 0 is shared across families, with
 theta = phi - 1 for the distance-based family.
+
+scipy is imported inside the functions that need it (gaussian cdf, the
+gaussian conditional order probability), so importing the package does
+not load it.
 """
 from __future__ import annotations
 
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
 
 from .permspace import perm_space
 
@@ -124,6 +127,8 @@ class NoiseSpec:
     def cdf(self, z: np.ndarray | float) -> np.ndarray | float:
         z = np.asarray(z, dtype=float)
         if self.kind == "gaussian":
+            from scipy import special
+
             return special.ndtr(z)
         if self.kind == "laplacian":
             u = z / LAPLACE_SCALE
@@ -233,6 +238,8 @@ def conditional_order_probability(
             + 0.25 * math.exp(-(ti + tj))
         )
         return num / den
+
+    from scipy import integrate, special
 
     s = 1.0 / theta
     fi_a = special.ndtr((a - xi) / s)

@@ -15,7 +15,6 @@ from functools import cache
 from itertools import product
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import PoolOrDistribution
 from .estimators import DEFAULT_SWEEP_SAMPLES, _strict, mc_utility_table
@@ -198,6 +197,8 @@ def find_theta_star(
     or when the search ends with |margin| >= THETA_STAR_TOL, as it does on
     a margin that jumps across zero (discrete noise).
     """
+    from scipy.optimize import brentq
+
     if theta_h <= 0:
         raise ValueError(f"need theta_h > 0, got {theta_h}")
 

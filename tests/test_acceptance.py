@@ -139,7 +139,7 @@ def test_criterion_06_accuracy_crossing_search_certifies_welfare_reversal():
     for phi_h in (1.5, 2.0, 3.0):
         theta_h = phi_h - 1.0
         cert = find_theta_star(theta_h, family, pool)
-        assert abs(cert.crossing_residual) < 1e-6
+        assert abs(cert.crossing_residual) < 1e-12
         assert cert.braess_found
         assert cert.theta_prime is not None and cert.theta_prime > cert.theta_star
         table = exact_utility_table(cert.theta_prime, theta_h, family, pool)

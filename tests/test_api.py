@@ -2,8 +2,11 @@
 the README imports, and the README CLI examples."""
 
 import ast
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import monoculture
@@ -94,3 +97,15 @@ def test_readme_cli_examples_run():
     assert len(commands) == 7
     for argv in commands:
         assert main(argv[1:]) == 0, argv
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # scipy is imported inside the functions that use it, so a process that
+    # only samples or enumerates never pays for loading it
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, monoculture; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

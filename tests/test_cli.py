@@ -413,7 +413,7 @@ def test_braess_search_two_firm_row(capsys):
     (row,) = rows_of(out)
     assert row["braess_found"] == "true"
     assert float(row["theta_star"]) > 1.0
-    assert abs(float(row["crossing_residual"])) < 1e-6
+    assert abs(float(row["crossing_residual"])) < 1e-12
     assert float(row["welfare_gap"]) > 0
 
 

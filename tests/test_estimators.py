@@ -17,6 +17,7 @@ from monoculture import (
     check_monotonicity,
     check_pref_first_position,
     check_pref_weaker_competition,
+    exact_selection_pmf,
     exact_utility_table,
     mallows_perm_probs,
     mc_utility_table,
@@ -34,6 +35,7 @@ from monoculture.estimators import (
 )
 from monoculture.exact import ENTRY_NAMES
 from monoculture.permspace import perm_space
+from tests import oracles
 
 POOL3 = CandidatePool((1.0, 0.5, 0.0))
 POOL4 = CandidatePool((1.0, 0.7, 0.3, 0.0))
@@ -126,6 +128,18 @@ def test_mallows_top_two_matches_the_pair_marginal(n):
     got = np.zeros((n, n))
     np.add.at(got, (pairs[:, 0], pairs[:, 1]), 1.0 / size)
     assert np.all(np.diag(got) == 0)
+    assert np.abs(got - want).sum() / 2 < 0.005
+
+
+@pytest.mark.parametrize("removed0", [(), (1, 3), (0, 2, 3, 4)])
+def test_mallows_first_survivors_match_the_selection_pmf(removed0):
+    n, size = 6, 1_000_000
+    pools = np.broadcast_to(np.linspace(1.0, 0.0, n), (size, n))
+    picks = _first_survivors(MALLOWS, pools, np.array(removed0, dtype=np.int64),
+                             np.random.default_rng(12))
+    want = exact_selection_pmf(MALLOWS, CandidatePool(tuple(pools[0])), {c + 1 for c in removed0})
+    got = np.bincount(picks, minlength=n) / size
+    assert not np.isin(picks, removed0).any()
     assert np.abs(got - want).sum() / 2 < 0.005
 
 
@@ -376,6 +390,27 @@ def test_monotonicity_falls_back_to_sampling_for_large_continuous_models():
     stderrs = report.detail["stderrs"]
     for (m0, m1), (s0, s1) in zip(zip(means, means[1:]), zip(stderrs, stderrs[1:])):
         assert m1 - m0 > -4 * math.hypot(s0, s1)
+
+
+def test_sampled_mallows_monotonicity_matches_the_contiguous_closed_form():
+    # n = 10 is past the exact pmf's cap; removing the top two and the bottom
+    # one leaves the contiguous run 3..9, whose relative order is again
+    # distance-based with the same phi
+    pool = CandidatePool(tuple(np.linspace(1.0, 0.1, 10)))
+    removed = {1, 2, 10}
+    survivors = [x for c, x in enumerate(pool.values, start=1) if c not in removed]
+    grid = (0.5, 1.0, 1.5)
+    report = check_monotonicity(MALLOWS, grid, removed, pool, seed=5)
+    assert not report.detail["exact"]
+    for theta, mean, se in zip(grid, report.detail["means"], report.detail["stderrs"]):
+        want = sum(
+            oracles.mallows_block_first_choice(1.0 + theta, len(survivors), rank) * x
+            for rank, x in enumerate(survivors, start=1)
+        )
+        assert se > 0
+        assert abs(mean - want) <= 5 * se, (theta, mean, want, se)
+    assert report.verdict == VERDICT_HOLDS
+    assert check_monotonicity(MALLOWS, grid, removed, pool, seed=5, threads=2) == report
 
 
 def test_exact_softmax_monotonicity_at_rounding_level_is_inconclusive():

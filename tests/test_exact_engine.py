@@ -9,6 +9,7 @@ replay that branches over each human firm's pick.
 
 import itertools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -37,6 +38,7 @@ from monoculture.exact import (
     SequentialState,
     _human_steps,
     _levels,
+    _mallows_first_survivor_pmf,
     _pair_integrals,
 )
 from monoculture.permspace import perm_space
@@ -114,6 +116,56 @@ def test_selection_pmf_size_cap():
     big = CandidatePool(tuple(float(9 - i) for i in range(9)))
     with pytest.raises(UnsupportedModelError):
         exact_selection_pmf(MALLOWS, big)
+
+
+# ------------------------------------------------------- first-survivor pmf
+
+
+def _removed_sets(rng, n):
+    """Empty, one drawn at random, and n - 1 members (one survivor left)."""
+    drawn = rng.choice(n, int(rng.integers(1, n)), replace=False)
+    single = rng.choice(n, n - 1, replace=False)
+    return [(), tuple(sorted(int(c) for c in drawn)), tuple(sorted(int(c) for c in single))]
+
+
+@pytest.mark.parametrize("n", range(2, MAX_PMF_N + 1))
+def test_mallows_first_survivor_pmf_matches_enumeration(n):
+    rng = np.random.default_rng(100 + n)
+    pool = CandidatePool(tuple(float(n - i) for i in range(n)))
+    for _ in range(3):
+        phi = float(rng.uniform(1.0, 4.0))
+        for removed0 in _removed_sets(rng, n):
+            pmf = _mallows_first_survivor_pmf(phi, n, removed0)
+            want = exact_selection_pmf(
+                RankingModelSpec.mallows(phi), pool, {c + 1 for c in removed0}
+            )
+            assert pmf.shape == (n,) and not pmf.flags.writeable
+            assert np.abs(pmf - want).max() <= 1e-12, (phi, removed0)
+            assert abs(math.fsum(pmf) - 1.0) <= 1e-12
+            assert (pmf >= 0).all()
+            assert all(pmf[c] == 0.0 for c in removed0)
+
+
+@pytest.mark.parametrize("n, removed0", [(3, ()), (6, (0, 2)), (9, (0, 1, 2, 4)), (12, (1, 3, 5))])
+def test_mallows_first_survivor_pmf_at_high_accuracy_is_the_first_survivor(n, removed0):
+    pmf = _mallows_first_survivor_pmf(1e9, n, removed0)
+    first = min(set(range(n)) - set(removed0))
+    assert np.allclose(pmf, np.eye(n)[first], rtol=0.0, atol=1e-8)
+
+
+def test_mallows_first_survivor_pmf_scales_past_enumeration():
+    # 35 of 40 removed, leaving the contiguous run 20..24, whose relative
+    # order is again distance-based with the same phi: the block closed form
+    n, phi = 40, 1.6
+    survivors = range(20, 25)
+    removed0 = tuple(c for c in range(n) if c not in survivors)
+    t0 = time.perf_counter()
+    pmf = _mallows_first_survivor_pmf.__wrapped__(phi, n, removed0)
+    assert time.perf_counter() - t0 < 1.0
+    want = np.zeros(n)
+    for rank, c in enumerate(survivors, start=1):
+        want[c] = oracles.mallows_block_first_choice(phi, len(survivors), rank)
+    assert np.abs(pmf - want).max() <= 1e-12
 
 
 def test_quadrature_permutation_probabilities_capped_at_three():

@@ -207,7 +207,7 @@ def test_welfare_fields_match_the_welfare_function():
 def test_crossing_search_certifies_a_welfare_loss_window(phi_h):
     theta_h = phi_h - 1.0
     res = find_theta_star(theta_h, MALLOWS, POOL3)
-    assert abs(res.crossing_residual) < 1e-6
+    assert abs(res.crossing_residual) < 1e-12
     assert res.theta_star > theta_h
     assert res.braess_found
     assert res.theta_prime is not None and res.theta_prime > res.theta_star
