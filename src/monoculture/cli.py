@@ -30,7 +30,7 @@ from .estimators import (
     check_pref_weaker_competition,
     mc_utility_table,
 )
-from .exact import exact_selection_pmf, exact_utility_table
+from .exact import exact_utility_table
 from .models import (
     NoiseSpec,
     RankingModelSpec,
@@ -662,9 +662,8 @@ def verify_mallows_lemmas(log: CheckLog, args) -> None:
         space = perm_space(n)
         for phi in (1.1, 2.0, 5.0):
             probs = mallows_perm_probs(phi, n)
-            pool = CandidatePool(tuple(float(n - i) for i in range(n)))
-            spec = RankingModelSpec.mallows(phi)
-            pmf = exact_selection_pmf(spec, pool, frozenset())
+            pmf = space.first_choice(probs)
+            pmf = pmf / pmf.sum()
             worst = 0.0
             q = 1.0 / phi
             for i in range(1, n + 1):

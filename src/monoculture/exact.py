@@ -2,17 +2,23 @@
 
 Utility tables are linear in the n x n top-two pmf (`top_two_pmf`): closed
 forms, one composite Gauss-Legendre rule shared by all candidate pairs, or
-atom enumeration (at most 2e6 atom combinations). Selection pmfs enumerate
-all n! rankings (n <= 8), and continuous-noise permutation probabilities
-stop at n <= 3. The distance-based first-survivor pmf that Monte Carlo
-draws from is computed by repeated insertion for any n. Sequential hiring
-(n <= 7) keeps one array of mass over (removed set, shared ranking) per
-number of firms hired. All are exact up to rounding and quadrature error.
+atom enumeration (at most 2e6 atom combinations). The distance-based
+first-survivor pmf is computed by repeated insertion for any n; selection
+pmfs of the other families enumerate all n! rankings (n <= 8), and
+continuous-noise permutation probabilities stop at n <= 3. Sequential
+hiring keeps the mass of each state (S, R) after m hires: S the hired
+set, R the entries of the shared ranking revealed so far. Firms playing A
+and H move it by one step over move tables cached per (n, m), with at
+most MAX_LEVEL_STATES states at any level. All are exact up to rounding
+and quadrature error.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from .models import (
 )
 from .permspace import mask_of, perm_space
 
-MAX_SEQUENTIAL_N = 7
+MAX_LEVEL_STATES = 1 << 17
 MAX_PMF_N = 8
 MAX_QUADRATURE_N = 3
 _DISCRETE_SUPPORT_CAP = 2_000_000
@@ -283,7 +289,9 @@ def exact_selection_pmf(
 ) -> np.ndarray:
     """Pmf of the best-ranked surviving candidate after removing a set of
     1-based candidates, as a length-n array over 0-based candidates whose
-    removed entries are 0."""
+    removed entries are 0. The distance-based family returns the cached,
+    read-only `_mallows_first_survivor_pmf`; the others sum the pmf over
+    all n! rankings."""
     n = pool.n
     if n > MAX_PMF_N:
         raise UnsupportedModelError(f"exact selection pmf capped at n={MAX_PMF_N}")
@@ -292,6 +300,8 @@ def exact_selection_pmf(
         raise ValueError(f"removed {sorted(removed)} out of range 1..{n}")
     if len(removed) >= n:
         raise ValueError("cannot remove every candidate")
+    if spec.kind == "mallows":
+        return _mallows_first_survivor_pmf(spec.phi, n, tuple(sorted(c - 1 for c in removed)))
     probs = permutation_probabilities(spec, pool)
     space = perm_space(n)
     pmf = space.first_choice(probs, mask_of({c - 1 for c in removed}))
@@ -360,83 +370,140 @@ def exact_welfare(table: UtilityTable, profile: str) -> float:
     raise ValueError(f"unknown profile {profile!r}")
 
 
-@lru_cache(maxsize=None)
-def _levels(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """Read-only removed-set tables: the masks with h bits set for each h,
-    each mask's index within its level, and tops[mask, row], the first
-    candidate of ranking row not in mask, for every mask but the full one."""
-    space = perm_space(n)
-    sizes = np.array([bin(m).count("1") for m in range(1 << n)])
-    masks = tuple(np.flatnonzero(sizes == h) for h in range(n + 1))
-    index = np.zeros(1 << n, dtype=np.intp)
-    for level in masks:
-        index[level] = np.arange(len(level))
-    tops = np.array([space.top_of_available(m) for m in range((1 << n) - 1)])
-    for arr in (*masks, index, tops):
-        arr.setflags(write=False)
-    return masks, index, tops
+def _level_states(n: int, m: int) -> int:
+    """States (S, R) after m hires from n: C(n, m) sets S, 2^m R within each."""
+    return math.comb(n, m) << m
+
+
+class _Moves(NamedTuple):
+    """Read-only moves out of the states after m hires, free of phi.
+
+    State (S, R) has index i * 2^m + code: S is the i-th m-subset in
+    `combinations` order, and bit j of code is set when S's j-th smallest
+    member is in R. Hiring outside[i, e] from state (i, code) leads to state
+    dest_a[i, code, e] after m + 1 hires if the firm played A, which reveals
+    the hire, and to dest_h[i, code, e] if it played H. reveals[t] =
+    (src, dst, slot) reveal one member of S from the states with t entries
+    revealed. A reveal's probability is entry slot of the table in
+    `_reveal_weights`; hire_slot[i, code, e] is that of outside[i, e].
+    """
+
+    outside: np.ndarray
+    dest_a: np.ndarray
+    dest_h: np.ndarray
+    hire_slot: np.ndarray
+    reveals: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 @lru_cache(maxsize=64)
-def _human_steps(phi_h: float, n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per level h < n, the read-only pair (Q_h, W_h): a fresh ranking's
-    first-choice pmf under each removed set with h members (C(n,h) x n),
-    and the transition it induces onto the sets with h + 1 (C(n,h+1) x C(n,h))."""
-    masks, index, tops = _levels(n)
-    probs = mallows_perm_probs(phi_h, n)
-    steps = []
-    for level, nxt in zip(masks, masks[1:]):
-        q = np.array([np.bincount(tops[m], weights=probs, minlength=n) for m in level])
-        q /= q.sum(axis=1, keepdims=True)
-        src, c = np.nonzero(((level[:, None] >> np.arange(n)) & 1) == 0)
-        w = np.zeros((len(nxt), len(level)))
-        w[index[level[src] | (1 << c)], src] = q[src, c]
-        q.setflags(write=False)
-        w.setflags(write=False)
-        steps.append((q, w))
-    return tuple(steps)
+def _moves(n: int, m: int) -> _Moves:
+    sets = list(combinations(range(n), m))
+    following = {s: i for i, s in enumerate(combinations(range(n), m + 1))}
+    # per outsider e of S: e, the members below it, and the index of S + e
+    rows = [[(e, sum(c < e for c in s), following[tuple(sorted((*s, e)))])
+             for e in range(n) if e not in s] for s in sets]
+    outside, p, nxt = np.array(rows, dtype=np.intp).reshape(len(sets), n - m, 3).transpose(2, 0, 1)
+    members = np.array(sets, dtype=np.intp).reshape(len(sets), m)
+    code, p = np.arange(1 << m)[:, None], p[:, None, :]
+    below = code & ((1 << p) - 1)
+    dest_h = (nxt[:, None, :] << (m + 1)) | below | ((code >> p) << (p + 1))
+    unrevealed = n - np.bitwise_count(code)
+    hire_slot = (unrevealed - 1) * n + outside[:, None, :] - np.bitwise_count(below)
+    reveals = []
+    for t in range(m):
+        c, j = np.nonzero((unrevealed == n - t) & ((code >> np.arange(m)) & 1 == 0))
+        src = (np.arange(len(sets))[:, None] << m) | c
+        r = members[:, j] - np.bitwise_count(c & ((1 << j) - 1))
+        reveals.append((src.ravel(), (src | (1 << j)).ravel(), ((n - t - 1) * n + r).ravel()))
+    moves = _Moves(outside, dest_h | (1 << p), dest_h, hire_slot, tuple(reveals))
+    for arr in (*moves[:4], *(a for reveal in reveals for a in reveal)):
+        arr.setflags(write=False)
+    return moves
+
+
+@lru_cache(maxsize=64)
+def _reveal_weights(phi: float, n: int, m: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Read-only probabilities of the reveals of `_moves(n, m)`, round by
+    round, and of its hires. Given a revealed prefix, the rest of a
+    distance-based ranking is again distance-based with the same phi (the
+    multistage property, Fligner & Verducci 1986), so its next entry is the
+    r-th best of the s unrevealed candidates with probability
+    q^r / sum_{j < s} q^j, q = 1/phi."""
+    powers = (1.0 / phi) ** np.arange(n)
+    table = (powers / np.cumsum(powers)[:, None]).ravel()
+    moves = _moves(n, m)
+    rounds, hire = tuple(table[slot] for _, _, slot in moves.reveals), table[moves.hire_slot]
+    for arr in (*rounds, hire):
+        arr.setflags(write=False)
+    return rounds, hire
+
+
+def _arrivals(mass: np.ndarray, moves: _Moves, rounds: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Probability of standing at each state when a ranking's next reveal is
+    drawn: mass plus what the reveal rounds carry there."""
+    mass = mass.copy()
+    for (src, dst, _), w in zip(moves.reveals, rounds):
+        mass += np.bincount(dst, mass[src] * w, len(mass))
+    return mass
+
+
+@lru_cache(maxsize=64)
+def _fresh_weights(phi_h: float, n: int, m: int) -> np.ndarray:
+    """Read-only first-survivor pmf of a fresh ranking for every removed set
+    after m hires, over its outside candidates: reveal from R empty until an
+    entry is not in S."""
+    moves = _moves(n, m)
+    rounds, hire = _reveal_weights(phi_h, n, m)
+    start = np.zeros(_level_states(n, m))
+    start[:: 1 << m] = 1.0
+    pmf = (_arrivals(start, moves, rounds).reshape(len(hire), -1, 1) * hire).sum(axis=1)
+    pmf.setflags(write=False)
+    return pmf
 
 
 class SequentialState:
     """Forward state of the k-firm hiring recursion.
 
-    mass[i, row] is the probability that the firms hired so far removed the
-    i-th set of their level and that the shared algorithmic ranking is row.
-    A firm playing A moves each row's mass to its set plus the row's top
-    survivor; a firm playing H draws a fresh ranking, which integrates out
-    to the transition W_h between removed sets.
+    mass holds the probability of each state (S, R) of `_moves`: S is the
+    set of candidates hired so far, R the entries of the shared algorithmic
+    ranking revealed so far. A firm playing A reveals entries until one is
+    not in S and hires it; a firm playing H hires the first survivor of a
+    fresh ranking and reveals nothing.
     """
 
     def __init__(self, phi_a: float, phi_h: float, x: np.ndarray):
-        self.x = x
-        self.levels, self.index, self.tops = _levels(len(x))
-        self.steps_h = _human_steps(phi_h, len(x))
-        self.mass = mallows_perm_probs(phi_a, len(x))[None, :]
+        self.phi_a, self.phi_h, self.x = phi_a, phi_h, x
+        self.mass = np.ones(1)
         self.hired = 0
+        self._steps: dict[str, tuple[float, np.ndarray, np.ndarray]] = {}
 
-    def _level(self) -> np.ndarray:
-        if self.hired >= len(self.x):
-            raise UnsupportedModelError("no candidates left to hire")
-        return self.levels[self.hired]
+    def _step(self, strategy: str) -> tuple[float, np.ndarray, np.ndarray]:
+        """The next firm's utility, hire flows and their destinations,
+        computed once per firm and strategy."""
+        if strategy not in self._steps:
+            n, m = len(self.x), self.hired
+            if m >= n:
+                raise UnsupportedModelError("no candidates left to hire")
+            moves = _moves(n, m)
+            if strategy == "A":
+                rounds, weights = _reveal_weights(self.phi_a, n, m)
+                mass, dest = _arrivals(self.mass, moves, rounds), moves.dest_a
+            else:
+                weights = _fresh_weights(self.phi_h, n, m)[:, None, :]
+                mass, dest = self.mass, moves.dest_h
+            flows = mass.reshape(len(moves.outside), -1, 1) * weights
+            utility = float((flows.sum(axis=1) * self.x[moves.outside]).sum())
+            self._steps[strategy] = utility, flows, dest
+        return self._steps[strategy]
 
     def utility_of_next(self, strategy: str) -> float:
-        level = self._level()
-        if strategy == "A":
-            return float(np.sum(self.mass * self.x[self.tops[level]]))
-        q, _ = self.steps_h[self.hired]
-        return float(self.mass.sum(axis=1) @ (q @ self.x))
+        return self._step(strategy)[0]
 
     def hire(self, strategy: str) -> None:
-        level = self._level()
-        if strategy == "A":
-            size = self.mass.shape[1]
-            taken = level[:, None] | (1 << self.tops[level].astype(np.intp))
-            dest = self.index[taken] * size + np.arange(size)
-            nxt = len(self.levels[self.hired + 1])
-            self.mass = np.bincount(dest.ravel(), self.mass.ravel(), nxt * size).reshape(nxt, size)
-        else:
-            self.mass = self.steps_h[self.hired][1] @ self.mass
+        _, flows, dest = self._step(strategy)
         self.hired += 1
+        self.mass = np.bincount(dest.ravel(), flows.ravel(), _level_states(len(self.x), self.hired))
+        self._steps = {}
 
 
 def _validate_sequence(sequence) -> tuple[str, ...]:
@@ -454,10 +521,12 @@ def _sequential_values(k: int, phi_a: float, phi_h: float, pool_or_d: PoolOrDist
         raise UnsupportedModelError(f"need phi > 1, got phi_a={phi_a}, phi_h={phi_h}")
     x = _resolve_exact_values(pool_or_d, value_independent=True)
     n = len(x)
-    if n > MAX_SEQUENTIAL_N:
-        raise UnsupportedModelError(f"sequential hiring capped at n={MAX_SEQUENTIAL_N}")
     if k > n:
         raise UnsupportedModelError(f"{k} firms cannot hire from {n} candidates")
+    states = max(_level_states(n, m) for m in range(k + 1))
+    if states > MAX_LEVEL_STATES:
+        raise UnsupportedModelError(f"{k} firms hiring from {n} candidates need {states} "
+                                    f"states at one level, over the bound {MAX_LEVEL_STATES}")
     return x
 
 

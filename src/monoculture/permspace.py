@@ -3,6 +3,10 @@
 Everything here is 0-based and array-valued; the public modules convert
 to 1-based candidate indices at their boundaries. Tables are cached per n
 and capped at n = 8 (40320 rows), the largest size the exact paths accept.
+Their users are the selection pmfs of the families without a first-survivor
+recursion (Plackett-Luce and score-plus-noise), the permutation pmf
+behind them, and `verify mallows-lemmas`, which checks the distance-based
+closed forms against enumeration.
 """
 from __future__ import annotations
 

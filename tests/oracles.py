@@ -29,6 +29,17 @@ def mallows_pmf(phi, n):
     return {order: w / total for order, w in weights.items()}
 
 
+def mallows_first_survivor(phi, n, removed):
+    """Pmf of the best-ranked candidate outside removed, as a list: each
+    entry the fsum of phi^(-d) over the orders that candidate heads among
+    the survivors, over the fsum of all the weights."""
+    terms = [[] for _ in range(n)]
+    for order in all_orders(n):
+        terms[next(c for c in order if c not in removed)].append(phi ** -inversions(order))
+    total = math.fsum(w for t in terms for w in t)
+    return [math.fsum(t) / total for t in terms]
+
+
 def mallows_normalizer(phi, n):
     """The distance-based normalizer's product form,
     prod_{j=1..n} sum_{r=0..j-1} phi^(-r)."""

@@ -356,6 +356,28 @@ def test_sequential_rows(capsys):
     assert "".join(r["choice"] for r in rows) == seq
 
 
+POOL9 = "1,0.9,0.8,0.65,0.5,0.4,0.25,0.1,0"
+
+
+@pytest.mark.parametrize("command", ["sequential", "braess-search"])
+def test_k_firm_commands_take_pools_past_seven_candidates(capsys, command):
+    code, out, err = run(
+        capsys, command, "--phi-a", "2.0", "--phi-h", "1.5", "--firms", "3", "--pool", POOL9,
+    )
+    assert code == 0, err
+    assert len(rows_of(out)) == (3 if command == "sequential" else 1)
+
+
+def test_sequential_past_the_state_bound_exits_one(capsys):
+    pool = ",".join(str(v) for v in range(40, 0, -1))
+    code, out, err = run(
+        capsys, "sequential", "--phi-a", "2.0", "--phi-h", "1.5", "--firms", "20", "--pool", pool,
+    )
+    assert code == 1
+    assert out == ""
+    assert "20 firms hiring from 40 candidates need" in err and "over the bound" in err
+
+
 def test_conditions_first_position(capsys):
     code, out, _ = run(
         capsys, "conditions", "--check", "first-position", "--theta-h", "1.0",

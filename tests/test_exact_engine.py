@@ -1,10 +1,12 @@
 """Exact selection pmfs, utility tables, welfare, and sequential hiring.
 
 The top-two pmf is checked against the (first, second) marginal of the
-enumerated permutation pmf. The table built from it and the removed-set
-recursion in exact_sequential_utilities are both checked against literal
-double enumeration over ranking tuples; the recursion also against a
-replay that branches over each human firm's pick.
+enumerated permutation pmf. The table built from it and the
+(removed set, revealed set) recursion in exact_sequential_utilities are
+both checked against literal double enumeration over ranking tuples; the
+recursion also against a replay that branches over each human firm's
+pick, and past seven candidates against enumeration of one ranking and a
+Monte Carlo replay with its own sampler.
 """
 
 import itertools
@@ -36,10 +38,11 @@ from monoculture.exact import (
     MAX_PMF_N,
     MAX_QUADRATURE_N,
     SequentialState,
-    _human_steps,
-    _levels,
+    _fresh_weights,
     _mallows_first_survivor_pmf,
+    _moves,
     _pair_integrals,
+    _reveal_weights,
 )
 from monoculture.permspace import perm_space
 from tests import oracles
@@ -131,19 +134,27 @@ def _removed_sets(rng, n):
 @pytest.mark.parametrize("n", range(2, MAX_PMF_N + 1))
 def test_mallows_first_survivor_pmf_matches_enumeration(n):
     rng = np.random.default_rng(100 + n)
-    pool = CandidatePool(tuple(float(n - i) for i in range(n)))
     for _ in range(3):
         phi = float(rng.uniform(1.0, 4.0))
         for removed0 in _removed_sets(rng, n):
             pmf = _mallows_first_survivor_pmf(phi, n, removed0)
-            want = exact_selection_pmf(
-                RankingModelSpec.mallows(phi), pool, {c + 1 for c in removed0}
-            )
+            want = oracles.mallows_first_survivor(phi, n, set(removed0))
             assert pmf.shape == (n,) and not pmf.flags.writeable
             assert np.abs(pmf - want).max() <= 1e-12, (phi, removed0)
             assert abs(math.fsum(pmf) - 1.0) <= 1e-12
             assert (pmf >= 0).all()
             assert all(pmf[c] == 0.0 for c in removed0)
+
+
+@pytest.mark.parametrize("phi, removed0", [(2.1003, (0, 1, 2, 3, 4, 7)), (1.1216, (0, 2, 3, 5, 6, 7))])
+def test_distance_based_selection_pmf_is_exact_to_rounding(phi, removed0):
+    # the two n = 8 cases where summing the pmf over all n! rankings was
+    # furthest off, 1.2e-13 and 6.2e-14
+    pool = CandidatePool(tuple(float(8 - i) for i in range(8)))
+    pmf = exact_selection_pmf(RankingModelSpec.mallows(phi), pool, {c + 1 for c in removed0})
+    want = oracles.mallows_first_survivor(phi, 8, set(removed0))
+    assert not pmf.flags.writeable
+    assert np.abs(pmf - want).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n, removed0", [(3, ()), (6, (0, 2)), (9, (0, 1, 2, 4)), (12, (1, 3, 5))])
@@ -681,6 +692,59 @@ def test_all_algorithm_firms_walk_down_one_ranking():
         assert abs(got[slot] - want) < 1e-12
 
 
+POOL9 = CandidatePool((1.0, 0.93, 0.71, 0.7, 0.52, 0.3, 0.26, 0.1, -0.4))
+POOL12 = CandidatePool((3.1, 2.5, 2.45, 1.9, 1.2, 1.0, 0.8, 0.75, 0.2, 0.0, -0.3, -1.1))
+
+
+def test_all_algorithm_firms_walk_down_one_ranking_past_seven_candidates():
+    phi = 1.7
+    got = exact_sequential_utilities("A" * 9, phi, 1.3, POOL9)
+    pmf = oracles.mallows_pmf(phi, 9)
+    x = POOL9.values
+    for slot in range(9):
+        want = math.fsum(p * x[order[slot]] for order, p in pmf.items())
+        assert abs(got[slot] - want) < 1e-12
+
+
+def sample_distance_based(rng, phi, n, size):
+    """Repeated insertion: candidate j enters the order of 0..j-1 at
+    position p with probability proportional to phi^-(j - p)."""
+    orders = np.zeros((size, 1), dtype=np.intp)
+    for j in range(1, n):
+        w = phi ** -np.arange(j, -1, -1.0)
+        p = rng.choice(j + 1, size=size, p=w / w.sum())[:, None]
+        slots = np.arange(j + 1)
+        shifted = np.take_along_axis(orders, np.minimum(slots - (slots > p), j - 1), axis=1)
+        orders = np.where(slots == p, j, shifted)
+    return orders
+
+
+def monte_carlo_sequence_utilities(sequence, phi_a, phi_h, pool, trials, seed):
+    """Per-firm mean and stderr of the value hired, replaying the sequence
+    on one drawn shared ranking and a fresh draw per H firm."""
+    rng = np.random.default_rng(seed)
+    x, rows = pool.as_array(), np.arange(trials)
+    shared = sample_distance_based(rng, phi_a, pool.n, trials)
+    taken = np.zeros((trials, pool.n), dtype=bool)
+    out = []
+    for s in sequence:
+        ranking = shared if s == "A" else sample_distance_based(rng, phi_h, pool.n, trials)
+        pick = ranking[rows, np.argmax(~taken[rows[:, None], ranking], axis=1)]
+        taken[rows, pick] = True
+        out.append((x[pick].mean(), x[pick].std(ddof=1) / math.sqrt(trials)))
+    return out
+
+
+@pytest.mark.parametrize("pool", [POOL9, POOL12], ids=lambda p: f"n{p.n}")
+@pytest.mark.parametrize("sequence", ["AHAHA", "HAAHA"])
+def test_sequential_recursion_matches_a_monte_carlo_replay_past_seven_candidates(sequence, pool):
+    phi_a, phi_h = 1.8, 1.4
+    got = exact_sequential_utilities(sequence, phi_a, phi_h, pool)
+    sampled = monte_carlo_sequence_utilities(sequence, phi_a, phi_h, pool, 200_000, seed=11)
+    for g, (mean, se) in zip(got, sampled):
+        assert se > 0 and abs(g - mean) <= 5 * se, (g, mean, se)
+
+
 # ---------------------------------------------------------------- properties
 
 
@@ -753,7 +817,7 @@ def sequences(draw, n):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.data(), pools(min_n=2, max_n=7), st.floats(1.05, 20.0), st.floats(1.05, 20.0),
+@given(st.data(), pools(min_n=2, max_n=10), st.floats(1.05, 20.0), st.floats(1.05, 20.0),
        st.floats(0.01, 100.0), st.floats(-100.0, 100.0))
 def test_sequential_utilities_are_equivariant_under_positive_affine_maps(
     data, pool, phi_a, phi_h, scale, shift
@@ -767,20 +831,45 @@ def test_sequential_utilities_are_equivariant_under_positive_affine_maps(
         assert abs(g - (scale * b + shift)) < tol
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.data(), pools(min_n=2, max_n=10), st.floats(1.05, 20.0), st.floats(1.05, 20.0))
+def test_hiring_every_candidate_hands_out_the_whole_pool(data, pool, phi_a, phi_h):
+    # no reveal round or hire may lose or duplicate mass
+    sequence = data.draw(st.lists(st.sampled_from("AH"), min_size=pool.n, max_size=pool.n))
+    got = exact_sequential_utilities(sequence, phi_a, phi_h, pool)
+    assert abs(math.fsum(got) - math.fsum(pool.values)) < 1e-12
+
+
 @settings(deadline=None, max_examples=20)
-@given(st.integers(2, 7), st.floats(1.01, 50.0))
-def test_sequential_tables_are_read_only(n, phi_h):
-    masks, index, tops = _levels(n)
-    steps = _human_steps(phi_h, n)
-    arrays = [*masks, index, tops] + [a for step in steps for a in step]
+@given(st.data(), st.integers(2, 10), st.floats(1.01, 50.0), st.floats(1.01, 50.0))
+def test_sequential_tables_are_read_only(data, n, phi_a, phi_h):
+    m = data.draw(st.integers(0, n - 1))
+    moves = _moves(n, m)
+    rounds, hire = _reveal_weights(phi_a, n, m)
+    arrays = [*moves[:4], *(a for reveal in moves.reveals for a in reveal), *rounds, hire,
+              _fresh_weights(phi_h, n, m)]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 1
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_fresh_weights_are_the_first_survivor_pmf(n):
+    # the weights sum reveal paths of up to n conditional probabilities each,
+    # so they may sit a few ulps per reveal off the insertion DP
+    phi_h = 1.3 + 0.1 * n
+    for m in range(n):
+        outside = _moves(n, m).outside
+        weights = _fresh_weights(phi_h, n, m)
+        for row, w in zip(outside, weights):
+            removed0 = tuple(sorted(set(range(n)) - set(row.tolist())))
+            pmf = _mallows_first_survivor_pmf(phi_h, n, removed0)
+            assert np.abs(w - pmf[row]).max() <= 1e-14
+
+
 @settings(deadline=None, max_examples=30)
-@given(st.data(), st.integers(2, 7), st.floats(1.05, 20.0), st.floats(1.05, 20.0))
+@given(st.data(), st.integers(2, 10), st.floats(1.05, 20.0), st.floats(1.05, 20.0))
 def test_hiring_past_the_pool_raises(data, n, phi_a, phi_h):
     state = SequentialState(phi_a, phi_h, np.linspace(1.0, 0.0, n))
     for strategy in data.draw(st.lists(st.sampled_from("AH"), min_size=n, max_size=n)):

@@ -2,6 +2,7 @@
 k-firm hiring sequences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,14 +308,29 @@ def test_near_perfect_shared_ranking_wins_until_the_pool_is_empty():
     [
         (0, 1.5, POOL4, ValueError),
         (2, 1.0, POOL4, UnsupportedModelError),
-        (2, 1.5, CandidatePool(tuple(float(v) for v in range(8, 0, -1))), UnsupportedModelError),
+        (20, 1.5, CandidatePool(tuple(float(v) for v in range(40, 0, -1))), UnsupportedModelError),
         (5, 1.5, POOL4, UnsupportedModelError),
     ],
-    ids=["no-firms", "phi-h-one", "pool-past-cap", "more-firms-than-candidates"],
+    ids=["no-firms", "phi-h-one", "level-over-bound", "more-firms-than-candidates"],
 )
 def test_sequential_optimal_sequence_rejects_bad_arguments(k, phi_h, pool, error):
     with pytest.raises(error):
         sequential_optimal_sequence(k, 2.0, phi_h, pool)
+
+
+def test_sequential_state_bound_is_checked_before_anything_is_built():
+    # 20 firms from 40 candidates would need C(40, 20) 2^20 states at one level
+    pool = CandidatePool(tuple(float(v) for v in range(40, 0, -1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedModelError, match="over the bound"):
+            sequential_optimal_sequence(20, 2.0, 1.5, pool)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    eight = CandidatePool(tuple(float(v) for v in range(8, 0, -1)))
+    assert sequential_optimal_sequence(2, 2.0, 1.5, eight).k == 2
 
 
 def test_sequence_utilities_match_the_sequential_engine():
