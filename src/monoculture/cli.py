@@ -4,9 +4,10 @@ Subcommands run utility tables, equilibrium sweeps, sequential solves,
 behavioral-condition checks, Braess-window searches, pinned reproduction
 targets, and invariant verification suites. Output is CSV on stdout (and
 optionally a file); a .dat output path switches to whitespace-separated
-columns for plotting tools. Identical flags and seed give byte-identical
-output regardless of --threads. Each subcommand accepts only the flags it
-reads, on the command line or in its --config file.
+columns for plotting tools. Monte Carlo runs on every core the process may
+use, and identical flags and seed give byte-identical output on any number
+of cores. Each subcommand accepts only the flags it reads, on the command
+line or in its --config file.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 a reproduction or
 verification check failed, 3 numerical failure (no bracket, tied scores).
@@ -17,6 +18,7 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -94,6 +96,8 @@ def parse_axis(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"non-numeric grid axis {text!r}") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise UsageError(f"grid axis bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise UsageError(f"need lo <= hi and step > 0 in {text!r}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -198,6 +202,14 @@ def emit(rows: list[list], header: list[str], out_path: str | None) -> None:
         Path(out_path).write_text(text, encoding="utf-8")
 
 
+def _workers() -> int:
+    """Cores this process may run on, the CLI's Monte Carlo worker count;
+    results do not depend on it."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def reject_given(args, names: tuple[str, ...], context: str) -> None:
     """UsageError naming the flags among names that were set but go unread."""
     given = [f"--{name.replace('_', '-')}" for name in names if name in args.given]
@@ -212,11 +224,11 @@ def cmd_utilities(args) -> int:
     if theta_h is None or theta_a is None:
         raise UsageError("utilities needs --theta-h and --theta-a")
     if args.engine == "exact":
-        reject_given(args, ("samples", "seed", "threads"), "utilities --engine exact")
+        reject_given(args, ("samples", "seed"), "utilities --engine exact")
         table = exact_utility_table(theta_a, theta_h, family, pool)
     else:
         table = mc_utility_table(
-            theta_a, theta_h, family, pool, args.samples, args.seed, threads=args.threads
+            theta_a, theta_h, family, pool, args.samples, args.seed, threads=_workers()
         )
     # the table's fields in declaration order: entries, stderrs, n_samples
     header = ["family", "noise", "engine", "theta_h", "theta_a"] + [
@@ -276,7 +288,8 @@ def cmd_sweep(args) -> int:
         k=args.firms,
         n_samples=args.samples,
         seed=args.seed,
-        threads=args.threads,
+        # exact cells hold the interpreter lock, so only sampling gains from workers
+        threads=_workers() if args.engine == "mc" else 1,
     )
     emit(sweep_rows(cells), SWEEP_HEADER, args.out)
     return EXIT_OK
@@ -312,7 +325,7 @@ def cmd_sequential(args) -> int:
 def cmd_conditions(args) -> int:
     family = build_family(args)
     pool = build_pool(args)
-    samples, seed, threads = args.samples, args.seed, args.threads
+    samples, seed, threads = args.samples, args.seed, _workers()
     context = f"conditions --check {args.check}"
     if args.check == "first-position":
         reject_given(args, ("theta_a", "grid", "removed"), context)
@@ -339,7 +352,7 @@ def cmd_conditions(args) -> int:
                                     threads=threads)
         # the engine is picked inside the check, so the flags are judged after it
         if report.detail["exact"]:
-            reject_given(args, ("samples", "seed", "threads"), f"{context} on the exact path")
+            reject_given(args, ("samples", "seed"), f"{context} on the exact path")
         params = (
             f"grid={args.grid};removed={','.join(str(c) for c in sorted(args.removed)) or '-'}"
         )
@@ -521,7 +534,8 @@ def reproduce_figure2(log: CheckLog, args) -> None:
     d15 = CandidateDistribution.uniform_centered_zero(halfwidth, 15)
     negatives = []
     for theta in (0.25, 0.5, 1.0, 2.0):
-        rep = check_pref_first_position(lap, theta, d15, samples, FIGURE2_SEED)
+        rep = check_pref_first_position(lap, theta, d15, samples, FIGURE2_SEED,
+                                        threads=_workers())
         z = rep.estimate.z_score_vs_zero
         log.rows.append([f"laplacian n=15 theta={theta}", "INFO", fmt(rep.estimate.mean), f"z={z:.1f}"])
         print(f"INFO laplacian n=15 theta={theta}: estimate {fmt(rep.estimate.mean)} z={z:+.1f}")
@@ -536,7 +550,8 @@ def reproduce_figure2(log: CheckLog, args) -> None:
     for n in (3, 5, 15):
         d = CandidateDistribution.uniform_centered_zero(halfwidth, n)
         for theta in (0.5, 1.0, 2.0):
-            rep = check_pref_first_position(gau, theta, d, samples, FIGURE2_SEED)
+            rep = check_pref_first_position(gau, theta, d, samples, FIGURE2_SEED,
+                                            threads=_workers())
             log.check(
                 f"gaussian n={n} theta={theta} positive",
                 rep.verdict == "holds",
@@ -638,7 +653,8 @@ def reproduce_four_percent(log: CheckLog, args) -> None:
     hits = []
     for j in range(11):
         theta_a = 0.540 + 0.0025 * j
-        table = mc_utility_table(theta_a, theta_h, family, d, samples, FOUR_PERCENT_SEED)
+        table = mc_utility_table(theta_a, theta_h, family, d, samples, FOUR_PERCENT_SEED,
+                                 threads=_workers())
         out = classify_equilibrium(table)
         loss = (out.welfare_hh - out.welfare_aa) / out.welfare_hh
         ok = out.label == "AA" and out.welfare_aa >= 0 and 0.03 <= loss <= 0.05
@@ -723,10 +739,11 @@ def verify_conditions(log: CheckLog, args) -> None:
     samples = args.samples
     for name, noise in (("gaussian", NoiseSpec.gaussian()), ("laplacian", NoiseSpec.laplacian())):
         fam = RankingModelSpec.rum(noise, 1.0)
-        rep = check_pref_first_position(fam, 1.0, pool, samples, 7)
+        rep = check_pref_first_position(fam, 1.0, pool, samples, 7, threads=_workers())
         log.check(f"{name} n=3: first-position preference holds",
                   rep.verdict == "holds", rep.estimate.mean, "z > 3")
-        rep2 = check_pref_weaker_competition(fam, 1.5, 1.0, pool, samples, 7)
+        rep2 = check_pref_weaker_competition(fam, 1.5, 1.0, pool, samples, 7,
+                                             threads=_workers())
         log.check(f"{name} n=3: weaker-competition preference holds",
                   rep2.verdict == "holds", rep2.estimate.mean, "z > 3")
     b1 = exact_utility_table(1.0, 1.0, b1_family(B1_DELTA), B1_POOL)
@@ -844,7 +861,6 @@ FLAGS = {
     "engine": (_engine, "exact", "exact (default) or mc"),
     "samples": (_trial_count, 1_000_000, "Monte Carlo trials (accepts 1e6)"),
     "seed": (int, 0, "base seed for all randomized work"),
-    "threads": (int, 1, "worker bound; results do not depend on it"),
     "out": (str, None, "also write output to this path (.dat for whitespace)"),
     "check": (_lower_dash, None, "first-position, weaker-competition, or monotonicity"),
     "removed": (lambda text: frozenset(int(c) for c in text.split(",")), frozenset(),
@@ -856,13 +872,13 @@ _MODEL_FLAGS = ("family", "noise", "pool", "dist")
 # subcommand -> (handler, help, the flags it reads besides --config)
 SUBCOMMANDS = {
     "utilities": (cmd_utilities, "one utility table at (theta_a, theta_h)", _MODEL_FLAGS + (
-        "theta_h", "theta_a", "engine", "samples", "seed", "threads", "out")),
+        "theta_h", "theta_a", "engine", "samples", "seed", "out")),
     "sweep": (cmd_sweep, "classify equilibria over an accuracy lattice", _MODEL_FLAGS + (
-        "grid", "firms", "engine", "samples", "seed", "threads", "out")),
+        "grid", "firms", "engine", "samples", "seed", "out")),
     "sequential": (cmd_sequential, "optimal strategy sequence for firms hiring in order", (
         "pool", "dist", "phi_a", "phi_h", "theta_a", "theta_h", "firms", "out")),
     "conditions": (cmd_conditions, "behavioral-condition checks with z verdicts", _MODEL_FLAGS + (
-        "check", "theta_h", "theta_a", "grid", "removed", "samples", "seed", "threads", "out")),
+        "check", "theta_h", "theta_a", "grid", "removed", "samples", "seed", "out")),
     "braess-search": (cmd_braess_search, "find the dominance crossing and welfare-loss window",
                       _MODEL_FLAGS + ("firms", "phi_a", "phi_h", "theta_a", "theta_h", "out")),
     "reproduce": (cmd_graded, "run a pinned headline computation and grade it", ("samples", "out")),

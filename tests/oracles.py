@@ -120,3 +120,36 @@ def rum_top_two_quad(kind, theta, values):
             for lo, hi in pieces
         )
     return pmf
+
+
+def top_two(pmf, n):
+    """Pr(top = a, runner-up = b) of an order pmf, as an n x n list: the
+    fsum of the probabilities of the orders that start (a, b)."""
+    terms = [[[] for _ in range(n)] for _ in range(n)]
+    for order, p in pmf.items():
+        terms[order[0]][order[1]].append(p)
+    return [[math.fsum(t) for t in row] for row in terms]
+
+
+def pref_first_position(P, x):
+    """E[(x_top - x_runner_up of one ranking) * 1{another ranking's top differs}]
+    for two independent rankings with top-two pmf P:
+    sum_{a,b} P[a][b] (x_a - x_b) (1 - p1[a]), p1 the first-pick pmf."""
+    n = len(x)
+    p1 = [math.fsum(row) for row in P]
+    return math.fsum(P[a][b] * (x[a] - x[b]) * (1.0 - p1[a])
+                     for a in range(n) for b in range(n))
+
+
+def pref_weaker_competition(P_strong, P_weak, x):
+    """E[value of a weak ranking's top avoiding a weak rival's top] minus the
+    same avoiding a strong rival's top: (p1_weak - p1_strong) . G, with
+    G[c] = p1 . x - p1[c] x_c + (P x)[c] the value a weak ranking takes when
+    candidate c is gone."""
+    n = len(x)
+    p1_weak = [math.fsum(row) for row in P_weak]
+    p1_strong = [math.fsum(row) for row in P_strong]
+    mean_top = math.fsum(p * v for p, v in zip(p1_weak, x))
+    G = [mean_top - p1_weak[c] * x[c] + math.fsum(P_weak[c][b] * x[b] for b in range(n))
+         for c in range(n)]
+    return math.fsum((w - s) * g for w, s, g in zip(p1_weak, p1_strong, G))

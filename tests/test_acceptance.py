@@ -30,6 +30,7 @@ from monoculture import (
     sequential_optimal_sequence,
     well_ordered_check,
 )
+from monoculture import cli
 from monoculture.cli import b1_family, b1_polynomial, b2_family, main
 from monoculture.exact import ENTRY_NAMES
 from monoculture.solver import check_dominance
@@ -224,7 +225,7 @@ def test_criterion_12_noise_order_conditions_hold_on_random_and_grid_probes():
     assert time.perf_counter() - t0 < 60.0
 
 
-def test_criterion_13_sampling_matches_exact_tables_and_thread_count(tmp_path):
+def test_criterion_13_sampling_matches_exact_tables_and_thread_count(tmp_path, monkeypatch):
     t0 = time.perf_counter()
     family = RankingModelSpec.mallows(2.0)
     for idx, (n, theta_a, theta_h, values) in enumerate(MC_VS_EXACT_INSTANCES):
@@ -236,12 +237,13 @@ def test_criterion_13_sampling_matches_exact_tables_and_thread_count(tmp_path):
             assert stderr > 0.0
             assert abs(getattr(mc, name) - getattr(exact, name)) < 4.0 * stderr
     outputs = []
-    for threads in ("1", "4"):
-        path = tmp_path / f"threads_{threads}.csv"
+    for workers in (1, 4):
+        monkeypatch.setattr(cli, "_workers", lambda: workers)
+        path = tmp_path / f"workers_{workers}.csv"
         rc = main([
             "utilities", "--family", "mallows", "--theta-a", "2.0", "--theta-h", "1.5",
             "--pool", "1,0.5,0", "--engine", "mc", "--samples", "2e5",
-            "--seed", "17", "--threads", threads, "--out", str(path),
+            "--seed", "17", "--out", str(path),
         ])
         assert rc == 0
         outputs.append(path.read_bytes())

@@ -7,13 +7,17 @@ import io
 import pytest
 
 from monoculture import CandidatePool, NoiseSpec, RankingModelSpec, exact_utility_table
+from monoculture import cli
 from monoculture.cli import build_parser, main, parse_axis, parse_grid
 
 POOL = "1,0.5,0"
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects unknown flags on its own path
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -38,6 +42,24 @@ def test_axis_parsing_errors():
         parse_axis("2:1:0.5")
     with pytest.raises(ValueError):
         parse_axis("1:2:0")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--pool", POOL, "--grid"),
+    ("conditions", "--check", "monotonicity", "--pool", POOL, "--grid"),
+], ids=["sweep", "monotonicity"])
+@pytest.mark.parametrize("axis", [
+    f"{lo}:{hi}:{step}"
+    for bad in ("inf", "nan")
+    for lo, hi, step in ((bad, "2", "0.5"), ("0.5", bad, "0.5"), ("0.5", "2", bad))
+])
+def test_non_finite_grid_axes_exit_one(capsys, argv, axis):
+    grid = axis + "x1:2:1" if argv[0] == "sweep" else axis
+    code, out, err = run(capsys, *argv, grid)
+    assert code == 1
+    assert out == ""
+    assert axis in err
+    assert "Traceback" not in err
 
 
 def test_grid_accepts_three_separators():
@@ -81,13 +103,24 @@ def test_utilities_exact_continuous_noise_past_three_candidates(capsys):
         assert float(row[name]) == getattr(table, name)
 
 
-def test_utilities_mc_is_thread_invariant(capsys):
-    argv = ["utilities", "--theta-h", "1.0", "--theta-a", "1.5", "--pool", POOL,
-            "--engine", "mc", "--samples", "70000", "--seed", "17"]
-    code1, out1, _ = run(capsys, *argv, "--threads", "1")
-    code4, out4, _ = run(capsys, *argv, "--threads", "4")
-    assert code1 == code4 == 0
-    assert out1 == out4
+@pytest.mark.parametrize("argv", [
+    ("utilities", "--theta-h", "1.0", "--theta-a", "1.5", "--pool", POOL,
+     "--engine", "mc", "--samples", "70000", "--seed", "17"),
+    ("sweep", "--grid", "1:1:1x0.8:1.4:0.6", "--pool", POOL, "--engine", "mc",
+     "--samples", "70000", "--seed", "17"),
+    ("conditions", "--check", "monotonicity", "--family", "rum", "--noise", "gaussian",
+     "--grid", "0.5:1:0.5", "--pool", "1,0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1",
+     "--samples", "70000", "--seed", "17"),
+    ("reproduce", "four-percent", "--samples", "70000"),
+    ("verify", "conditions", "--samples", "70000"),
+], ids=["utilities", "sweep", "monotonicity", "four-percent", "verify-conditions"])
+def test_mc_output_does_not_depend_on_the_worker_count(capsys, monkeypatch, argv):
+    results = []
+    for workers in (1, 4):
+        monkeypatch.setattr(cli, "_workers", lambda: workers)
+        results.append(run(capsys, *argv)[:2])
+    assert results[0] == results[1]
+    assert results[0][1]
 
 
 def test_utilities_dat_output(tmp_path, capsys):
@@ -152,7 +185,7 @@ def test_each_subcommand_accepts_only_the_flags_it_reads():
         for option in action.option_strings
         if option.startswith("--") and option != "--help"
     ]
-    assert len(pairs) == 64
+    assert len(pairs) == 61
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -249,6 +282,21 @@ def test_config_rejects_keys_the_subcommand_does_not_read(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "engine" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("utilities", "--theta-h", "1", "--theta-a", "2", "--pool", POOL, "--engine", "mc"),
+    ("sweep", "--grid", "1:1:1x1:1:1", "--pool", POOL, "--engine", "mc"),
+    ("conditions", "--check", "first-position", "--theta-h", "1", "--pool", POOL),
+], ids=["utilities", "sweep", "conditions"])
+def test_config_threads_key_exits_one(tmp_path, capsys, argv):
+    # the worker count is the process's core count, never a setting
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 2\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert "threads" in err
 
 
 def test_braess_search_k_firm_rejects_other_families(capsys):
@@ -402,7 +450,7 @@ def test_conditions_monotonicity_exact(capsys):
     assert row["z_score"] == "nan"
 
 
-SAMPLING_FLAGS = ("--samples", "1000", "--seed", "9", "--threads", "3")
+SAMPLING_FLAGS = ("--samples", "1000", "--seed", "9")
 
 
 def test_conditions_monotonicity_exact_rejects_sampling_flags(capsys):

@@ -350,6 +350,47 @@ def test_weaker_competition_preference_holds_for_the_distance_family():
     assert report.detail == {"theta1": 2.0, "theta2": 1.0}
 
 
+CONDITION_POOL = (1.0, 0.8, 0.75, 0.4, 0.3, 0.1, 0.0)
+
+
+def oracle_top_two(spec, theta):
+    """The spec's top-two pmf on CONDITION_POOL at accuracy theta, from tests.oracles."""
+    x, n = CONDITION_POOL, len(CONDITION_POOL)
+    if spec.kind == "mallows":
+        return oracles.top_two(oracles.mallows_pmf(1.0 + theta, n), n)
+    if spec.kind == "plackett_luce":
+        return oracles.top_two(oracles.luce_pmf(theta, x), n)
+    return oracles.rum_top_two_quad(spec.noise.kind, theta, list(x))
+
+
+@pytest.mark.parametrize("spec", [
+    RankingModelSpec.rum(NoiseSpec.gaussian(), 1.0),
+    RankingModelSpec.rum(NoiseSpec.laplacian(), 1.0),
+    RankingModelSpec.plackett_luce(1.0),
+    MALLOWS,
+], ids=["gaussian", "laplacian", "plackett-luce", "mallows"])
+def test_condition_checks_match_their_exact_top_two_estimands(spec):
+    pool = CandidatePool(CONDITION_POOL)
+    weak, strong = oracle_top_two(spec, 1.0), oracle_top_two(spec, 1.5)
+    first = check_pref_first_position(spec, 1.0, pool, n_samples=200_000, seed=11)
+    weaker = check_pref_weaker_competition(spec, 1.5, 1.0, pool, n_samples=200_000, seed=11)
+    for report, want in ((first, oracles.pref_first_position(weak, CONDITION_POOL)),
+                         (weaker, oracles.pref_weaker_competition(strong, weak, CONDITION_POOL))):
+        est = report.estimate
+        assert est.stderr > 0
+        assert abs(est.mean - want) <= 4 * est.stderr, (report.condition, est.mean, want)
+
+
+def test_softmax_first_position_is_exactly_zero_and_sampling_cannot_tell():
+    # Luce's choice axiom: the paper's softmax null, which sampling can only
+    # call inconclusive
+    spec = RankingModelSpec.plackett_luce(1.0)
+    assert abs(oracles.pref_first_position(oracle_top_two(spec, 1.0), CONDITION_POOL)) <= 1e-15
+    report = check_pref_first_position(spec, 1.0, CandidatePool(CONDITION_POOL),
+                                       n_samples=200_000, seed=11)
+    assert report.verdict == VERDICT_INCONCLUSIVE
+
+
 def test_weaker_competition_requires_a_strictly_stronger_rival():
     with pytest.raises(ValueError):
         check_pref_weaker_competition(MALLOWS, 1.0, 1.0, POOL3, n_samples=100)
