@@ -4,10 +4,10 @@ Subcommands run utility tables, equilibrium sweeps, sequential solves,
 behavioral-condition checks, Braess-window searches, pinned reproduction
 targets, and invariant verification suites. Output is CSV on stdout (and
 optionally a file); a .dat output path switches to whitespace-separated
-columns for plotting tools. Monte Carlo runs on every core the process may
-use, and identical flags and seed give byte-identical output on any number
-of cores. Each subcommand accepts only the flags it reads, on the command
-line or in its --config file.
+columns for plotting tools. Monte Carlo takes the estimators' default
+worker count, and identical flags and seed give byte-identical output on
+any number of cores. Each subcommand accepts only the flags it reads, on
+the command line or in its --config file.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 a reproduction or
 verification check failed, 3 numerical failure (no bracket, tied scores).
@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import math
-import os
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -56,6 +55,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 EXIT_NUMERICAL = 3
+MAX_AXIS_POINTS = 10_000
 
 
 class UsageError(ValueError):
@@ -100,8 +100,10 @@ def parse_axis(text: str) -> list[float]:
         raise UsageError(f"grid axis bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise UsageError(f"need lo <= hi and step > 0 in {text!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(count)]
+    steps = (hi - lo) / step + 1e-9
+    if not steps < MAX_AXIS_POINTS:  # also catches a span that overflows to inf
+        raise UsageError(f"grid axis {text!r} has more than {MAX_AXIS_POINTS} points")
+    return [lo + i * step for i in range(int(steps) + 1)]
 
 
 def parse_grid(text: str) -> tuple[list[float], list[float]]:
@@ -202,14 +204,6 @@ def emit(rows: list[list], header: list[str], out_path: str | None) -> None:
         Path(out_path).write_text(text, encoding="utf-8")
 
 
-def _workers() -> int:
-    """Cores this process may run on, the CLI's Monte Carlo worker count;
-    results do not depend on it."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def reject_given(args, names: tuple[str, ...], context: str) -> None:
     """UsageError naming the flags among names that were set but go unread."""
     given = [f"--{name.replace('_', '-')}" for name in names if name in args.given]
@@ -227,9 +221,7 @@ def cmd_utilities(args) -> int:
         reject_given(args, ("samples", "seed"), "utilities --engine exact")
         table = exact_utility_table(theta_a, theta_h, family, pool)
     else:
-        table = mc_utility_table(
-            theta_a, theta_h, family, pool, args.samples, args.seed, threads=_workers()
-        )
+        table = mc_utility_table(theta_a, theta_h, family, pool, args.samples, args.seed)
     # the table's fields in declaration order: entries, stderrs, n_samples
     header = ["family", "noise", "engine", "theta_h", "theta_a"] + [
         f.name for f in fields(table)] + ["seed"]
@@ -288,8 +280,6 @@ def cmd_sweep(args) -> int:
         k=args.firms,
         n_samples=args.samples,
         seed=args.seed,
-        # exact cells hold the interpreter lock, so only sampling gains from workers
-        threads=_workers() if args.engine == "mc" else 1,
     )
     emit(sweep_rows(cells), SWEEP_HEADER, args.out)
     return EXIT_OK
@@ -325,22 +315,20 @@ def cmd_sequential(args) -> int:
 def cmd_conditions(args) -> int:
     family = build_family(args)
     pool = build_pool(args)
-    samples, seed, threads = args.samples, args.seed, _workers()
+    samples, seed = args.samples, args.seed
     context = f"conditions --check {args.check}"
     if args.check == "first-position":
         reject_given(args, ("theta_a", "grid", "removed"), context)
         if args.theta_h is None:
             raise UsageError("first-position needs --theta-h")
-        report = check_pref_first_position(
-            family, args.theta_h, pool, samples, seed, threads=threads
-        )
+        report = check_pref_first_position(family, args.theta_h, pool, samples, seed)
         params = f"theta={fmt(args.theta_h)}"
     elif args.check == "weaker-competition":
         reject_given(args, ("grid", "removed"), context)
         if args.theta_a is None or args.theta_h is None:
             raise UsageError("weaker-competition needs --theta-a (stronger) and --theta-h")
         report = check_pref_weaker_competition(
-            family, args.theta_a, args.theta_h, pool, samples, seed, threads=threads
+            family, args.theta_a, args.theta_h, pool, samples, seed
         )
         params = f"theta1={fmt(args.theta_a)};theta2={fmt(args.theta_h)}"
     elif args.check == "monotonicity":
@@ -348,8 +336,7 @@ def cmd_conditions(args) -> int:
         if not args.grid:
             raise UsageError("monotonicity needs --grid lo:hi:step (one axis)")
         grid = parse_axis(args.grid)
-        report = check_monotonicity(family, grid, args.removed, pool, samples, seed,
-                                    threads=threads)
+        report = check_monotonicity(family, grid, args.removed, pool, samples, seed)
         # the engine is picked inside the check, so the flags are judged after it
         if report.detail["exact"]:
             reject_given(args, ("samples", "seed"), f"{context} on the exact path")
@@ -534,8 +521,7 @@ def reproduce_figure2(log: CheckLog, args) -> None:
     d15 = CandidateDistribution.uniform_centered_zero(halfwidth, 15)
     negatives = []
     for theta in (0.25, 0.5, 1.0, 2.0):
-        rep = check_pref_first_position(lap, theta, d15, samples, FIGURE2_SEED,
-                                        threads=_workers())
+        rep = check_pref_first_position(lap, theta, d15, samples, FIGURE2_SEED)
         z = rep.estimate.z_score_vs_zero
         log.rows.append([f"laplacian n=15 theta={theta}", "INFO", fmt(rep.estimate.mean), f"z={z:.1f}"])
         print(f"INFO laplacian n=15 theta={theta}: estimate {fmt(rep.estimate.mean)} z={z:+.1f}")
@@ -550,8 +536,7 @@ def reproduce_figure2(log: CheckLog, args) -> None:
     for n in (3, 5, 15):
         d = CandidateDistribution.uniform_centered_zero(halfwidth, n)
         for theta in (0.5, 1.0, 2.0):
-            rep = check_pref_first_position(gau, theta, d, samples, FIGURE2_SEED,
-                                            threads=_workers())
+            rep = check_pref_first_position(gau, theta, d, samples, FIGURE2_SEED)
             log.check(
                 f"gaussian n={n} theta={theta} positive",
                 rep.verdict == "holds",
@@ -653,8 +638,7 @@ def reproduce_four_percent(log: CheckLog, args) -> None:
     hits = []
     for j in range(11):
         theta_a = 0.540 + 0.0025 * j
-        table = mc_utility_table(theta_a, theta_h, family, d, samples, FOUR_PERCENT_SEED,
-                                 threads=_workers())
+        table = mc_utility_table(theta_a, theta_h, family, d, samples, FOUR_PERCENT_SEED)
         out = classify_equilibrium(table)
         loss = (out.welfare_hh - out.welfare_aa) / out.welfare_hh
         ok = out.label == "AA" and out.welfare_aa >= 0 and 0.03 <= loss <= 0.05
@@ -739,11 +723,10 @@ def verify_conditions(log: CheckLog, args) -> None:
     samples = args.samples
     for name, noise in (("gaussian", NoiseSpec.gaussian()), ("laplacian", NoiseSpec.laplacian())):
         fam = RankingModelSpec.rum(noise, 1.0)
-        rep = check_pref_first_position(fam, 1.0, pool, samples, 7, threads=_workers())
+        rep = check_pref_first_position(fam, 1.0, pool, samples, 7)
         log.check(f"{name} n=3: first-position preference holds",
                   rep.verdict == "holds", rep.estimate.mean, "z > 3")
-        rep2 = check_pref_weaker_competition(fam, 1.5, 1.0, pool, samples, 7,
-                                             threads=_workers())
+        rep2 = check_pref_weaker_competition(fam, 1.5, 1.0, pool, samples, 7)
         log.check(f"{name} n=3: weaker-competition preference holds",
                   rep2.verdict == "holds", rep2.estimate.mean, "z > 3")
     b1 = exact_utility_table(1.0, 1.0, b1_family(B1_DELTA), B1_POOL)

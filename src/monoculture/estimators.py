@@ -1,11 +1,14 @@
 """Coupled Monte Carlo estimation of utilities and condition checks.
 
-Trials are partitioned into fixed-size chunks; chunk c uses an rng stream
-derived from (seed, c), and per-chunk moments (count, mean, centred sum of
-squares) are merged in chunk order, so results are bit-identical for a
-given seed no matter how many workers run the chunks. Within a trial all
-quantities share the same draws (common random numbers), which shrinks the
-variance of every estimated difference.
+Trials are partitioned into chunks of CHUNK_SIZE (8192) rows; chunk c uses
+an rng stream derived from (seed, c), and per-chunk moments (count, mean,
+centred sum of squares) are merged in chunk order, so results are
+bit-identical for a given seed no matter how many workers run the chunks.
+`threads=None`, the default, runs them on every core the process may use,
+at most one worker per chunk; the distance-based family runs inline, since
+its one-uniform-per-trial sampler holds the interpreter lock. Within a
+trial all quantities share the same draws (common random numbers), which
+shrinks the variance of every estimated difference.
 
 No estimator samples a whole ranking. Every two-firm estimand reads only
 the top two of each ranking, and the monotonicity check only the best
@@ -23,6 +26,7 @@ different draws.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -39,7 +43,7 @@ from .exact import (
 )
 from .models import RankingModelSpec, TieError, UnsupportedModelError
 
-CHUNK_SIZE = 1 << 15
+CHUNK_SIZE = 1 << 13
 DEFAULT_Z_THRESHOLD = 3.0
 STRICT_TOL = 1e-12
 DEFAULT_CONDITION_SAMPLES = 1_000_000
@@ -242,6 +246,8 @@ def _first_survivors(
 
 
 def _values_at(pools: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    if pools.strides[0] == 0:  # a fixed pool broadcast over the rows
+        return pools[0][picks]
     return np.take_along_axis(pools, picks[:, None], axis=1)[:, 0]
 
 
@@ -286,18 +292,34 @@ class _MomentAccumulator:
         return out
 
 
-def _run_chunks(kernel, n_samples: int, names: tuple[str, ...], threads: int = 1):
-    """Run `kernel(chunk_index, size)` over all chunks and reduce; a stderr needs 2+ trials."""
+def _cores() -> int:  # the cores this process may run on
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _workers(threads: int | None, spec: RankingModelSpec) -> int:
+    """threads, checked, or for None the default worker count for spec."""
+    if threads is None:
+        return 1 if spec.kind == "mallows" else _cores()
+    if not (isinstance(threads, (int, np.integer)) and threads >= 1):
+        raise ValueError(f"threads must be None or an int >= 1, got {threads!r}")
+    return threads
+
+
+def _run_chunks(kernel, n_samples: int, names: tuple[str, ...], spec: RankingModelSpec,
+                threads: int | None):
+    """Run `kernel(chunk_index, size)` over all chunks on up to `threads`
+    workers and reduce; a stderr needs 2+ trials."""
     if n_samples < 2:
         raise ValueError(f"need n_samples >= 2, got {n_samples}")
     sizes = _chunk_sizes(n_samples)
     acc = _MomentAccumulator(names, len(sizes))
+    workers = min(_workers(threads, spec), len(sizes))
 
     def job(index: int) -> None:
         acc.put(index, kernel(index, sizes[index]))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(job, range(len(sizes))))
     else:
         for index in range(len(sizes)):
@@ -315,7 +337,7 @@ def mc_utility_trials(
     pool_or_d: PoolOrDistribution,
     n_samples: int,
     seed: int,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> dict[str, EstimateWithError]:
     """All six utility entries plus two paired differences, from shared draws.
 
@@ -350,7 +372,7 @@ def mc_utility_trials(
             "d_hh_ah": u_hh - u_ah,
         }
 
-    return _run_chunks(kernel, n_samples, _TABLE_NAMES, threads)
+    return _run_chunks(kernel, n_samples, _TABLE_NAMES, spec, threads)
 
 
 def mc_utility_table(
@@ -360,7 +382,7 @@ def mc_utility_table(
     pool_or_d: PoolOrDistribution,
     n_samples: int,
     seed: int,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> UtilityTable:
     """Monte Carlo counterpart of the exact utility table."""
     est = mc_utility_trials(theta_a, theta_h, spec, pool_or_d, n_samples, seed, threads)
@@ -377,7 +399,7 @@ def check_pref_first_position(
     pool_or_d: PoolOrDistribution,
     n_samples: int = DEFAULT_CONDITION_SAMPLES,
     seed: int = 0,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> ConditionReport:
     """Estimate E[(top gap of one ranking) * 1{tops of two rankings differ}].
 
@@ -397,7 +419,7 @@ def check_pref_first_position(
         hit = (pi[:, 0] != sigma[:, 0]).astype(float)
         return {"estimand": gap * hit}
 
-    est = _run_chunks(kernel, n_samples, ("estimand",), threads)["estimand"]
+    est = _run_chunks(kernel, n_samples, ("estimand",), spec, threads)["estimand"]
     return ConditionReport(
         condition="pref_first_position",
         estimate=est,
@@ -413,7 +435,7 @@ def check_pref_weaker_competition(
     pool_or_d: PoolOrDistribution,
     n_samples: int = DEFAULT_CONDITION_SAMPLES,
     seed: int = 0,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> ConditionReport:
     """Whether choosing after a weaker first mover beats a stronger one.
 
@@ -438,7 +460,7 @@ def check_pref_weaker_competition(
         after_strong = _values_at(pools, _top_avoiding(pi, sigma[:, 0]))
         return {"estimand": after_weak - after_strong}
 
-    est = _run_chunks(kernel, n_samples, ("estimand",), threads)["estimand"]
+    est = _run_chunks(kernel, n_samples, ("estimand",), spec, threads)["estimand"]
     return ConditionReport(
         condition="pref_weaker_competition",
         estimate=est,
@@ -454,7 +476,7 @@ def _mc_selection_mean(
     n_samples: int,
     seed: int,
     stream: int,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> EstimateWithError:
     removed0 = np.array(sorted(c - 1 for c in removed), dtype=np.int64)
 
@@ -464,7 +486,7 @@ def _mc_selection_mean(
         picks = _first_survivors(spec, pools, removed0, rng)
         return {"estimand": _values_at(pools, picks)}
 
-    return _run_chunks(kernel, n_samples, ("estimand",), threads)["estimand"]
+    return _run_chunks(kernel, n_samples, ("estimand",), spec, threads)["estimand"]
 
 
 def check_monotonicity(
@@ -474,7 +496,7 @@ def check_monotonicity(
     pool: PoolOrDistribution,
     n_samples: int = DEFAULT_CONDITION_SAMPLES,
     seed: int = 0,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> ConditionReport:
     """Whether the expected top surviving value increases with accuracy.
 
@@ -485,6 +507,7 @@ def check_monotonicity(
     inconclusive otherwise. The reported estimate is the first difference
     whose verdict is the report's.
     """
+    _workers(threads, spec)  # checked even when the exact path leaves it unused
     grid = [float(t) for t in theta_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"theta grid must be increasing, got {grid}")

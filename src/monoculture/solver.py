@@ -9,7 +9,6 @@ utility against the rival's strategy.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
@@ -472,7 +471,6 @@ def sweep_plane(
     k: int = 2,
     n_samples: int = DEFAULT_SWEEP_SAMPLES,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[SweepCell]:
     """Classify every cell of an accuracy lattice, row-major in theta_h.
 
@@ -481,8 +479,9 @@ def sweep_plane(
     mapping theta to dispersion 1 + theta). Domain failures (ValueError and
     its subclasses, such as UnsupportedModelError and TieError) are recorded
     on the cell rather than aborting the sweep; any other exception is a bug
-    and propagates. Cell seeds derive from (seed, row, column), so results
-    do not depend on thread count.
+    and propagates. Cell seeds derive from (seed, row, column). Cells run
+    one after another; a Monte Carlo cell spreads its own chunks over the
+    cores, as `mc_utility_table` does by default.
     """
     if engine not in ("exact", "mc"):
         raise ValueError(f"engine must be exact or mc, got {engine!r}")
@@ -495,8 +494,7 @@ def sweep_plane(
     rows = [float(t) for t in theta_h_values]
     cols = [float(t) for t in theta_a_values]
 
-    def run_cell(args) -> SweepCell:
-        i, j = args
+    def run_cell(i: int, j: int) -> SweepCell:
         theta_h, theta_a = rows[i], cols[j]
         try:
             if k > 2:
@@ -512,8 +510,4 @@ def sweep_plane(
         except ValueError as exc:
             return SweepCell(theta_h, theta_a, None, f"{type(exc).__name__}: {exc}")
 
-    tasks = [(i, j) for i in range(len(rows)) for j in range(len(cols))]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_cell, tasks))
-    return [run_cell(t) for t in tasks]
+    return [run_cell(i, j) for i in range(len(rows)) for j in range(len(cols))]

@@ -30,7 +30,7 @@ from monoculture import (
     sequential_optimal_sequence,
     well_ordered_check,
 )
-from monoculture import cli
+from monoculture import estimators
 from monoculture.cli import b1_family, b1_polynomial, b2_family, main
 from monoculture.exact import ENTRY_NAMES
 from monoculture.solver import check_dominance
@@ -238,7 +238,7 @@ def test_criterion_13_sampling_matches_exact_tables_and_thread_count(tmp_path, m
             assert abs(getattr(mc, name) - getattr(exact, name)) < 4.0 * stderr
     outputs = []
     for workers in (1, 4):
-        monkeypatch.setattr(cli, "_workers", lambda: workers)
+        monkeypatch.setattr(estimators, "_cores", lambda: workers)
         path = tmp_path / f"workers_{workers}.csv"
         rc = main([
             "utilities", "--family", "mallows", "--theta-a", "2.0", "--theta-h", "1.5",

@@ -3,11 +3,12 @@
 import argparse
 import csv
 import io
+import tracemalloc
 
 import pytest
 
 from monoculture import CandidatePool, NoiseSpec, RankingModelSpec, exact_utility_table
-from monoculture import cli
+from monoculture import cli, estimators
 from monoculture.cli import build_parser, main, parse_axis, parse_grid
 
 POOL = "1,0.5,0"
@@ -62,6 +63,34 @@ def test_non_finite_grid_axes_exit_one(capsys, argv, axis):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--pool", POOL, "--grid"),
+    ("conditions", "--check", "monotonicity", "--family", "rum", "--noise", "gaussian",
+     "--pool", POOL, "--grid"),
+], ids=["sweep", "monotonicity"])
+@pytest.mark.parametrize("axis", ["0:1e308:1e-10", "0:1e5:1"], ids=["overflow", "over-cap"])
+def test_oversized_grid_axes_exit_one(capsys, argv, axis):
+    # the first point count overflows to inf; the second is finite but
+    # above the per-axis cap
+    grid = axis + "x1:2:1" if argv[0] == "sweep" else axis
+    code, out, err = run(capsys, *argv, grid)
+    assert code == 1
+    assert out == ""
+    assert axis in err and str(cli.MAX_AXIS_POINTS) in err
+    assert "Traceback" not in err
+
+
+def test_axis_cap_is_checked_before_the_points_are_built():
+    # a million floats take tens of MiB; the refusal must take none of it
+    tracemalloc.start()
+    with pytest.raises(cli.UsageError):
+        parse_axis("0:1e6:1")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(parse_axis(f"1:{cli.MAX_AXIS_POINTS}:1")) == cli.MAX_AXIS_POINTS
+
+
 def test_grid_accepts_three_separators():
     for sep in ("x", "X", "×"):
         rows, cols = parse_grid(f"1:2:1{sep}3:4:1")
@@ -104,10 +133,11 @@ def test_utilities_exact_continuous_noise_past_three_candidates(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("utilities", "--theta-h", "1.0", "--theta-a", "1.5", "--pool", POOL,
+    # the distance-based family runs inline by default, so these use softmax
+    ("utilities", "--family", "plackett-luce", "--theta-h", "1.0", "--theta-a", "1.5",
+     "--pool", POOL, "--engine", "mc", "--samples", "70000", "--seed", "17"),
+    ("sweep", "--family", "plackett-luce", "--grid", "1:1:1x0.8:1.4:0.6", "--pool", POOL,
      "--engine", "mc", "--samples", "70000", "--seed", "17"),
-    ("sweep", "--grid", "1:1:1x0.8:1.4:0.6", "--pool", POOL, "--engine", "mc",
-     "--samples", "70000", "--seed", "17"),
     ("conditions", "--check", "monotonicity", "--family", "rum", "--noise", "gaussian",
      "--grid", "0.5:1:0.5", "--pool", "1,0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1",
      "--samples", "70000", "--seed", "17"),
@@ -117,7 +147,7 @@ def test_utilities_exact_continuous_noise_past_three_candidates(capsys):
 def test_mc_output_does_not_depend_on_the_worker_count(capsys, monkeypatch, argv):
     results = []
     for workers in (1, 4):
-        monkeypatch.setattr(cli, "_workers", lambda: workers)
+        monkeypatch.setattr(estimators, "_cores", lambda: workers)
         results.append(run(capsys, *argv)[:2])
     assert results[0] == results[1]
     assert results[0][1]

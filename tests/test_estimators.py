@@ -2,6 +2,9 @@
 and the behavioral-condition checks."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,7 +254,8 @@ _THREAD_CASES = [
         ("plackett_luce-", RankingModelSpec.plackett_luce(1.0), POOL3),
         ("gaussian_drawn-", GAUSSIAN, UNIFORM15),
     )
-    for n in (CHUNK_SIZE, CHUNK_SIZE + 7, 3 * CHUNK_SIZE + 11)
+    # several whole chunks, with and without a ragged tail
+    for n in (4 * CHUNK_SIZE, 4 * CHUNK_SIZE + 7, 12 * CHUNK_SIZE + 11)
 ]
 
 
@@ -269,6 +273,102 @@ def test_thread_count_never_changes_the_result(n_samples, family, pool_or_d):
 def test_sample_count_is_chunk_partition_independent_of_threads():
     est = mc_utility_trials(1.5, 1.0, MALLOWS, POOL3, CHUNK_SIZE + 7, seed=17, threads=2)
     assert est["u_aa"].n_samples == CHUNK_SIZE + 7
+
+
+# three whole chunks and a five-row tail
+_RAGGED = 3 * CHUNK_SIZE + 5
+_TIE_FREE_DISCRETE = RankingModelSpec.rum(NoiseSpec.discrete(((-0.1, 0.5), (0.1, 0.5))), 1.0)
+
+
+@pytest.mark.parametrize("family, pool_or_d", [
+    (MALLOWS, POOL3),
+    (SOFTMAX, POOL4),
+    (GAUSSIAN, UNIFORM15),
+    (_TIE_FREE_DISCRETE, POOL3),
+], ids=["mallows", "plackett_luce", "gaussian_drawn", "discrete"])
+def test_every_estimator_is_bit_identical_across_thread_counts(family, pool_or_d):
+    def run_all(threads):
+        return (
+            mc_utility_table(1.5, 1.0, family, pool_or_d, _RAGGED, 3, threads=threads),
+            check_pref_first_position(family, 1.0, pool_or_d, _RAGGED, 4, threads=threads),
+            check_pref_weaker_competition(family, 1.5, 1.0, pool_or_d, _RAGGED, 5,
+                                          threads=threads),
+        )
+
+    default = run_all(None)
+    assert run_all(1) == default
+    assert run_all(3) == default
+
+
+@pytest.mark.parametrize("family, pool_or_d, removed", [
+    (MALLOWS, CandidatePool(tuple(np.linspace(1.0, 0.1, 10))), {1, 2, 10}),
+    (GAUSSIAN, UNIFORM15, {2, 7}),
+], ids=["mallows", "gaussian_drawn"])
+def test_sampled_monotonicity_is_bit_identical_across_thread_counts(family, pool_or_d, removed):
+    reports = [check_monotonicity(family, (0.5, 1.0), removed, pool_or_d, _RAGGED, 6,
+                                  threads=threads) for threads in (None, 1, 3)]
+    assert not reports[0].detail["exact"]
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+
+
+def test_a_discrete_tie_raises_the_same_error_at_any_thread_count():
+    # ties are rare enough here that most chunks have none, so the error
+    # must come from the first tied chunk in chunk order, not the first to finish
+    p = 5e-6
+    spec = RankingModelSpec.rum(NoiseSpec.discrete(((0.0, 1 - 2 * p), (0.5, p), (-0.5, p))), 1.0)
+    messages = []
+    for threads in (1, 3):
+        with pytest.raises(TieError) as info:
+            mc_utility_table(1.0, 1.0, spec, POOL3, 12 * CHUNK_SIZE + 5, 0, threads=threads)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("threads", [0, -3, 1.5, "2"])
+@pytest.mark.parametrize("call", [
+    lambda t: mc_utility_table(1.5, 1.0, GAUSSIAN, POOL3, 100, 0, threads=t),
+    lambda t: check_pref_first_position(GAUSSIAN, 1.0, POOL3, 100, threads=t),
+    lambda t: check_pref_weaker_competition(GAUSSIAN, 1.5, 1.0, POOL3, 100, threads=t),
+    lambda t: check_monotonicity(GAUSSIAN, (0.5, 1.0), set(), UNIFORM15, 100, threads=t),
+    lambda t: check_monotonicity(MALLOWS, (0.5, 1.0), set(), POOL3, 100, threads=t),
+], ids=["table", "first_position", "weaker_competition", "monotonicity_mc",
+        "monotonicity_exact"])
+def test_threads_must_be_none_or_a_positive_int(call, threads):
+    with pytest.raises(ValueError, match="threads"):
+        call(threads)
+
+
+def test_two_workers_hold_two_small_chunks_at_once():
+    # 8192-row chunks: one gaussian n=15 drawn-pool chunk peaks near 2.4 MiB,
+    # so two in flight stay well under one 32768-row chunk (9.5 MiB)
+    tracemalloc.start()
+    try:
+        mc_utility_table(1.5, 1.0, GAUSSIAN, UNIFORM15, 100_000, 3, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
+
+
+def test_more_workers_than_cores_under_frequent_switches_match_one_worker():
+    # workers write their chunk's moments into one shared list; a lost or
+    # misplaced write would change the merged result
+    want = mc_utility_trials(1.5, 1.0, GAUSSIAN, UNIFORM15, _RAGGED, 8, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = mc_utility_trials(1.5, 1.0, GAUSSIAN, UNIFORM15, _RAGGED, 8, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_no_worker_outlives_an_estimator_call():
+    before = threading.active_count()
+    mc_utility_table(1.5, 1.0, GAUSSIAN, UNIFORM15, _RAGGED, 3, threads=3)
+    check_pref_first_position(GAUSSIAN, 1.0, UNIFORM15, _RAGGED, threads=None)
+    assert threading.active_count() == before
 
 
 def test_stderr_survives_a_large_pool_offset():

@@ -25,10 +25,12 @@ from monoculture import (
     exact_welfare,
     find_theta_star,
     kfirm_braess_check,
+    mc_utility_table,
     sequential_optimal_sequence,
     sweep_plane,
 )
 from monoculture.exact import ENTRY_NAMES
+from monoculture.solver import _cell_seed
 
 POOL3 = CandidatePool((1.0, 0.5, 0.0))
 POOL4 = CandidatePool((1.0, 0.7, 0.3, 0.0))
@@ -443,13 +445,15 @@ def test_sweep_plane_lets_programming_errors_raise(monkeypatch):
 
 
 def test_sweep_plane_mc_results_do_not_depend_on_threads():
-    kwargs = dict(engine="mc", n_samples=20_000, seed=11)
-    single = sweep_plane((1.0,), (0.8, 1.4), MALLOWS, POOL3, threads=1, **kwargs)
-    multi = sweep_plane((1.0,), (0.8, 1.4), MALLOWS, POOL3, threads=4, **kwargs)
-    for a, b in zip(single, multi):
-        assert a.outcome.label == b.outcome.label
-        assert a.outcome.welfare_aa == b.outcome.welfare_aa
-        assert a.outcome.welfare_hh == b.outcome.welfare_hh
+    # a default sweep spreads each cell's chunks over the cores; every cell
+    # must equal the one-worker table at that cell's seed
+    family = RankingModelSpec.plackett_luce(1.0)
+    rows, cols = (1.0, 1.2), (0.8, 1.4)
+    cells = sweep_plane(rows, cols, family, POOL3, engine="mc", n_samples=20_000, seed=11)
+    for cell, (i, j) in zip(cells, [(i, j) for i in range(2) for j in range(2)]):
+        table = mc_utility_table(cols[j], rows[i], family, POOL3, 20_000,
+                                 _cell_seed(11, i, j), threads=1)
+        assert cell.outcome == classify_equilibrium(table)
 
 
 def test_sweep_plane_k_firm_cells_carry_sequences():
