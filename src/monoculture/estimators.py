@@ -3,12 +3,10 @@
 Trials are partitioned into chunks of CHUNK_SIZE (8192) rows; chunk c uses
 an rng stream derived from (seed, c), and per-chunk moments (count, mean,
 centred sum of squares) are merged in chunk order, so results are
-bit-identical for a given seed no matter how many workers run the chunks.
-`threads=None`, the default, runs them on every core the process may use,
-at most one worker per chunk; the distance-based family runs inline, since
-its one-uniform-per-trial sampler holds the interpreter lock. Within a
-trial all quantities share the same draws (common random numbers), which
-shrinks the variance of every estimated difference.
+bit-identical for a given seed on any number of workers; `threads=None`
+runs one per core, at most one per chunk. Within a trial all quantities
+share the same draws (common random numbers), which shrinks the variance
+of every estimated difference.
 
 No estimator samples a whole ranking. Every two-firm estimand reads only
 the top two of each ranking, and the monotonicity check only the best
@@ -246,8 +244,6 @@ def _first_survivors(
 
 
 def _values_at(pools: np.ndarray, picks: np.ndarray) -> np.ndarray:
-    if pools.strides[0] == 0:  # a fixed pool broadcast over the rows
-        return pools[0][picks]
     return np.take_along_axis(pools, picks[:, None], axis=1)[:, 0]
 
 
@@ -296,24 +292,23 @@ def _cores() -> int:  # the cores this process may run on
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _workers(threads: int | None, spec: RankingModelSpec) -> int:
-    """threads, checked, or for None the default worker count for spec."""
+def _workers(threads: int | None) -> int:
+    """threads, checked, or for None the cores this process may run on."""
     if threads is None:
-        return 1 if spec.kind == "mallows" else _cores()
+        return _cores()
     if not (isinstance(threads, (int, np.integer)) and threads >= 1):
         raise ValueError(f"threads must be None or an int >= 1, got {threads!r}")
     return threads
 
 
-def _run_chunks(kernel, n_samples: int, names: tuple[str, ...], spec: RankingModelSpec,
-                threads: int | None):
+def _run_chunks(kernel, n_samples: int, names: tuple[str, ...], threads: int | None):
     """Run `kernel(chunk_index, size)` over all chunks on up to `threads`
     workers and reduce; a stderr needs 2+ trials."""
     if n_samples < 2:
         raise ValueError(f"need n_samples >= 2, got {n_samples}")
     sizes = _chunk_sizes(n_samples)
     acc = _MomentAccumulator(names, len(sizes))
-    workers = min(_workers(threads, spec), len(sizes))
+    workers = min(_workers(threads), len(sizes))
 
     def job(index: int) -> None:
         acc.put(index, kernel(index, sizes[index]))
@@ -372,7 +367,7 @@ def mc_utility_trials(
             "d_hh_ah": u_hh - u_ah,
         }
 
-    return _run_chunks(kernel, n_samples, _TABLE_NAMES, spec, threads)
+    return _run_chunks(kernel, n_samples, _TABLE_NAMES, threads)
 
 
 def mc_utility_table(
@@ -419,7 +414,7 @@ def check_pref_first_position(
         hit = (pi[:, 0] != sigma[:, 0]).astype(float)
         return {"estimand": gap * hit}
 
-    est = _run_chunks(kernel, n_samples, ("estimand",), spec, threads)["estimand"]
+    est = _run_chunks(kernel, n_samples, ("estimand",), threads)["estimand"]
     return ConditionReport(
         condition="pref_first_position",
         estimate=est,
@@ -460,7 +455,7 @@ def check_pref_weaker_competition(
         after_strong = _values_at(pools, _top_avoiding(pi, sigma[:, 0]))
         return {"estimand": after_weak - after_strong}
 
-    est = _run_chunks(kernel, n_samples, ("estimand",), spec, threads)["estimand"]
+    est = _run_chunks(kernel, n_samples, ("estimand",), threads)["estimand"]
     return ConditionReport(
         condition="pref_weaker_competition",
         estimate=est,
@@ -486,7 +481,7 @@ def _mc_selection_mean(
         picks = _first_survivors(spec, pools, removed0, rng)
         return {"estimand": _values_at(pools, picks)}
 
-    return _run_chunks(kernel, n_samples, ("estimand",), spec, threads)["estimand"]
+    return _run_chunks(kernel, n_samples, ("estimand",), threads)["estimand"]
 
 
 def check_monotonicity(
@@ -507,7 +502,7 @@ def check_monotonicity(
     inconclusive otherwise. The reported estimate is the first difference
     whose verdict is the report's.
     """
-    _workers(threads, spec)  # checked even when the exact path leaves it unused
+    _workers(threads)  # checked even when the exact path leaves it unused
     grid = [float(t) for t in theta_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"theta grid must be increasing, got {grid}")

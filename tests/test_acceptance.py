@@ -225,7 +225,8 @@ def test_criterion_12_noise_order_conditions_hold_on_random_and_grid_probes():
     assert time.perf_counter() - t0 < 60.0
 
 
-def test_criterion_13_sampling_matches_exact_tables_and_thread_count(tmp_path, monkeypatch):
+def test_criterion_13_sampling_matches_exact_tables_and_thread_count(tmp_path, monkeypatch,
+                                                                    pool_sizes):
     t0 = time.perf_counter()
     family = RankingModelSpec.mallows(2.0)
     for idx, (n, theta_a, theta_h, values) in enumerate(MC_VS_EXACT_INSTANCES):
@@ -236,9 +237,10 @@ def test_criterion_13_sampling_matches_exact_tables_and_thread_count(tmp_path, m
             stderr = getattr(mc, "stderr_" + name)
             assert stderr > 0.0
             assert abs(getattr(mc, name) - getattr(exact, name)) < 4.0 * stderr
-    outputs = []
+    outputs, pools = [], []
     for workers in (1, 4):
         monkeypatch.setattr(estimators, "_cores", lambda: workers)
+        start = len(pool_sizes)
         path = tmp_path / f"workers_{workers}.csv"
         rc = main([
             "utilities", "--family", "mallows", "--theta-a", "2.0", "--theta-h", "1.5",
@@ -247,5 +249,7 @@ def test_criterion_13_sampling_matches_exact_tables_and_thread_count(tmp_path, m
         ])
         assert rc == 0
         outputs.append(path.read_bytes())
+        pools.append(pool_sizes[start:])
     assert outputs[0] == outputs[1]
+    assert pools == [[], [4]]  # inline on one core; 2e5 trials are 25 chunks for four
     assert time.perf_counter() - t0 < 180.0

@@ -133,24 +133,28 @@ def test_utilities_exact_continuous_noise_past_three_candidates(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # the distance-based family runs inline by default, so these use softmax
-    ("utilities", "--family", "plackett-luce", "--theta-h", "1.0", "--theta-a", "1.5",
-     "--pool", POOL, "--engine", "mc", "--samples", "70000", "--seed", "17"),
-    ("sweep", "--family", "plackett-luce", "--grid", "1:1:1x0.8:1.4:0.6", "--pool", POOL,
+    ("utilities", "--theta-h", "1.0", "--theta-a", "1.5", "--pool", POOL,
      "--engine", "mc", "--samples", "70000", "--seed", "17"),
+    ("sweep", "--grid", "1:1:1x0.8:1.4:0.6", "--pool", POOL, "--engine", "mc",
+     "--samples", "70000", "--seed", "17"),
     ("conditions", "--check", "monotonicity", "--family", "rum", "--noise", "gaussian",
      "--grid", "0.5:1:0.5", "--pool", "1,0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1",
      "--samples", "70000", "--seed", "17"),
     ("reproduce", "four-percent", "--samples", "70000"),
     ("verify", "conditions", "--samples", "70000"),
 ], ids=["utilities", "sweep", "monotonicity", "four-percent", "verify-conditions"])
-def test_mc_output_does_not_depend_on_the_worker_count(capsys, monkeypatch, argv):
-    results = []
+def test_mc_output_does_not_depend_on_the_worker_count(capsys, monkeypatch, pool_sizes, argv):
+    results, pools = [], []
     for workers in (1, 4):
         monkeypatch.setattr(estimators, "_cores", lambda: workers)
+        start = len(pool_sizes)
         results.append(run(capsys, *argv)[:2])
+        pools.append(pool_sizes[start:])
     assert results[0] == results[1]
     assert results[0][1]
+    # one core runs everything inline; four must really spread the work
+    assert pools[0] == []
+    assert pools[1] and min(pools[1]) > 1
 
 
 def test_utilities_dat_output(tmp_path, capsys):

@@ -29,6 +29,7 @@ from monoculture import (
     sequential_optimal_sequence,
     sweep_plane,
 )
+from monoculture import estimators
 from monoculture.exact import ENTRY_NAMES
 from monoculture.solver import _cell_seed
 
@@ -444,14 +445,15 @@ def test_sweep_plane_lets_programming_errors_raise(monkeypatch):
         sweep_plane((1.0,), (0.5,), MALLOWS, POOL3, engine="mc", n_samples=1_000)
 
 
-def test_sweep_plane_mc_results_do_not_depend_on_threads():
+def test_sweep_plane_mc_results_do_not_depend_on_threads(monkeypatch, pool_sizes):
     # a default sweep spreads each cell's chunks over the cores; every cell
     # must equal the one-worker table at that cell's seed
-    family = RankingModelSpec.plackett_luce(1.0)
+    monkeypatch.setattr(estimators, "_cores", lambda: 4)
     rows, cols = (1.0, 1.2), (0.8, 1.4)
-    cells = sweep_plane(rows, cols, family, POOL3, engine="mc", n_samples=20_000, seed=11)
+    cells = sweep_plane(rows, cols, MALLOWS, POOL3, engine="mc", n_samples=20_000, seed=11)
+    assert pool_sizes == [3] * 4  # 20,000 trials are three chunks per cell
     for cell, (i, j) in zip(cells, [(i, j) for i in range(2) for j in range(2)]):
-        table = mc_utility_table(cols[j], rows[i], family, POOL3, 20_000,
+        table = mc_utility_table(cols[j], rows[i], MALLOWS, POOL3, 20_000,
                                  _cell_seed(11, i, j), threads=1)
         assert cell.outcome == classify_equilibrium(table)
 
