@@ -34,18 +34,22 @@ from .core import CandidateDistribution, CandidatePool, PoolOrDistribution
 from .exact import (
     ENTRY_NAMES,
     UtilityTable,
+    _atom_support_fits,
     _mallows_first_survivor_pmf,
-    _resolve_exact_values,
     exact_selection_pmf,
     top_two_pmf,
 )
-from .models import RankingModelSpec, TieError, UnsupportedModelError
+from .models import RankingModelSpec, TieError
 
 CHUNK_SIZE = 1 << 13
 DEFAULT_Z_THRESHOLD = 3.0
 STRICT_TOL = 1e-12
 DEFAULT_CONDITION_SAMPLES = 1_000_000
 DEFAULT_SWEEP_SAMPLES = 100_000
+# check_monotonicity is exact only up to this n, though no selection pmf has a
+# size cap: the benchmark's survivors workload (bench/workloads.py) requires
+# its distance-based and gaussian n = 10 checks to run Monte Carlo
+_EXACT_MONOTONICITY_N = 8
 
 VERDICT_HOLDS = "holds"
 VERDICT_FAILS = "fails"
@@ -495,12 +499,12 @@ def check_monotonicity(
 ) -> ConditionReport:
     """Whether the expected top surviving value increases with accuracy.
 
-    Evaluates E[value of best survivor] on the accuracy grid, exactly when
-    the model admits enumeration and by Monte Carlo otherwise, and judges
-    each consecutive difference by `_verdict`: the check fails if any
-    difference fails, holds if all hold (so a one-point grid holds), and is
-    inconclusive otherwise. The reported estimate is the first difference
-    whose verdict is the report's.
+    Evaluates E[value of best survivor] on the accuracy grid, exactly or by
+    Monte Carlo as picked from family, pool kind and n before anything is
+    computed (exact-path errors propagate). Each consecutive difference is
+    judged by `_verdict`: the check fails if any fails, holds if all hold (so
+    a one-point grid holds), and is inconclusive otherwise. The reported
+    estimate is the first difference whose verdict is the report's.
     """
     _workers(threads)  # checked even when the exact path leaves it unused
     grid = [float(t) for t in theta_grid]
@@ -510,14 +514,15 @@ def check_monotonicity(
     if not removed <= set(range(1, pool.n + 1)) or len(removed) >= pool.n:
         raise ValueError(f"removed {sorted(removed)} is not a proper subset of 1..{pool.n}")
 
-    try:
-        x = _resolve_exact_values(pool, spec.value_independent)
-        fixed = CandidatePool(tuple(x))
+    exact_mode = (
+        pool.n <= _EXACT_MONOTONICITY_N and (isinstance(pool, CandidatePool) or spec.value_independent)
+        and (spec.noise is None or spec.noise.is_continuous or _atom_support_fits(spec.noise, pool.n)))
+    if exact_mode:
+        fixed = pool if isinstance(pool, CandidatePool) else pool.mean_pool()
+        x = fixed.as_array()
         pmfs = [exact_selection_pmf(spec.with_theta(t), fixed, removed) for t in grid]
         means = [EstimateWithError.exact(float(pmf @ x)) for pmf in pmfs]
-        exact_mode = True
-    except UnsupportedModelError:
-        exact_mode = False
+    else:
         means = [
             _mc_selection_mean(
                 spec.with_theta(t), pool, removed, n_samples, seed, stream=i, threads=threads

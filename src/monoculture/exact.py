@@ -2,15 +2,14 @@
 
 Utility tables are linear in the n x n top-two pmf (`top_two_pmf`): closed
 forms, one composite Gauss-Legendre rule shared by all candidate pairs, or
-atom enumeration (at most 2e6 atom combinations). The distance-based
-first-survivor pmf is computed by repeated insertion for any n; selection
-pmfs of the other families enumerate all n! rankings (n <= 8), and
-continuous-noise permutation probabilities stop at n <= 3. Sequential
-hiring keeps the mass of each state (S, R) after m hires: S the hired
-set, R the entries of the shared ranking revealed so far. Firms playing A
-and H move it by one step over move tables cached per (n, m), with at
-most MAX_LEVEL_STATES states at any level. All are exact up to rounding
-and quadrature error.
+atom enumeration (at most 2e6 atom combinations). Selection pmfs have no
+size cap: repeated insertion for the distance-based family, the survivors'
+top-two pmf for the others; only the full-ranking pmf enumerates n!
+rankings. Sequential hiring keeps the mass of each state (S, R) after m
+hires: S the hired set, R the entries of the shared ranking revealed so
+far. Firms playing A and H move it by one step over move tables cached
+per (n, m), with at most MAX_LEVEL_STATES states at any level. All are
+exact up to rounding and quadrature error.
 """
 from __future__ import annotations
 
@@ -34,12 +33,10 @@ from .models import (
     UnsupportedModelError,
     mallows_perm_probs,
 )
-from .permspace import mask_of, perm_space
+from .permspace import perm_space
 
 MAX_LEVEL_STATES = 1 << 17
-MAX_PMF_N = 8
 MAX_QUADRATURE_N = 3
-_DISCRETE_SUPPORT_CAP = 2_000_000
 # continuous-noise quadrature: 16-point Gauss-Legendre panels of width at most
 # 1/theta over candidate windows of R = 40 noise units either side
 _GL_POINTS = 16
@@ -233,29 +230,38 @@ def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(_GL_POINTS)
 
 
+def _atom_support_fits(noise: NoiseSpec, n: int) -> bool:  # the atom-enumeration cap
+    return len(noise.atoms) ** n <= 2_000_000
+
+
 def _atom_enumeration(noise: NoiseSpec, theta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Perturbed values and joint probability of every atom combination, one
     row each; TieError if any combination ties two candidates."""
-    n = len(x)
-    values = np.array([v for v, _ in noise.atoms])
-    probs = np.array([p for _, p in noise.atoms])
-    m = len(values)
-    if m**n > _DISCRETE_SUPPORT_CAP:
+    n, m = len(x), len(noise.atoms)
+    if not _atom_support_fits(noise, n):
         raise UnsupportedModelError(f"joint atom support {m}^{n} too large")
+    cells = _atom_cells(noise, theta, x)
+    probs = np.array([p for _, p in noise.atoms])
+    grids = np.meshgrid(*([np.arange(m)] * n), indexing="ij")
+    combos = np.stack([g.ravel() for g in grids], axis=1)
+    return cells[np.arange(n), combos], np.prod(probs[combos], axis=1)
+
+
+def _atom_cells(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
+    """Each candidate's (row) value under each atom (column); TieError on a possible tie."""
+    values = np.array([v for v, _ in noise.atoms])
     # every combination has positive probability, so two candidates tie in
     # some ranking exactly when two cells in different rows are equal
     cells = x[:, None] + values[None, :] / theta
     flat = cells.ravel()
     order = np.argsort(flat, kind="stable")
-    owner = order // m
+    owner = order // len(values)
     clash = (flat[order[:-1]] == flat[order[1:]]) & (owner[:-1] != owner[1:])
     if clash.any():
         k = int(np.argmax(clash))
         a, b = sorted((int(owner[k]) + 1, int(owner[k + 1]) + 1))
         raise TieError(f"candidates {a} and {b} tie at perturbed value {flat[order[k]]!r}")
-    grids = np.meshgrid(*([np.arange(m)] * n), indexing="ij")
-    combos = np.stack([g.ravel() for g in grids], axis=1)
-    return cells[np.arange(n), combos], np.prod(probs[combos], axis=1)
+    return cells
 
 
 def _discrete_rum_top_two(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
@@ -289,23 +295,21 @@ def exact_selection_pmf(
 ) -> np.ndarray:
     """Pmf of the best-ranked surviving candidate after removing a set of
     1-based candidates, as a length-n array over 0-based candidates whose
-    removed entries are 0. The distance-based family returns the cached,
-    read-only `_mallows_first_survivor_pmf`; the others sum the pmf over
-    all n! rankings."""
+    removed entries are 0: the distance-based `_mallows_first_survivor_pmf`
+    (cached, read-only), else the top of the survivors' own ranking (Luce's
+    axiom; independent noise), with TieError on any discrete tie in the pool."""
     n = pool.n
-    if n > MAX_PMF_N:
-        raise UnsupportedModelError(f"exact selection pmf capped at n={MAX_PMF_N}")
     removed = frozenset(int(c) for c in removed)
-    if not removed <= set(range(1, n + 1)):
-        raise ValueError(f"removed {sorted(removed)} out of range 1..{n}")
-    if len(removed) >= n:
-        raise ValueError("cannot remove every candidate")
+    if not removed <= set(range(1, n + 1)) or len(removed) >= n:
+        raise ValueError(f"removed {sorted(removed)} is not a proper subset of 1..{n}")
     if spec.kind == "mallows":
         return _mallows_first_survivor_pmf(spec.phi, n, tuple(sorted(c - 1 for c in removed)))
-    probs = permutation_probabilities(spec, pool)
-    space = perm_space(n)
-    pmf = space.first_choice(probs, mask_of({c - 1 for c in removed}))
-    return pmf / pmf.sum()
+    x = pool.as_array()
+    if spec.noise is not None and not spec.noise.is_continuous:
+        _atom_cells(spec.noise, spec.theta, x)
+    survivors = np.array([c for c in range(n) if c + 1 not in removed])
+    first = top_two_pmf(spec, x[survivors]).sum(axis=1) if len(survivors) > 1 else np.ones(1)
+    return np.bincount(survivors, first / first.sum(), n)
 
 
 def _resolve_exact_values(pool_or_d: PoolOrDistribution, value_independent: bool) -> np.ndarray:

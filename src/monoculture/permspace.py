@@ -2,11 +2,9 @@
 
 Everything here is 0-based and array-valued; the public modules convert
 to 1-based candidate indices at their boundaries. Tables are cached per n
-and capped at n = 8 (40320 rows), the largest size the exact paths accept.
-Their users are the selection pmfs of the families without a first-survivor
-recursion (Plackett-Luce and score-plus-noise), the permutation pmf
-behind them, and `verify mallows-lemmas`, which checks the distance-based
-closed forms against enumeration.
+and capped at n = 8 (40320 rows). No engine path uses them, only the public
+full-ranking pmf and `verify mallows-lemmas`, which checks the
+distance-based closed forms against enumeration.
 """
 from __future__ import annotations
 
@@ -77,11 +75,3 @@ class PermSpace:
 @lru_cache(maxsize=None)
 def perm_space(n: int) -> PermSpace:
     return PermSpace(n)
-
-
-def mask_of(removed: frozenset[int] | set[int]) -> int:
-    """Bitmask of a set of 0-based candidate indices."""
-    mask = 0
-    for c in removed:
-        mask |= 1 << c
-    return mask

@@ -40,6 +40,16 @@ def mallows_first_survivor(phi, n, removed):
     return [math.fsum(t) / total for t in terms]
 
 
+def first_survivor(pmf, n, removed):
+    """Pmf of the best-ranked candidate outside removed under an order pmf,
+    as a list: each entry the fsum of the orders that candidate heads among
+    the survivors."""
+    terms = [[] for _ in range(n)]
+    for order, p in pmf.items():
+        terms[next(c for c in order if c not in removed)].append(p)
+    return [math.fsum(t) for t in terms]
+
+
 def mallows_normalizer(phi, n):
     """The distance-based normalizer's product form,
     prod_{j=1..n} sum_{r=0..j-1} phi^(-r)."""

@@ -497,6 +497,22 @@ def test_conditions_monotonicity_exact_rejects_sampling_flags(capsys):
     assert all(flag in err for flag in SAMPLING_FLAGS[::2])
 
 
+GAUSSIAN_MONOTONICITY = ("conditions", "--check", "monotonicity", "--family", "rum",
+                         "--noise", "gaussian", "--grid", "0.5:1:0.5", "--pool", "1,0.8,0.5,0.3,0")
+
+
+def test_conditions_monotonicity_gaussian_five_values_is_exact(capsys):
+    code, out, _ = run(capsys, *GAUSSIAN_MONOTONICITY)
+    assert code == 0
+    (row,) = rows_of(out)
+    assert row["z_score"] == "nan"
+    assert row["n_samples"] == "0"
+    code, out, err = run(capsys, *GAUSSIAN_MONOTONICITY, *SAMPLING_FLAGS)
+    assert code == 1
+    assert out == ""
+    assert all(flag in err for flag in SAMPLING_FLAGS[::2])
+
+
 def test_conditions_monotonicity_sampled_reads_sampling_flags(capsys):
     # gaussian noise over ten candidates is past the exact pmf, so this samples
     code, out, _ = run(

@@ -17,6 +17,7 @@ from monoculture import (
     NoiseSpec,
     RankingModelSpec,
     TieError,
+    UnsupportedModelError,
     check_monotonicity,
     check_pref_first_position,
     check_pref_weaker_competition,
@@ -37,12 +38,14 @@ from monoculture.estimators import (
     sample_top_two,
 )
 from monoculture.exact import ENTRY_NAMES
+from monoculture import exact as exact_engine
 from monoculture.permspace import perm_space
 from tests import oracles
 
 POOL3 = CandidatePool((1.0, 0.5, 0.0))
 POOL4 = CandidatePool((1.0, 0.7, 0.3, 0.0))
 POOL7 = CandidatePool((1.0, 0.85, 0.6, 0.5, 0.3, 0.1, 0.0))
+POOL10 = CandidatePool(tuple(np.linspace(1.0, 0.1, 10)))
 MALLOWS = RankingModelSpec.mallows(2.0)
 GAUSSIAN = RankingModelSpec.rum(NoiseSpec.gaussian(), 1.0)
 LAPLACIAN = RankingModelSpec.rum(NoiseSpec.laplacian(), 0.7)
@@ -76,7 +79,7 @@ def test_trials_require_at_least_one_sample():
     lambda n: mc_utility_table(1.5, 1.0, GAUSSIAN, UNIFORM15, n, seed=1),
     lambda n: check_pref_first_position(MALLOWS, 1.0, POOL3, n_samples=n, seed=0),
     lambda n: check_pref_weaker_competition(MALLOWS, 2.0, 1.0, POOL3, n_samples=n),
-    lambda n: check_monotonicity(GAUSSIAN, (0.5, 1.0), {1}, POOL4, n_samples=n),
+    lambda n: check_monotonicity(GAUSSIAN, (0.5, 1.0), {1}, POOL10, n_samples=n),
 ], ids=["trials", "table", "first-position", "weaker-competition", "monotonicity"])
 def test_every_sampled_estimate_needs_two_trials(estimate, n_samples):
     # one trial has no stderr; it must not pass for an exact result
@@ -522,7 +525,7 @@ def test_monotonicity_exact_path_with_removal():
 def test_monotonicity_falls_back_to_sampling_for_large_continuous_models():
     spec = RankingModelSpec.rum(NoiseSpec.gaussian(), 1.0)
     report = check_monotonicity(
-        spec, (0.5, 1.0, 2.0), {1}, POOL4, n_samples=200_000, seed=4
+        spec, (0.5, 1.0, 2.0), {1}, POOL10, n_samples=200_000, seed=4
     )
     assert not report.detail["exact"]
     assert report.verdict in (VERDICT_HOLDS, VERDICT_INCONCLUSIVE)
@@ -531,6 +534,56 @@ def test_monotonicity_falls_back_to_sampling_for_large_continuous_models():
     stderrs = report.detail["stderrs"]
     for (m0, m1), (s0, s1) in zip(zip(means, means[1:]), zip(stderrs, stderrs[1:])):
         assert m1 - m0 > -4 * math.hypot(s0, s1)
+
+
+SEVEN_ATOMS = NoiseSpec.discrete(tuple((0.1234567 * k, 1 / 7) for k in range(-3, 4)))
+
+
+def _spread(n):
+    # irregular gaps, so no atom offset ties two candidates
+    return CandidatePool(tuple(2.7 - 0.37 * i - 0.011 * i * i for i in range(n)))
+
+
+@pytest.mark.parametrize("family, pool, removed, exact", [
+    (MALLOWS, CandidatePool(tuple(np.linspace(1.0, 0.3, 8))), {2, 5}, True),
+    (MALLOWS, POOL10, {2, 5}, False),
+    (MALLOWS, CandidateDistribution.uniform_centered_zero(1.0, 5), {2}, True),
+    (GAUSSIAN, POOL4, {1}, True),
+    (GAUSSIAN, POOL10, {1}, False),
+    (GAUSSIAN, UNIFORM15, {1}, False),
+    (RankingModelSpec.rum(SEVEN_ATOMS, 1.0), _spread(7), {1, 2, 3}, True),  # 7^7 combinations
+    (RankingModelSpec.rum(SEVEN_ATOMS, 1.0), _spread(8), {1, 2, 3}, False),  # 7^8, over the cap
+], ids=["mallows8", "mallows10", "mallows_drawn", "gaussian4", "gaussian10", "gaussian_drawn",
+        "atoms7_n7", "atoms7_n8"])
+def test_monotonicity_engine_follows_family_pool_and_size(family, pool, removed, exact):
+    report = check_monotonicity(family, (0.5, 1.0), removed, pool, n_samples=1000, seed=2)
+    assert report.detail["exact"] is exact
+    assert all((se == 0) is exact for se in report.detail["stderrs"])
+
+
+def test_a_failed_quadrature_sum_check_raises_instead_of_sampling(monkeypatch):
+    def off_by_a_percent(noise, theta, x):
+        return 1.01 * pair_integrals(noise, theta, x)
+
+    pair_integrals = exact_engine._pair_integrals
+    monkeypatch.setattr(exact_engine, "_pair_integrals", off_by_a_percent)
+    exact_engine._top_two_pmf.cache_clear()
+    with pytest.raises(UnsupportedModelError, match="quadrature pmf sums to"):
+        check_monotonicity(GAUSSIAN, (0.5, 1.0), {1}, POOL3, n_samples=1000)
+
+
+def test_a_discrete_tie_between_removed_candidates_raises_on_both_engines():
+    # 1 - 0.5 = 0 + 0.5: the bottom two candidates tie in some ranking,
+    # though neither can be picked once both are removed
+    spec = RankingModelSpec.rum(NoiseSpec.discrete(((-0.5, 0.5), (0.5, 0.5))), 1.0)
+    small = CandidatePool((10.0, 7.3, 5.9, 4.2, 1.0, 0.0))
+    large = CandidatePool((10.0, 7.3, 5.9, 4.2, 3.4, 2.65, 1.9, 1.35, 1.0, 0.0))
+    for pool in (small, large):  # the exact engine, then Monte Carlo
+        bottom = {pool.n - 1, pool.n}
+        with pytest.raises(TieError, match=f"candidates {pool.n - 1} and {pool.n}"):
+            check_monotonicity(spec, (0.5, 1.0), bottom, pool, n_samples=1000)
+    with pytest.raises(TieError, match="candidates 5 and 6"):
+        exact_selection_pmf(spec, small, {5, 6})
 
 
 def test_sampled_mallows_monotonicity_matches_the_contiguous_closed_form():

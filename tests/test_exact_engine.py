@@ -25,17 +25,19 @@ from monoculture import (
     RankingModelSpec,
     TieError,
     UnsupportedModelError,
+    check_monotonicity,
     exact_selection_pmf,
     exact_sequential_utilities,
     exact_utility_table,
     exact_welfare,
+    mallows_perm_probs,
     permutation_probabilities,
+    sample_rankings,
     top_two_pmf,
     uniform_order_statistic_means,
 )
 from monoculture.exact import (
     ENTRY_NAMES,
-    MAX_PMF_N,
     MAX_QUADRATURE_N,
     SequentialState,
     _fresh_weights,
@@ -44,12 +46,20 @@ from monoculture.exact import (
     _pair_integrals,
     _reveal_weights,
 )
+from monoculture import permspace
 from monoculture.permspace import perm_space
 from tests import oracles
 
 POOL3 = CandidatePool((1.0, 0.5, 0.0))
 POOL4 = CandidatePool((1.0, 0.7, 0.3, 0.0))
 MALLOWS = RankingModelSpec.mallows(2.0)
+THREE_ATOMS = NoiseSpec.discrete(((-1.0, 0.05), (0.0, 0.9), (1.0, 0.05)))
+FOUR_ATOMS = NoiseSpec.discrete(((-10.0, 0.05), (-1.0, 0.45), (1.0, 0.45), (10.0, 0.05)))
+
+
+def spread_pool(n):
+    # irregular gaps, so no atom offset ties two candidates
+    return CandidatePool(tuple(2.7 - 0.37 * i - 0.011 * i * i for i in range(n)))
 
 
 # ---------------------------------------------------------------- selection
@@ -73,21 +83,20 @@ def test_selection_pmf_tiny_accuracy_softmax_is_uniform():
         assert abs(pmf[c - 1] - 1 / 3) < 1e-8
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        RankingModelSpec.mallows(1.7),
-        RankingModelSpec.plackett_luce(0.9),
-        RankingModelSpec.rum(NoiseSpec.gaussian(), 1.1),
-        RankingModelSpec.rum(NoiseSpec.discrete(((-1.0, 0.3), (0.0, 0.4), (1.0, 0.3))), 1.3),
-    ],
+FAMILIES = (
+    RankingModelSpec.mallows(1.7),
+    RankingModelSpec.plackett_luce(0.9),
+    RankingModelSpec.rum(NoiseSpec.gaussian(), 1.1),
+    RankingModelSpec.rum(NoiseSpec.discrete(((-1.0, 0.3), (0.0, 0.4), (1.0, 0.3))), 1.3),
 )
+
+
+@pytest.mark.parametrize("spec", FAMILIES)
 def test_selection_pmf_is_a_distribution(spec):
-    # a length-n array over 0-based candidates at every n the engine takes:
-    # entries >= 0 summing to 1 within 1e-12, exactly 0 on removed candidates
-    continuous = spec.kind == "rum" and spec.noise.is_continuous
+    # a length-n array over 0-based candidates: entries >= 0 summing to 1
+    # within 1e-12, exactly 0 on removed candidates
     rng = np.random.default_rng(8)
-    for n in range(2, (MAX_QUADRATURE_N if continuous else MAX_PMF_N) + 1):
+    for n in range(2, 13):
         pool = CandidatePool(tuple(np.sort(rng.uniform(0.0, 1.0, n))[::-1]))
         for size in (0, *rng.integers(1, n, 3)):
             removed = {int(c) + 1 for c in rng.choice(n, size, replace=False)}
@@ -115,10 +124,12 @@ def test_selection_pmf_rejects_bad_removals():
         exact_selection_pmf(MALLOWS, POOL3, {1, 2, 3})
 
 
-def test_selection_pmf_size_cap():
-    big = CandidatePool(tuple(float(9 - i) for i in range(9)))
-    with pytest.raises(UnsupportedModelError):
-        exact_selection_pmf(MALLOWS, big)
+def test_selection_pmf_has_no_size_cap():
+    # n = 9 raised UnsupportedModelError while the pmf enumerated all rankings
+    for spec, n in itertools.product(FAMILIES, range(9, 13)):
+        pmf = exact_selection_pmf(spec, spread_pool(n), {2, n})
+        assert pmf.shape == (n,) and (pmf >= 0).all()
+        assert abs(math.fsum(pmf) - 1.0) <= 1e-12, (spec, n)
 
 
 # ------------------------------------------------------- first-survivor pmf
@@ -131,7 +142,7 @@ def _removed_sets(rng, n):
     return [(), tuple(sorted(int(c) for c in drawn)), tuple(sorted(int(c) for c in single))]
 
 
-@pytest.mark.parametrize("n", range(2, MAX_PMF_N + 1))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_mallows_first_survivor_pmf_matches_enumeration(n):
     rng = np.random.default_rng(100 + n)
     for _ in range(3):
@@ -179,6 +190,89 @@ def test_mallows_first_survivor_pmf_scales_past_enumeration():
     assert np.abs(pmf - want).max() <= 1e-12
 
 
+def _order_pmf(spec, pool):
+    """The enumeration oracle of each family as a dict from order to probability."""
+    x = pool.values
+    if spec.kind == "plackett_luce":
+        return oracles.luce_pmf(spec.theta, x)
+    if spec.noise.is_continuous:
+        # up to three candidates the top two fix the order
+        P = oracles.rum_top_two_quad(spec.noise.kind, spec.theta, x)
+        return {(a, b, *(set(range(len(x))) - {a, b})): P[a][b]
+                for a, b in itertools.permutations(range(len(x)), 2)}
+    perms = perm_space(len(x)).perms
+    return dict(zip(map(tuple, perms.tolist()), permutation_probabilities(spec, pool)))
+
+
+@pytest.mark.parametrize("spec, sizes", [
+    (RankingModelSpec.plackett_luce(0.9), range(2, 9)),
+    (RankingModelSpec.rum(THREE_ATOMS, 1.3), range(2, 9)),
+    (RankingModelSpec.rum(FOUR_ATOMS, 0.8), range(2, 9)),
+    (RankingModelSpec.rum(NoiseSpec.gaussian(), 1.1), (2, 3)),
+    (RankingModelSpec.rum(NoiseSpec.laplacian(), 0.3), (2, 3)),
+    (RankingModelSpec.rum(NoiseSpec.gumbel(), 5.0), (2, 3)),
+], ids=["softmax", "atoms3", "atoms4", "gaussian", "laplacian", "gumbel"])
+def test_selection_pmf_matches_enumeration(spec, sizes):
+    rng = np.random.default_rng(21)
+    for n in sizes:
+        pool = spread_pool(n)
+        orders = _order_pmf(spec, pool)
+        for removed0 in _removed_sets(rng, n):
+            want = oracles.first_survivor(orders, n, set(removed0))
+            got = exact_selection_pmf(spec, pool, {c + 1 for c in removed0})
+            assert np.abs(got - want).max() <= 1e-12, (n, removed0)
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: getattr(s.noise, "kind", s.kind))
+def test_selection_pmf_matches_sampled_first_survivors_at_ten_candidates(spec):
+    n, size, removed0 = 10, 200_000, (0, 3, 4, 8)
+    pool = spread_pool(n)
+    orders = sample_rankings(spec, np.broadcast_to(pool.as_array(), (size, n)),
+                             np.random.default_rng(13))
+    picks = orders[np.arange(size), np.argmax(~np.isin(orders, removed0), axis=1)]
+    got = np.bincount(picks, minlength=n) / size
+    want = exact_selection_pmf(spec, pool, {c + 1 for c in removed0})
+    se = np.sqrt(want * (1.0 - want) / size)
+    assert (got[list(removed0)] == 0).all() and (want[list(removed0)] == 0).all()
+    survivors = [c for c in range(n) if c not in removed0]
+    assert (np.abs(got - want)[survivors] <= 5 * se[survivors]).all(), (got, want)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data(), st.sampled_from(FAMILIES), st.sampled_from((0.3, 1.3, 3.7)))
+def test_removing_more_candidates_never_lowers_a_survivors_probability(data, family, theta):
+    # the first survivor of a smaller set heads the larger set's survivors
+    # too, whatever the ranking model: event inclusion
+    if family.kind == "rum" and not family.noise.is_continuous:
+        family = RankingModelSpec.rum(NoiseSpec.discrete(((-1.0, 0.4), (1.0, 0.6))), 1.0)
+    spec = family.with_theta(theta)  # no atom offset 2 / theta is a multiple of 0.01
+    pool = data.draw(pools(min_n=2))
+    n = pool.n
+    order = data.draw(st.permutations(range(1, n + 1)))
+    fewer = data.draw(st.integers(0, n - 2))
+    more = data.draw(st.integers(fewer, n - 1))
+    base = exact_selection_pmf(spec, pool, set(order[:fewer]))
+    shrunk = exact_selection_pmf(spec, pool, set(order[:more]))
+    assert all(shrunk[c - 1] >= base[c - 1] - 1e-12 for c in order[more:])
+    alone = exact_selection_pmf(spec, pool, set(order[:-1]))
+    assert abs(alone[order[-1] - 1] - 1.0) <= 1e-12
+
+
+def test_no_engine_path_enumerates_rankings(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"enumerated all {n}! rankings")
+
+    monkeypatch.setattr(permspace, "PermSpace", refuse)
+    permspace.perm_space.cache_clear()
+    mallows_perm_probs.cache_clear()
+    for spec in FAMILIES:
+        for n in range(2, 13):
+            exact_selection_pmf(spec, spread_pool(n), {1, n} if n > 2 else {1})
+        assert check_monotonicity(spec, (0.5, 1.0), {2}, spread_pool(8)).detail["exact"]
+        exact_utility_table(1.5, 1.0, spec, spread_pool(12))
+    exact_sequential_utilities("AHAHA", 2.0, 1.5, spread_pool(9))
+
+
 def test_quadrature_permutation_probabilities_capped_at_three():
     spec = RankingModelSpec.rum(NoiseSpec.gaussian(), 1.0)
     with pytest.raises(UnsupportedModelError):
@@ -201,15 +295,6 @@ def test_gaussian_quadrature_probabilities_sum_to_one():
 
 
 # ---------------------------------------------------------------- top two
-
-
-THREE_ATOMS = NoiseSpec.discrete(((-1.0, 0.05), (0.0, 0.9), (1.0, 0.05)))
-FOUR_ATOMS = NoiseSpec.discrete(((-10.0, 0.05), (-1.0, 0.45), (1.0, 0.45), (10.0, 0.05)))
-
-
-def spread_pool(n):
-    # irregular gaps, so no atom offset ties two candidates
-    return CandidatePool(tuple(2.7 - 0.37 * i - 0.011 * i * i for i in range(n)))
 
 
 @pytest.mark.parametrize(
