@@ -10,7 +10,7 @@ Continuous score noise makes two things feel inevitable:
      a stronger one.
 
 Neither survives discrete noise. Both counterexamples below use tiny
-atom families, exact enumeration, and margins you can print.
+atom families, exact utility tables, and margins you can print.
 """
 
 from monoculture import CandidatePool, exact_utility_table
@@ -29,11 +29,11 @@ print()
 print("negative means the independent rival is WORSE for you than the")
 print("same-ranking rival, the opposite of the continuous-noise rule.")
 
-# the enumeration collapses to a closed-form polynomial in delta; check one
+# the exact margin collapses to a closed-form polynomial in delta; check one
 delta = 0.1
 table = exact_utility_table(1.0, 1.0, b1_family(delta), pool)
 poly = b1_polynomial(delta, 1.75, 0.5)
-print(f"closed form at delta={delta}: {poly:+.9f}  (enumerated {table.u_ah - table.u_aa:+.9f})")
+print(f"closed form at delta={delta}: {poly:+.9f}  (exact table {table.u_ah - table.u_aa:+.9f})")
 print()
 
 # --- counterexample 2: the stronger rival can be better to follow -----------

@@ -448,7 +448,7 @@ def reproduce_counterexample_b1(log: CheckLog, args) -> None:
     )
     poly = b1_polynomial(B1_DELTA, 1.75, 0.5)
     log.check(
-        "enumeration matches the closed-form polynomial",
+        "exact table matches the closed-form polynomial",
         abs(diff - poly) <= 1e-12,
         diff - poly,
         "0 +- 1e-12",

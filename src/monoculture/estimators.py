@@ -34,7 +34,6 @@ from .core import CandidateDistribution, CandidatePool, PoolOrDistribution
 from .exact import (
     ENTRY_NAMES,
     UtilityTable,
-    _atom_support_fits,
     _mallows_first_survivor_pmf,
     exact_selection_pmf,
     top_two_pmf,
@@ -514,9 +513,8 @@ def check_monotonicity(
     if not removed <= set(range(1, pool.n + 1)) or len(removed) >= pool.n:
         raise ValueError(f"removed {sorted(removed)} is not a proper subset of 1..{pool.n}")
 
-    exact_mode = (
-        pool.n <= _EXACT_MONOTONICITY_N and (isinstance(pool, CandidatePool) or spec.value_independent)
-        and (spec.noise is None or spec.noise.is_continuous or _atom_support_fits(spec.noise, pool.n)))
+    exact_mode = pool.n <= _EXACT_MONOTONICITY_N and (
+        isinstance(pool, CandidatePool) or spec.value_independent)
     if exact_mode:
         fixed = pool if isinstance(pool, CandidatePool) else pool.mean_pool()
         x = fixed.as_array()

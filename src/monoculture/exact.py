@@ -2,14 +2,13 @@
 
 Utility tables are linear in the n x n top-two pmf (`top_two_pmf`): closed
 forms, one composite Gauss-Legendre rule shared by all candidate pairs, or
-atom enumeration (at most 2e6 atom combinations). Selection pmfs have no
-size cap: repeated insertion for the distance-based family, the survivors'
-top-two pmf for the others; only the full-ranking pmf enumerates n!
-rankings. Sequential hiring keeps the mass of each state (S, R) after m
-hires: S the hired set, R the entries of the shared ranking revealed so
-far. Firms playing A and H move it by one step over move tables cached
-per (n, m), with at most MAX_LEVEL_STATES states at any level. All are
-exact up to rounding and quadrature error.
+a sum over the cells of finite-atom noise. Neither they nor selection pmfs
+have a size cap; only the full-ranking pmf enumerates rankings and atoms.
+Sequential hiring keeps the mass of each state (S, R) after m hires: S the
+hired set, R the entries of the shared ranking revealed so far. Firms
+playing A and H move it by one step over move tables cached per (n, m),
+with at most MAX_LEVEL_STATES states at any level. All are exact up to
+rounding and quadrature error.
 """
 from __future__ import annotations
 
@@ -107,9 +106,9 @@ def top_two_pmf(spec: RankingModelSpec, x) -> np.ndarray:
     over b's perturbed value, by one composite 16-point Gauss-Legendre rule
     for all pairs (panels at most 1/theta wide over x_c +- 40/theta, split at
     the pool values); UnsupportedModelError if the pmf misses 1 by over 1e-8.
-    Discrete RUMs: atom enumeration, with TieError on a tie anywhere in a
-    ranking. The last 128 pmfs are cached by spec and values (by n for the
-    distance-based family), so a lattice's rows and columns share them.
+    Discrete RUMs: the same integral as a sum over b's perturbed cells, with
+    TieError on a tie anywhere in a ranking. The last 128 pmfs are cached by
+    spec and values (by n for the distance-based family).
     """
     key = len(x) if spec.value_independent else tuple(float(v) for v in x)
     return _top_two_pmf(spec, key)
@@ -230,15 +229,11 @@ def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(_GL_POINTS)
 
 
-def _atom_support_fits(noise: NoiseSpec, n: int) -> bool:  # the atom-enumeration cap
-    return len(noise.atoms) ** n <= 2_000_000
-
-
 def _atom_enumeration(noise: NoiseSpec, theta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Perturbed values and joint probability of every atom combination, one
-    row each; TieError if any combination ties two candidates."""
+    row each (the full-ranking pmf); TieError if any combination ties two."""
     n, m = len(x), len(noise.atoms)
-    if not _atom_support_fits(noise, n):
+    if m**n > 2_000_000:
         raise UnsupportedModelError(f"joint atom support {m}^{n} too large")
     cells = _atom_cells(noise, theta, x)
     probs = np.array([p for _, p in noise.atoms])
@@ -265,12 +260,22 @@ def _atom_cells(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
 
 
 def _discrete_rum_top_two(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    perturbed, joint = _atom_enumeration(noise, theta, x)
-    top = np.argmax(perturbed, axis=1)
-    perturbed[np.arange(len(top)), top] = -np.inf
-    second = np.argmax(perturbed, axis=1)
-    return np.bincount(top * n + second, weights=joint, minlength=n * n).reshape(n, n)
+    """P[a, b] = sum over b's cells t of p(t) Pr(X_a > t) prod_{c != a, b}
+    Pr(X_c < t), exact as `_atom_cells` rules out ties between candidates;
+    each Pr a direct sum, the product a prefix times a suffix product."""
+    cells = _atom_cells(noise, theta, x)
+    n, m = cells.shape
+    order = np.argsort(cells.ravel(), kind="stable")
+    node, owner = np.arange(n * m), order // m
+    p = np.array([q for _, q in noise.atoms])[order % m]
+    mass = np.zeros((n, n * m + 2))  # mass[c, k + 1]: c's probability at the k-th smallest cell
+    mass[owner, node + 1] = p
+    below, above = np.cumsum(mass, axis=1)[:, :-2], np.cumsum(mass[:, ::-1], axis=1)[:, -3::-1]
+    below[owner, node], above[owner, node] = 1.0, 0.0  # b's own factor drops out
+    factors = np.pad(below.T, ((0, 0), (1, 1)), constant_values=1.0)
+    others = np.cumprod(factors, axis=1)[:, :-2] * np.cumprod(factors[:, ::-1], axis=1)[:, -3::-1]
+    terms = p[:, None] * above.T * others
+    return np.bincount((np.arange(n) * n + owner[:, None]).ravel(), terms.ravel(), n * n).reshape(n, n)
 
 
 def _pl_perm_probs(theta: float, x: np.ndarray) -> np.ndarray:
@@ -325,13 +330,20 @@ def _resolve_exact_values(pool_or_d: PoolOrDistribution, value_independent: bool
     raise TypeError(f"expected pool or distribution, got {type(pool_or_d)!r}")
 
 
-def exact_utility_table(
-    theta_a: float,
-    theta_h: float,
-    family: RankingModelSpec,
-    pool: PoolOrDistribution,
-) -> UtilityTable:
-    """All six expected utilities of the two-firm hiring interaction.
+def exact_utility_table(theta_a: float, theta_h: float, family: RankingModelSpec,
+                        pool: PoolOrDistribution) -> UtilityTable:
+    """All six expected utilities of the two-firm hiring interaction: the
+    one-cell `exact_utility_lattice`, raising its cell's error."""
+    table = exact_utility_lattice([theta_h], [theta_a], family, pool)[0][0]
+    if isinstance(table, ValueError):
+        raise table
+    return table
+
+
+def exact_utility_lattice(theta_h_values, theta_a_values, family: RankingModelSpec,
+                          pool: PoolOrDistribution) -> list[list[UtilityTable | ValueError]]:
+    """The utility table of every cell (theta_h, theta_a) of an accuracy
+    lattice, one list per theta_h, from one top-two pmf per accuracy.
 
     The first mover takes the top of its ranking; the second mover takes
     the top remaining candidate of its own ranking. Matching strategies
@@ -339,23 +351,32 @@ def exact_utility_table(
     rankings. With P a ranking's top-two pmf and p1 = P.sum(1), a first
     mover gets p1 @ x, a sharing second mover P.sum(0) @ x, and an
     independent one G = p1 @ x - p1 x + P @ x contracted against the first
-    mover's p1. Tests check this against double enumeration of ranking pairs.
+    mover's p1: one matrix product over all accuracies, checked against
+    double enumeration of ranking pairs. A cell whose pmf raised ValueError
+    holds that error, theta_a's when both did.
     """
     x = _resolve_exact_values(pool, family.value_independent)
-    p_a = top_two_pmf(family.with_theta(theta_a), x)
-    p_h = top_two_pmf(family.with_theta(theta_h), x)
-    first_a = p_a.sum(axis=1)
-    first_h = p_h.sum(axis=1)
-    g_a = first_a @ x - first_a * x + p_a @ x
-    g_h = first_h @ x - first_h * x + p_h @ x
-    return UtilityTable(
-        u_first_a=float(first_a @ x),
-        u_first_h=float(first_h @ x),
-        u_aa=float(p_a.sum(axis=0) @ x),
-        u_ah=float(first_a @ g_h),
-        u_ha=float(first_h @ g_a),
-        u_hh=float(first_h @ g_h),
-    )
+    index = {theta: k for k, theta in enumerate(dict.fromkeys([*theta_h_values, *theta_a_values]))}
+    first, g = np.zeros((len(index), len(x))), np.zeros((len(index), len(x)))
+    own, errors = [(0.0, 0.0)] * len(index), {}
+    for theta, k in index.items():
+        try:
+            pmf = top_two_pmf(family.with_theta(theta), x)
+        except ValueError as exc:
+            errors[k] = exc
+            continue
+        first[k] = pmf.sum(axis=1)
+        g[k] = first[k] @ x - first[k] * x + pmf @ x
+        own[k] = (float(first[k] @ x), float(pmf.sum(axis=0) @ x))
+    # cross[s][t]: an independent second mover at accuracy t against a first
+    # mover at s; one product for all pairs, so u_ha = u_hh where theta_a = theta_h
+    cross = (first @ g.T).tolist()
+    cols = [index[theta] for theta in theta_a_values]
+    return [
+        [errors.get(a) or errors.get(h) or UtilityTable(
+            own[a][0], own[h][0], own[a][1], cross[a][h], cross[h][a], cross[h][h]) for a in cols]
+        for h in (index[theta] for theta in theta_h_values)
+    ]
 
 
 def exact_welfare(table: UtilityTable, profile: str) -> float:

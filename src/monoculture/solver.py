@@ -23,6 +23,7 @@ from .exact import (
     UtilityTable,
     _sequential_values,
     exact_sequential_utilities,
+    exact_utility_lattice,
     exact_utility_table,
     exact_welfare,
 )
@@ -479,9 +480,11 @@ def sweep_plane(
     mapping theta to dispersion 1 + theta). Domain failures (ValueError and
     its subclasses, such as UnsupportedModelError and TieError) are recorded
     on the cell rather than aborting the sweep; any other exception is a bug
-    and propagates. Cell seeds derive from (seed, row, column). Cells run
-    one after another; a Monte Carlo cell spreads its own chunks over the
-    cores, as `mc_utility_table` does by default.
+    and propagates. Exact two-firm tables come from one
+    `exact_utility_lattice` call, so an accuracy whose pmf fails marks just
+    its own row or column. Cell seeds derive from (seed, row, column). Cells
+    are classified one after another; a Monte Carlo cell spreads its own
+    chunks over the cores, as `mc_utility_table` does by default.
     """
     if engine not in ("exact", "mc"):
         raise ValueError(f"engine must be exact or mc, got {engine!r}")
@@ -493,6 +496,11 @@ def sweep_plane(
         raise ValueError("k-firm sweeps support the distance-based family only")
     rows = [float(t) for t in theta_h_values]
     cols = [float(t) for t in theta_a_values]
+    if k == 2 and engine == "exact":
+        try:
+            lattice = exact_utility_lattice(rows, cols, family, pool_or_d)
+        except ValueError as exc:
+            lattice = [[exc] * len(cols) for _ in rows]
 
     def run_cell(i: int, j: int) -> SweepCell:
         theta_h, theta_a = rows[i], cols[j]
@@ -500,14 +508,12 @@ def sweep_plane(
             if k > 2:
                 seq = sequential_optimal_sequence(k, 1.0 + theta_a, 1.0 + theta_h, pool_or_d)
                 return SweepCell(theta_h, theta_a, seq)
-            if engine == "exact":
-                table = exact_utility_table(theta_a, theta_h, family, pool_or_d)
-            else:
-                table = mc_utility_table(
-                    theta_a, theta_h, family, pool_or_d, n_samples, _cell_seed(seed, i, j)
-                )
-            return SweepCell(theta_h, theta_a, classify_equilibrium(table))
+            table = lattice[i][j] if engine == "exact" else mc_utility_table(
+                theta_a, theta_h, family, pool_or_d, n_samples, _cell_seed(seed, i, j))
+            if not isinstance(table, ValueError):
+                return SweepCell(theta_h, theta_a, classify_equilibrium(table))
         except ValueError as exc:
-            return SweepCell(theta_h, theta_a, None, f"{type(exc).__name__}: {exc}")
+            table = exc
+        return SweepCell(theta_h, theta_a, None, f"{type(table).__name__}: {table}")
 
     return [run_cell(i, j) for i in range(len(rows)) for j in range(len(cols))]

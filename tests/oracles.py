@@ -1,14 +1,16 @@
 """Independent oracles for the ranking models, by brute enumeration, the
-distance-based family's closed forms and, for continuous noise, scipy's
-adaptive quadrature.
+distance-based family's closed forms, exact rational arithmetic for
+finite-atom noise and, for continuous noise, scipy's adaptive quadrature.
 
 Nothing here imports monoculture. Orders are tuples of 0-based candidate
 indices, best first, with candidate 0 the best; each pmf is a dict from
 order to probability over all n! orders.
 """
 
+import heapq
 import itertools
 import math
+from fractions import Fraction
 
 from scipy import integrate
 
@@ -130,6 +132,41 @@ def rum_top_two_quad(kind, theta, values):
             for lo, hi in pieces
         )
     return pmf
+
+
+def atom_cells(atoms, theta, values):
+    """Each candidate's perturbed value under each (value, probability)
+    atom, as the float x + v / theta; floats compare exactly."""
+    return [[x + v / theta for v, _ in atoms] for x in values]
+
+
+def atom_top_two(atoms, theta, values):
+    """Pr(top = a, runner-up = b) of a finite-atom RUM as an n x n list of
+    Fractions, by enumerating every atom combination with exact weights:
+    each float probability is an integer over a common power of two.
+    Assumes no two candidates' cells are equal."""
+    n = len(values)
+    den = max(p.as_integer_ratio()[1] for _, p in atoms)
+    nums = [p.as_integer_ratio()[0] * (den // p.as_integer_ratio()[1]) for _, p in atoms]
+    totals = [[0] * n for _ in range(n)]
+    for combo in itertools.product(*[list(zip(row, nums)) for row in atom_cells(atoms, theta, values)]):
+        top, second = heapq.nlargest(2, range(n), key=lambda c: combo[c][0])
+        totals[top][second] += math.prod(w for _, w in combo)
+    return [[Fraction(t, den**n) for t in row] for row in totals]
+
+
+def atom_first_choice(atoms, theta, values):
+    """Pr(a on top) = sum_j p_j prod_{c != a} Pr(X_c < cell_aj) of a
+    finite-atom RUM, as Fractions; assumes no two candidates' cells are equal."""
+    cells = atom_cells(atoms, theta, values)
+    probs = [Fraction(p) for _, p in atoms]
+
+    def below(c, t):
+        return sum(p for cell, p in zip(cells[c], probs) if cell < t)
+
+    return [sum(p * math.prod(below(c, t) for c in range(len(values)) if c != a)
+                for t, p in zip(cells[a], probs))
+            for a in range(len(values))]
 
 
 def top_two(pmf, n):

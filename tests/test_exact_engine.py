@@ -1,7 +1,8 @@
 """Exact selection pmfs, utility tables, welfare, and sequential hiring.
 
 The top-two pmf is checked against the (first, second) marginal of the
-enumerated permutation pmf. The table built from it and the
+enumerated permutation pmf, and for finite-atom noise against every atom
+combination in exact arithmetic. The table built from it and the
 (removed set, revealed set) recursion in exact_sequential_utilities are
 both checked against literal double enumeration over ranking tuples; the
 recursion also against a replay that branches over each human firm's
@@ -13,6 +14,7 @@ import itertools
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from monoculture import (
     mallows_perm_probs,
     permutation_probabilities,
     sample_rankings,
+    sweep_plane,
     top_two_pmf,
     uniform_order_statistic_means,
 )
@@ -46,7 +49,7 @@ from monoculture.exact import (
     _pair_integrals,
     _reveal_weights,
 )
-from monoculture import permspace
+from monoculture import exact as exact_engine, permspace
 from monoculture.permspace import perm_space
 from tests import oracles
 
@@ -271,6 +274,35 @@ def test_no_engine_path_enumerates_rankings(monkeypatch):
         assert check_monotonicity(spec, (0.5, 1.0), {2}, spread_pool(8)).detail["exact"]
         exact_utility_table(1.5, 1.0, spec, spread_pool(12))
     exact_sequential_utilities("AHAHA", 2.0, 1.5, spread_pool(9))
+
+
+def test_no_engine_path_enumerates_atoms(monkeypatch):
+    def refuse(noise, theta, x):
+        raise AssertionError(f"enumerated {len(noise.atoms)}^{len(x)} atom combinations")
+
+    monkeypatch.setattr(exact_engine, "_atom_enumeration", refuse)
+    exact_engine._top_two_pmf.cache_clear()
+    seven_atoms = NoiseSpec.discrete(tuple((0.1234567 * k, 1 / 7) for k in range(-3, 4)))
+    spec = RankingModelSpec.rum(seven_atoms, 1.3)  # 7^10 combinations at n = 10
+    pool = spread_pool(10)
+    top_two_pmf(spec, pool.as_array())
+    exact_selection_pmf(spec, pool, {1, 10})
+    exact_utility_table(1.5, 1.0, spec, pool)
+    assert all(cell.error is None for cell in sweep_plane((1.0, 2.0), (0.7, 1.5), spec, pool))
+    # n = 8 is the largest pool check_monotonicity runs exactly
+    assert check_monotonicity(spec, (0.5, 1.0), {2}, spread_pool(8)).detail["exact"]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_discrete_top_two_pmf_matches_exact_enumeration(seed):
+    # the support-point sum against every atom combination in exact arithmetic
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(2, 5)), int(rng.integers(2, 9))
+    atoms = tuple(zip(np.sort(rng.normal(size=m)).tolist(), rng.dirichlet(np.ones(m)).tolist()))
+    theta, values = float(rng.uniform(0.2, 5.0)), rng.uniform(0.0, 3.0, n).tolist()
+    got = top_two_pmf(RankingModelSpec.rum(NoiseSpec.discrete(atoms), theta), values)
+    want = oracles.atom_top_two(atoms, theta, values)
+    assert max(abs(Fraction(got[a, b]) - want[a][b]) for a in range(n) for b in range(n)) <= 1e-15
 
 
 def test_quadrature_permutation_probabilities_capped_at_three():
@@ -553,12 +585,18 @@ def test_three_atom_counterexample_value():
     assert abs((t.u_ah - t.u_aa) - (-7.61640625e-4)) < 1e-12
 
 
-def test_table_size_cap():
-    # the table over discrete noise enumerates every atom combination, so it
-    # still refuses a joint support of 3^14 > 2e6 before allocating any of it
-    big = CandidatePool(tuple(float(14 - i) for i in range(14)))
-    with pytest.raises(UnsupportedModelError):
-        exact_utility_table(2.0, 1.5, RankingModelSpec.rum(THREE_ATOMS, 1.0), big)
+def test_atom_table_has_no_size_cap():
+    # 3^14 atom combinations: the first-choice marginal behind the table's
+    # first-mover entries matches exact arithmetic, term by term
+    big = spread_pool(14)
+    x = big.as_array()
+    family = RankingModelSpec.rum(THREE_ATOMS, 1.0)
+    table = exact_utility_table(2.0, 1.5, family, big)
+    for theta, u_first in ((2.0, table.u_first_a), (1.5, table.u_first_h)):
+        want = oracles.atom_first_choice(THREE_ATOMS.atoms, theta, big.values)
+        got = top_two_pmf(family.with_theta(theta), x).sum(axis=1)
+        assert max(abs(Fraction(g) - w) for g, w in zip(got.tolist(), want)) < 1e-15
+        assert abs(u_first - float(sum(w * Fraction(v) for w, v in zip(want, big.values)))) < 1e-14
 
 
 def test_mallows_table_past_the_old_size_cap_matches_the_pair_marginal():

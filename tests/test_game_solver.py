@@ -15,6 +15,7 @@ from monoculture import (
     NoiseSpec,
     RankingModelSpec,
     StrategySequence,
+    TieError,
     UnsupportedModelError,
     UtilityTable,
     binary_counter_scan,
@@ -443,6 +444,67 @@ def test_sweep_plane_lets_programming_errors_raise(monkeypatch):
     monkeypatch.setattr(solver, "mc_utility_table", broken)
     with pytest.raises(IndexError):
         sweep_plane((1.0,), (0.5,), MALLOWS, POOL3, engine="mc", n_samples=1_000)
+
+
+ATOMS = RankingModelSpec.rum(NoiseSpec.discrete(((-1.0, 0.2), (0.0, 0.5), (1.0, 0.3))), 1.0)
+SPREAD5 = CandidatePool((2.7, 2.319, 1.916, 1.491, 1.044))
+ACCURACIES = st.one_of(st.sampled_from((0.5, 1.0, 2.0)), st.floats(0.1, 5.0))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from([(MALLOWS, SPREAD5), (RankingModelSpec.plackett_luce(1.0), SPREAD5),
+                        (ATOMS, SPREAD5), (GAUSSIAN, POOL3)]),
+       st.lists(ACCURACIES, min_size=1, max_size=4), st.lists(ACCURACIES, min_size=1, max_size=5))
+def test_exact_sweep_cells_are_the_per_cell_tables(case, rows, cols):
+    family, pool = case
+    cells = sweep_plane(rows, cols, family, pool)
+    assert [(c.theta_h, c.theta_a) for c in cells] == [(h, a) for h in rows for a in cols]
+    for cell in cells:
+        try:
+            want = classify_equilibrium(exact_utility_table(cell.theta_a, cell.theta_h, family, pool))
+        except ValueError as exc:
+            assert cell.outcome is None and cell.error == f"{type(exc).__name__}: {exc}"
+        else:
+            assert cell.error is None and cell.outcome == want
+
+
+def test_exact_sweep_records_a_failing_accuracy_on_its_own_cells():
+    # under +-1 atoms on (1, 0.5, 0), theta 4 ties candidates 2 and 3
+    # (0.5 - 1/4 = 0 + 1/4) and theta 2 ties candidates 1 and 3 (1 - 1/2 = 0 + 1/2)
+    family = RankingModelSpec.rum(NoiseSpec.discrete(((-1.0, 0.5), (1.0, 0.5))), 1.0)
+    cells = sweep_plane((1.0, 2.0, 3.0), (0.5, 4.0, 1.0), family, POOL3)
+    for cell in cells:
+        if 2.0 in (cell.theta_a, cell.theta_h) or cell.theta_a == 4.0:
+            with pytest.raises(TieError) as err:
+                exact_utility_table(cell.theta_a, cell.theta_h, family, POOL3)
+            assert cell.outcome is None and cell.error == f"TieError: {err.value}"
+        else:
+            assert cell.error is None and cell.outcome is not None
+    # where both accuracies fail, theta_a's error is the cell's
+    assert "candidates 2 and 3" in cells[4].error
+    assert "candidates 1 and 3" in cells[3].error
+
+
+def test_exact_sweep_lets_programming_errors_raise(monkeypatch):
+    import monoculture.exact as exact
+
+    def broken(spec, x):
+        raise IndexError("index 5 is out of bounds")
+
+    monkeypatch.setattr(exact, "top_two_pmf", broken)
+    with pytest.raises(IndexError):
+        sweep_plane((1.0,), (0.5,), MALLOWS, POOL3)
+
+
+def test_exact_sweep_classifies_each_cell_once_in_row_major_order(monkeypatch):
+    import monoculture.solver as solver
+
+    seen = []
+    classify = solver.classify_equilibrium
+    monkeypatch.setattr(solver, "classify_equilibrium", lambda table: seen.append(table) or classify(table))
+    rows, cols = (1.0, 1.5, 0.7), (0.5, 1.5, 3.0, 1.0)
+    sweep_plane(rows, cols, MALLOWS, POOL4)
+    assert seen == [exact_utility_table(a, h, MALLOWS, POOL4) for h in rows for a in cols]
 
 
 def test_sweep_plane_mc_results_do_not_depend_on_threads(monkeypatch, pool_sizes):
