@@ -1,12 +1,13 @@
 """Coupled Monte Carlo estimation of utilities and condition checks.
 
-Trials are partitioned into chunks of CHUNK_SIZE (8192) rows; chunk c uses
-an rng stream derived from (seed, c), and per-chunk moments (count, mean,
-centred sum of squares) are merged in chunk order, so results are
-bit-identical for a given seed on any number of workers; `threads=None`
-runs one per core, at most one per chunk. Within a trial all quantities
-share the same draws (common random numbers), which shrinks the variance
-of every estimated difference.
+Trials are partitioned into chunks of CHUNK_SIZE (8192) rows by one driver,
+`_run_chunks`. Chunk c draws from an rng stream keyed by (seed, stream, c):
+its pool rows first (fresh from a distribution; a fixed pool draws nothing),
+then its rankings. Per-chunk moments (count, mean, centred sum of squares)
+are merged in chunk order, so results are bit-identical for a given seed on
+any number of workers; `threads=None` runs one per core, at most one per
+chunk. Within a trial all quantities share the same draws (common random
+numbers), which shrinks the variance of every estimated difference.
 
 No estimator samples a whole ranking. Every two-firm estimand reads only
 the top two of each ranking, and the monotonicity check only the best
@@ -106,18 +107,6 @@ def _verdict(est: EstimateWithError) -> str:
     if _strict(-est.mean, est.stderr):
         return VERDICT_FAILS
     return VERDICT_INCONCLUSIVE
-
-
-def _chunk_rng(seed: int, chunk_index: int, stream: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, chunk_index)))
-
-
-def _chunk_sizes(n_samples: int) -> list[int]:
-    full, rest = divmod(n_samples, CHUNK_SIZE)
-    sizes = [CHUNK_SIZE] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
 
 
 def _pool_matrix(pool_or_d: PoolOrDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -255,42 +244,6 @@ def _top_avoiding(top_two: np.ndarray, blocked: np.ndarray) -> np.ndarray:
     return np.where(top_two[:, 0] != blocked, top_two[:, 0], top_two[:, 1])
 
 
-class _MomentAccumulator:
-    """Per-chunk (count, mean, centred sum of squares), merged in chunk order.
-
-    Centred moments merged pairwise (Chan, Golub & LeVeque 1979) keep the
-    variance accurate when values sit far from zero, where the raw form
-    E[v^2] - E[v]^2 cancels to nothing.
-    """
-
-    def __init__(self, names: tuple[str, ...], n_chunks: int):
-        self.names = names
-        self._partials: list[dict[str, tuple[int, float, float]] | None] = [None] * n_chunks
-
-    def put(self, chunk_index: int, values: dict[str, np.ndarray]) -> None:
-        entry = {}
-        for name in self.names:
-            v = values[name]
-            mean = float(v.mean())
-            d = v - mean
-            entry[name] = (v.size, mean, float((d * d).sum()))
-        self._partials[chunk_index] = entry
-
-    def finalize(self) -> dict[str, EstimateWithError]:
-        out = {}
-        for name in self.names:
-            count, mean, m2 = 0, 0.0, 0.0
-            for entry in self._partials:
-                n_c, mean_c, m2_c = entry[name]
-                total = count + n_c
-                delta = mean_c - mean
-                mean += delta * n_c / total
-                m2 += m2_c + delta * delta * count * n_c / total
-                count = total
-            out[name] = EstimateWithError(mean, math.sqrt(m2 / count / count), count)
-        return out
-
-
 def _cores() -> int:  # the cores this process may run on
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -304,28 +257,46 @@ def _workers(threads: int | None) -> int:
     return threads
 
 
-def _run_chunks(kernel, n_samples: int, names: tuple[str, ...], threads: int | None):
-    """Run `kernel(chunk_index, size)` over all chunks on up to `threads`
-    workers and reduce; a stderr needs 2+ trials."""
+def _run_chunks(kernel, pool_or_d: PoolOrDistribution, n_samples: int, seed: int,
+                threads: int | None, stream: int = 0) -> dict[str, EstimateWithError]:
+    """Mean and stderr of each per-trial array of `kernel(pools, rng)`, over
+    n_samples trials in chunks of CHUNK_SIZE on up to `threads` workers.
+    Chunk c draws its pool rows, then the kernel's draws, from the rng keyed
+    by (seed, stream, c). Per-chunk centred moments are merged in chunk
+    order (Chan, Golub & LeVeque 1979), which keeps the variance accurate
+    where E[v^2] - E[v]^2 would cancel; a stderr needs 2+ trials."""
     if n_samples < 2:
         raise ValueError(f"need n_samples >= 2, got {n_samples}")
-    sizes = _chunk_sizes(n_samples)
-    acc = _MomentAccumulator(names, len(sizes))
+    sizes = [min(CHUNK_SIZE, n_samples - start) for start in range(0, n_samples, CHUNK_SIZE)]
     workers = min(_workers(threads), len(sizes))
 
-    def job(index: int) -> None:
-        acc.put(index, kernel(index, sizes[index]))
+    def moments(c: int) -> dict[str, tuple[int, float, float]]:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, c)))
+        pools = _pool_matrix(pool_or_d, rng, sizes[c])
+        out = {}
+        for name, v in kernel(pools, rng).items():
+            mean = float(v.mean())
+            d = v - mean
+            out[name] = (v.size, mean, float((d * d).sum()))
+        return out
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(job, range(len(sizes))))
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            parts = list(executor.map(moments, range(len(sizes))))
     else:
-        for index in range(len(sizes)):
-            job(index)
-    return acc.finalize()
-
-
-_TABLE_NAMES = ENTRY_NAMES + ("d_ah_aa", "d_hh_ah")
+        parts = [moments(c) for c in range(len(sizes))]
+    estimates = {}
+    for name in parts[0]:
+        count, mean, m2 = 0, 0.0, 0.0
+        for part in parts:
+            n_c, mean_c, m2_c = part[name]
+            total = count + n_c
+            delta = mean_c - mean
+            mean += delta * n_c / total
+            m2 += m2_c + delta * delta * count * n_c / total
+            count = total
+        estimates[name] = EstimateWithError(mean, math.sqrt(m2 / count / count), count)
+    return estimates
 
 
 def mc_utility_trials(
@@ -347,9 +318,7 @@ def mc_utility_trials(
     spec_a = spec.with_theta(theta_a)
     spec_h = spec.with_theta(theta_h)
 
-    def kernel(chunk_index: int, size: int) -> dict[str, np.ndarray]:
-        rng = _chunk_rng(seed, chunk_index)
-        pools = _pool_matrix(pool_or_d, rng, size)
+    def kernel(pools: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
         sigma = sample_top_two(spec_a, pools, rng)
         pi = sample_top_two(spec_h, pools, rng)
         tau = sample_top_two(spec_h, pools, rng)
@@ -370,7 +339,7 @@ def mc_utility_trials(
             "d_hh_ah": u_hh - u_ah,
         }
 
-    return _run_chunks(kernel, n_samples, _TABLE_NAMES, threads)
+    return _run_chunks(kernel, pool_or_d, n_samples, seed, threads)
 
 
 def mc_utility_table(
@@ -408,16 +377,14 @@ def check_pref_first_position(
     """
     spec_t = spec.with_theta(theta)
 
-    def kernel(chunk_index: int, size: int) -> dict[str, np.ndarray]:
-        rng = _chunk_rng(seed, chunk_index)
-        pools = _pool_matrix(pool_or_d, rng, size)
+    def kernel(pools: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
         pi = sample_top_two(spec_t, pools, rng)
         sigma = sample_top_two(spec_t, pools, rng)
         gap = _values_at(pools, pi[:, 0]) - _values_at(pools, pi[:, 1])
         hit = (pi[:, 0] != sigma[:, 0]).astype(float)
         return {"estimand": gap * hit}
 
-    est = _run_chunks(kernel, n_samples, ("estimand",), threads)["estimand"]
+    est = _run_chunks(kernel, pool_or_d, n_samples, seed, threads)["estimand"]
     return ConditionReport(
         condition="pref_first_position",
         estimate=est,
@@ -448,9 +415,7 @@ def check_pref_weaker_competition(
     spec_strong = spec.with_theta(theta1)
     spec_weak = spec.with_theta(theta2)
 
-    def kernel(chunk_index: int, size: int) -> dict[str, np.ndarray]:
-        rng = _chunk_rng(seed, chunk_index)
-        pools = _pool_matrix(pool_or_d, rng, size)
+    def kernel(pools: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
         sigma = sample_top_two(spec_strong, pools, rng)
         pi = sample_top_two(spec_weak, pools, rng)
         tau = sample_top_two(spec_weak, pools, rng)
@@ -458,7 +423,7 @@ def check_pref_weaker_competition(
         after_strong = _values_at(pools, _top_avoiding(pi, sigma[:, 0]))
         return {"estimand": after_weak - after_strong}
 
-    est = _run_chunks(kernel, n_samples, ("estimand",), threads)["estimand"]
+    est = _run_chunks(kernel, pool_or_d, n_samples, seed, threads)["estimand"]
     return ConditionReport(
         condition="pref_weaker_competition",
         estimate=est,
@@ -478,13 +443,11 @@ def _mc_selection_mean(
 ) -> EstimateWithError:
     removed0 = np.array(sorted(c - 1 for c in removed), dtype=np.int64)
 
-    def kernel(chunk_index: int, size: int) -> dict[str, np.ndarray]:
-        rng = _chunk_rng(seed, chunk_index, stream)
-        pools = _pool_matrix(pool_or_d, rng, size)
+    def kernel(pools: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
         picks = _first_survivors(spec, pools, removed0, rng)
         return {"estimand": _values_at(pools, picks)}
 
-    return _run_chunks(kernel, n_samples, ("estimand",), threads)["estimand"]
+    return _run_chunks(kernel, pool_or_d, n_samples, seed, threads, stream)["estimand"]
 
 
 def check_monotonicity(

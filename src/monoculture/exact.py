@@ -1,9 +1,11 @@
 """Exact selection probabilities, utility tables, and sequential hiring.
 
 Utility tables are linear in the n x n top-two pmf (`top_two_pmf`): closed
-forms, one composite Gauss-Legendre rule shared by all candidate pairs, or
-a sum over the cells of finite-atom noise. Neither they nor selection pmfs
-have a size cap; only the full-ranking pmf enumerates rankings and atoms.
+forms for the distance-based family and Plackett-Luce, and for every RUM one
+support-point sum, `_support_sum`, over the nodes of a composite
+Gauss-Legendre rule or the cells of finite-atom noise. Neither they nor
+selection pmfs have a size cap; only the full-ranking pmf enumerates
+rankings and atoms.
 Sequential hiring keeps the mass of each state (S, R) after m hires: S the
 hired set, R the entries of the shared ranking revealed so far. Firms
 playing A and H move it by one step over move tables cached per (n, m),
@@ -102,13 +104,15 @@ def top_two_pmf(spec: RankingModelSpec, x) -> np.ndarray:
     Distance-based: q^(a + r_b) / (Z_n Z_{n-1}), q = 1/phi, r_b = b's rank
     without a (the multistage decomposition, Fligner & Verducci 1986).
     Plackett-Luce: w_a/W * w_b/(W - w_a), w = exp(theta x) (Luce's choice
-    axiom). Continuous RUMs: the integral of f_b (1 - F_a) prod_{c!=a,b} F_c
-    over b's perturbed value, by one composite 16-point Gauss-Legendre rule
-    for all pairs (panels at most 1/theta wide over x_c +- 40/theta, split at
-    the pool values); UnsupportedModelError if the pmf misses 1 by over 1e-8.
-    Discrete RUMs: the same integral as a sum over b's perturbed cells, with
-    TieError on a tie anywhere in a ranking. The last 128 pmfs are cached by
-    spec and values (by n for the distance-based family).
+    axiom). RUMs: one support-point sum over perturbed values t_k,
+    sum_k mass_b(t_k) Pr(X_a > t_k) prod_{c!=a,b} Pr(X_c < t_k). Continuous
+    noise sums over the nodes of one composite 16-point Gauss-Legendre rule
+    (panels at most 1/theta wide over x_c +- 40/theta, split at the pool
+    values), mass_b the weighted density of X_b; UnsupportedModelError if the
+    pmf misses 1 by over 1e-8. Finite-atom noise sums over the n m perturbed
+    cells, mass_b the atom's probability on b's own cells, with TieError on a
+    tie anywhere in a ranking. The last 128 pmfs are cached by spec and
+    values (by n for the distance-based family).
     """
     key = len(x) if spec.value_independent else tuple(float(v) for v in x)
     return _top_two_pmf(spec, key)
@@ -181,25 +185,28 @@ def _pl_top_two(theta: float, x: np.ndarray) -> np.ndarray:
 
 
 def _continuous_rum_top_two(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
-    pmf = _pair_integrals(noise, theta, x)
+    t, w = _gauss_legendre_grid(theta, x)
+    z = theta * (t[:, None] - x)
+    cdf = noise.cdf(z)
+    pmf = _support_sum(w[:, None] * theta * noise.pdf(z), cdf, 1.0 - cdf)
     total = pmf.sum()
     if abs(total - 1.0) > 1e-8:
         raise UnsupportedModelError(f"quadrature pmf sums to {total!r}")
     return pmf / total
 
 
-def _pair_integrals(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
-    """P[a, b] = sum_k w_k f_b (1 - F_a) prod_{c != a, b} F_c over the nodes
-    t_k, as the product A^T B so that no K x n x n array is formed. F is
-    floored at 1e-300 before L = log F is taken; f_b exp(-L_b) stays bounded
-    there for all three kinds."""
-    t, w = _gauss_legendre_grid(theta, x)
-    z = theta * (t[:, None] - x)
-    cdf = noise.cdf(z)
-    logs = np.log(np.maximum(cdf, 1e-300))
-    a = w[:, None] * (1.0 - cdf) * np.exp(logs.sum(axis=1, keepdims=True) - logs)
-    b = theta * noise.pdf(z) * np.exp(-logs)
-    pmf = a.T @ b
+def _support_sum(mass: np.ndarray, below: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """P[a, b] = sum_k mass[k, b] above[k, a] prod_{c != a, b} below[k, c]
+    over support points t_k (rows; columns are candidates), as the product
+    (above * prod_{c != a} below)^T (mass / below), so that no K x n x n
+    array is formed. The product over c != a is an exclusive prefix times
+    an exclusive suffix cumprod; b's own factor is divided out of its mass,
+    with below floored at 1e-300 in that division only, where b's mass is
+    negligible."""
+    prefix, suffix = np.ones_like(below), np.ones_like(below)
+    np.cumprod(below[:, :-1], axis=1, out=prefix[:, 1:])
+    np.cumprod(below[:, :0:-1], axis=1, out=suffix[:, -2::-1])
+    pmf = (above * (prefix * suffix)).T @ (mass / np.maximum(below, 1e-300))
     np.fill_diagonal(pmf, 0.0)
     return pmf
 
@@ -260,22 +267,18 @@ def _atom_cells(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
 
 
 def _discrete_rum_top_two(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
-    """P[a, b] = sum over b's cells t of p(t) Pr(X_a > t) prod_{c != a, b}
-    Pr(X_c < t), exact as `_atom_cells` rules out ties between candidates;
-    each Pr a direct sum, the product a prefix times a suffix product."""
+    """`_support_sum` over the sorted cells, each carrying its atom's
+    probability as its owner's mass; below = Pr(X_c <= t) and above =
+    Pr(X_c > t) are direct cumulative sums. Exact up to rounding, as
+    `_atom_cells` rules out ties, so <= and < agree for every c != b."""
     cells = _atom_cells(noise, theta, x)
     n, m = cells.shape
     order = np.argsort(cells.ravel(), kind="stable")
-    node, owner = np.arange(n * m), order // m
-    p = np.array([q for _, q in noise.atoms])[order % m]
-    mass = np.zeros((n, n * m + 2))  # mass[c, k + 1]: c's probability at the k-th smallest cell
-    mass[owner, node + 1] = p
-    below, above = np.cumsum(mass, axis=1)[:, :-2], np.cumsum(mass[:, ::-1], axis=1)[:, -3::-1]
-    below[owner, node], above[owner, node] = 1.0, 0.0  # b's own factor drops out
-    factors = np.pad(below.T, ((0, 0), (1, 1)), constant_values=1.0)
-    others = np.cumprod(factors, axis=1)[:, :-2] * np.cumprod(factors[:, ::-1], axis=1)[:, -3::-1]
-    terms = p[:, None] * above.T * others
-    return np.bincount((np.arange(n) * n + owner[:, None]).ravel(), terms.ravel(), n * n).reshape(n, n)
+    mass = np.zeros((n * m, n))
+    mass[np.arange(n * m), order // m] = np.array([q for _, q in noise.atoms])[order % m]
+    above = np.zeros_like(mass)
+    np.cumsum(mass[:0:-1], axis=0, out=above[-2::-1])
+    return _support_sum(mass, np.cumsum(mass, axis=0), above)
 
 
 def _pl_perm_probs(theta: float, x: np.ndarray) -> np.ndarray:

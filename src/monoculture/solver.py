@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import PoolOrDistribution
 from .estimators import DEFAULT_SWEEP_SAMPLES, _strict, mc_utility_table
-from .estimators import DEFAULT_Z_THRESHOLD, STRICT_TOL  # noqa: F401 - the rule's constants
 from .exact import (
     SequentialState,
     UtilityTable,

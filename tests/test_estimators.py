@@ -273,6 +273,45 @@ def test_thread_count_never_changes_the_result(n_samples, family, pool_or_d):
         assert single[name].stderr == multi[name].stderr
 
 
+_PINNED = {  # two chunks each: a change to the draws any chunk makes changes these bits
+    "fixed": (
+        {"u_first_a": (0.743451519536903, 0.0026585657808461394),
+         "u_ah": (0.6562711046792089, 0.002967508743924289),
+         "d_hh_ah": (0.01265074770863483, 0.004360224909268914)},
+        (0.02333574529667149, 0.004189210476849953),
+        (0.009973468403280271, 0.002042440222999616),
+        ((0.49243849493487696, 0.5330800771828268), (0.002487411066547333, 0.002414121486326206)),
+    ),
+    "drawn": (
+        {"u_first_a": (0.6753882140039212, 0.0027543327536812506),
+         "u_ah": (0.5977205893572308, 0.0029827907174651237),
+         "d_hh_ah": (0.005918669442694216, 0.0041687872947705484)},
+        (0.024643014004420496, 0.003979550245850088),
+        (0.011218222561948587, 0.0019269097288138013),
+        ((0.4491402464318575, 0.48539646541300385), (0.0027067725640207555, 0.002672622314907115)),
+    ),
+}
+
+
+@pytest.mark.parametrize("pool_or_d, pinned", [
+    (POOL10, _PINNED["fixed"]),
+    (CandidateDistribution.uniform(0.0, 1.0, 10), _PINNED["drawn"]),
+], ids=["fixed", "drawn"])
+def test_seeded_estimates_keep_their_recorded_values(pool_or_d, pinned):
+    # the draws each chunk makes are part of the contract: same seed, same bits
+    table, first, weaker, (means, stderrs) = pinned
+    n = CHUNK_SIZE + 100
+    est = mc_utility_trials(1.5, 1.0, GAUSSIAN, pool_or_d, n, seed=3, threads=1)
+    assert {name: (est[name].mean, est[name].stderr) for name in table} == table
+    report = check_pref_first_position(GAUSSIAN, 1.0, pool_or_d, n, seed=4, threads=1)
+    assert (report.estimate.mean, report.estimate.stderr) == first
+    report = check_pref_weaker_competition(GAUSSIAN, 2.0, 1.0, pool_or_d, n, seed=5, threads=1)
+    assert (report.estimate.mean, report.estimate.stderr) == weaker
+    report = check_monotonicity(GAUSSIAN, (0.5, 1.0), {1, 2}, pool_or_d, n, seed=6, threads=1)
+    assert not report.detail["exact"]
+    assert (report.detail["means"], report.detail["stderrs"]) == (means, stderrs)
+
+
 def test_sample_count_is_chunk_partition_independent_of_threads():
     est = mc_utility_trials(1.5, 1.0, MALLOWS, POOL3, CHUNK_SIZE + 7, seed=17, threads=2)
     assert est["u_aa"].n_samples == CHUNK_SIZE + 7
@@ -563,11 +602,11 @@ def test_monotonicity_engine_follows_family_pool_and_size(family, pool, removed,
 
 
 def test_a_failed_quadrature_sum_check_raises_instead_of_sampling(monkeypatch):
-    def off_by_a_percent(noise, theta, x):
-        return 1.01 * pair_integrals(noise, theta, x)
+    def off_by_a_percent(mass, below, above):
+        return 1.01 * support_sum(mass, below, above)
 
-    pair_integrals = exact_engine._pair_integrals
-    monkeypatch.setattr(exact_engine, "_pair_integrals", off_by_a_percent)
+    support_sum = exact_engine._support_sum
+    monkeypatch.setattr(exact_engine, "_support_sum", off_by_a_percent)
     exact_engine._top_two_pmf.cache_clear()
     with pytest.raises(UnsupportedModelError, match="quadrature pmf sums to"):
         check_monotonicity(GAUSSIAN, (0.5, 1.0), {1}, POOL3, n_samples=1000)

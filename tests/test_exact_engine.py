@@ -44,10 +44,11 @@ from monoculture.exact import (
     MAX_QUADRATURE_N,
     SequentialState,
     _fresh_weights,
+    _gauss_legendre_grid,
     _mallows_first_survivor_pmf,
     _moves,
-    _pair_integrals,
     _reveal_weights,
+    _support_sum,
 )
 from monoculture import exact as exact_engine, permspace
 from monoculture.permspace import perm_space
@@ -428,9 +429,28 @@ def test_laplacian_pair_integrals_sum_to_one_on_a_pool_quad_rejected(theta_a):
     family = RankingModelSpec.rum(NoiseSpec.laplacian(), 1.0)
     t = exact_utility_table(theta_a, 1.0, family, pool)
     assert all(math.isfinite(getattr(t, name)) for name in ENTRY_NAMES)
+    noise, x = NoiseSpec.laplacian(), pool.as_array()
     for theta in (theta_a, 1.0):
-        raw = _pair_integrals(NoiseSpec.laplacian(), theta, pool.as_array())
+        # the support-point sum before top_two_pmf divides it by its total
+        nodes, weights = _gauss_legendre_grid(theta, x)
+        z = theta * (nodes[:, None] - x)
+        cdf = noise.cdf(z)
+        raw = _support_sum(weights[:, None] * theta * noise.pdf(z), cdf, 1.0 - cdf)
         assert abs(raw.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("gaussian", 0.5 * math.erfc(-0.5)),  # Phi(1 / sqrt 2)
+    ("laplacian", 1.0 - 0.5 * math.exp(-math.sqrt(2.0)) * (1.0 + 1.0 / math.sqrt(2.0))),
+    ("gumbel", 1.0 / (1.0 + math.exp(-math.pi / math.sqrt(6.0)))),  # logistic difference
+])
+def test_top_candidates_underflowing_cdf_is_divided_out_without_nan(kind, expected):
+    # candidate 1's cdf and pdf both underflow to 0 at the nodes around
+    # candidates 2 and 3; dividing that cdf out of its own mass needs the
+    # 1e-300 floor, or 0 / 0 turns the whole normalised pmf into nan
+    family = RankingModelSpec.rum(getattr(NoiseSpec, kind)(), 1.0)
+    pmf = top_two_pmf(family, np.array([60.0, 1.0, 0.0]))
+    assert abs(pmf[0, 1] - expected) < 1e-12
 
 
 # ---------------------------------------------------------------- tables
