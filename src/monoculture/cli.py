@@ -115,25 +115,17 @@ def parse_grid(text: str) -> tuple[list[float], list[float]]:
 
 
 def parse_noise(text: str) -> NoiseSpec:
-    kind = text.split(":", 1)[0].lower()
-    if kind == "gaussian":
-        return NoiseSpec.gaussian()
-    if kind == "laplacian":
-        return NoiseSpec.laplacian()
-    if kind == "gumbel":
-        return NoiseSpec.gumbel()
-    if kind == "discrete":
-        body = text.split(":", 1)
-        if len(body) != 2 or not body[1]:
-            raise UsageError("discrete noise needs atoms, e.g. discrete:-1:0.5,1:0.5")
-        atoms = []
-        for pair in body[1].split(","):
-            v_p = pair.split(":")
-            if len(v_p) != 2:
-                raise UsageError(f"atom must be value:prob, got {pair!r}")
-            atoms.append((float(v_p[0]), float(v_p[1])))
-        return NoiseSpec.discrete(tuple(atoms))
-    raise UsageError(f"unknown noise kind {text!r}")
+    """kind or discrete:v:p,v:p,...; NoiseSpec checks the kind and the atoms."""
+    kind, _, body = text.partition(":")
+    if kind.lower() != "discrete":
+        return NoiseSpec(kind.lower())
+    atoms = []
+    for pair in body.split(",") if body else []:
+        v_p = pair.split(":")
+        if len(v_p) != 2:
+            raise UsageError(f"atom must be value:prob, got {pair!r}")
+        atoms.append((float(v_p[0]), float(v_p[1])))
+    return NoiseSpec.discrete(tuple(atoms))
 
 
 def parse_dist(text: str) -> CandidateDistribution:
@@ -152,19 +144,9 @@ def parse_dist(text: str) -> CandidateDistribution:
 
 
 def build_family(args) -> RankingModelSpec:
-    if args.family == "mallows":
-        if args.noise:
-            raise UsageError("the distance-based family takes no --noise")
-        return RankingModelSpec.mallows(2.0)
-    if args.family in ("plackett-luce", "pl"):
-        if args.noise:
-            raise UsageError("--family plackett-luce takes no --noise")
-        return RankingModelSpec.plackett_luce(1.0)
-    if args.family == "rum":
-        if not args.noise:
-            raise UsageError("--family rum needs --noise")
-        return RankingModelSpec.rum(parse_noise(args.noise), 1.0)
-    raise UsageError(f"unknown family {args.family!r}")
+    """The family at accuracy 1; RankingModelSpec checks the kind and which kinds take noise."""
+    kind = {"plackett-luce": "plackett_luce", "pl": "plackett_luce"}.get(args.family, args.family)
+    return RankingModelSpec(kind, 1.0, parse_noise(args.noise) if args.noise else None)
 
 
 def build_pool(args):
@@ -268,8 +250,6 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep needs --grid lo:hi:step x lo:hi:step")
     if args.firms > 2:
         reject_given(args, ("samples", "seed"), "sweep --firms > 2")
-        if family.kind != "mallows":
-            raise UsageError("sweep with --firms > 2 takes the distance-based family only")
     theta_h_values, theta_a_values = parse_grid(args.grid)
     cells = sweep_plane(
         theta_h_values,
@@ -300,8 +280,8 @@ def _phi_args(args) -> tuple[float, float]:
 def cmd_sequential(args) -> int:
     pool = build_pool(args)
     phi_a, phi_h = _phi_args(args)
-    if args.firms is None or args.firms < 1:
-        raise UsageError("sequential needs --firms >= 1")
+    if args.firms is None:
+        raise UsageError("sequential needs --firms")
     seq = sequential_optimal_sequence(args.firms, phi_a, phi_h, pool)
     header = ["position", "choice", "utility", "phi_a", "phi_h", "sequence", "binary_value"]
     rows = [

@@ -21,6 +21,10 @@ Plackett-Luce take argmax passes over the same perturbed scores that
 seeds the RUM and Plackett-Luce picks equal the matching entries of
 `sample_rankings`; the distance-based picks have the same law but come from
 different draws.
+
+Finite-atom noise raises TieError where two candidates can tie: on a fixed
+pool by the exact engine's rule, a tie in any ranking, whether or not one is
+drawn; on a drawn pool when a sampled row ties.
 """
 from __future__ import annotations
 
@@ -35,11 +39,15 @@ from .core import CandidateDistribution, CandidatePool, PoolOrDistribution
 from .exact import (
     ENTRY_NAMES,
     UtilityTable,
+    _atom_cells,
+    _exact_pool,
     _mallows_first_survivor_pmf,
+    _raise_first_tie,
+    _removed0,
     exact_selection_pmf,
     top_two_pmf,
 )
-from .models import RankingModelSpec, TieError
+from .models import RankingModelSpec
 
 CHUNK_SIZE = 1 << 13
 DEFAULT_Z_THRESHOLD = 3.0
@@ -154,32 +162,31 @@ def _mallows_top_two(spec: RankingModelSpec, n: int, size: int, rng: np.random.G
 
 
 def _raise_on_ties(keys: np.ndarray) -> None:
-    """Raise TieError naming the first tied pair of the first row with a tie."""
+    """Raise TieError naming the best-placed tied pair of the first row with a tie."""
     ranked = np.sort(keys, axis=1)
     tied_rows = np.any(ranked[:, :-1] == ranked[:, 1:], axis=1)
-    if not np.any(tied_rows):
-        return
-    row = keys[np.argmax(tied_rows)]
-    order = np.argsort(-row, kind="stable")
-    ranked = row[order]
-    col = np.argmax(ranked[:-1] == ranked[1:])
-    a, b = sorted((int(order[col]) + 1, int(order[col + 1]) + 1))
-    raise TieError(f"perturbed scores tie candidates {a} and {b}")
+    if np.any(tied_rows):
+        row = keys[np.argmax(tied_rows)]
+        order = np.argsort(-row, kind="stable")
+        _raise_first_tie(row[order], order)
 
 
 def _perturbed_keys(spec: RankingModelSpec, pools: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Scores whose descending order is one RUM or Plackett-Luce ranking per row.
 
     Plackett-Luce uses the max-trick with standard Gumbel draws; RUMs
-    perturb values directly. Continuous perturbations are tie-free with
-    probability one; discrete ones raise TieError on a tie anywhere in a
-    ranking, as the exact engine does.
+    perturb values directly; finite-atom noise follows the module's tie rule:
+    rows that are one fixed pool, the stride-0 view `_pool_matrix` makes,
+    are judged by `_atom_cells` before the draw, other rows after it.
     """
     size, n = pools.shape
     if spec.kind == "plackett_luce":
         return spec.theta * pools + rng.gumbel(0.0, 1.0, (size, n))
+    fixed = pools.strides[0] == 0
+    if fixed and not spec.noise.is_continuous:
+        _atom_cells(spec.noise, spec.theta, pools[0])
     keys = pools + spec.noise.sample(rng, (size, n)) / spec.theta
-    if not spec.noise.is_continuous:
+    if not (fixed or spec.noise.is_continuous):
         _raise_on_ties(keys)
     return keys
 
@@ -216,7 +223,7 @@ def sample_top_two(
 
 
 def _first_survivors(
-    spec: RankingModelSpec, pools: np.ndarray, removed0: np.ndarray, rng: np.random.Generator
+    spec: RankingModelSpec, pools: np.ndarray, removed0: tuple[int, ...], rng: np.random.Generator
 ) -> np.ndarray:
     """Best-ranked candidate outside removed0 in one ranking per pool row.
 
@@ -228,7 +235,7 @@ def _first_survivors(
     if spec.kind == "mallows":
         size, n = pools.shape
         survivors = np.setdiff1d(np.arange(n), removed0)
-        pmf = _mallows_first_survivor_pmf(spec.phi, n, tuple(removed0.tolist()))
+        pmf = _mallows_first_survivor_pmf(spec.phi, n, removed0)
         return survivors[_inverse_cdf(pmf[survivors], size, rng)]
     keys = _perturbed_keys(spec, pools, rng)
     keys[:, removed0] = -np.inf
@@ -435,14 +442,12 @@ def check_pref_weaker_competition(
 def _mc_selection_mean(
     spec: RankingModelSpec,
     pool_or_d: PoolOrDistribution,
-    removed: frozenset[int],
+    removed0: tuple[int, ...],
     n_samples: int,
     seed: int,
     stream: int,
     threads: int | None = None,
 ) -> EstimateWithError:
-    removed0 = np.array(sorted(c - 1 for c in removed), dtype=np.int64)
-
     def kernel(pools: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
         picks = _first_survivors(spec, pools, removed0, rng)
         return {"estimand": _values_at(pools, picks)}
@@ -472,21 +477,18 @@ def check_monotonicity(
     grid = [float(t) for t in theta_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"theta grid must be increasing, got {grid}")
-    removed = frozenset(int(c) for c in removed)
-    if not removed <= set(range(1, pool.n + 1)) or len(removed) >= pool.n:
-        raise ValueError(f"removed {sorted(removed)} is not a proper subset of 1..{pool.n}")
+    removed0 = _removed0(removed, pool.n)
 
-    exact_mode = pool.n <= _EXACT_MONOTONICITY_N and (
-        isinstance(pool, CandidatePool) or spec.value_independent)
+    fixed = _exact_pool(pool, spec.value_independent) if pool.n <= _EXACT_MONOTONICITY_N else None
+    exact_mode = fixed is not None
     if exact_mode:
-        fixed = pool if isinstance(pool, CandidatePool) else pool.mean_pool()
         x = fixed.as_array()
         pmfs = [exact_selection_pmf(spec.with_theta(t), fixed, removed) for t in grid]
         means = [EstimateWithError.exact(float(pmf @ x)) for pmf in pmfs]
     else:
         means = [
             _mc_selection_mean(
-                spec.with_theta(t), pool, removed, n_samples, seed, stream=i, threads=threads
+                spec.with_theta(t), pool, removed0, n_samples, seed, stream=i, threads=threads
             )
             for i, t in enumerate(grid)
         ]
@@ -507,7 +509,7 @@ def check_monotonicity(
         verdict=verdict,
         detail={
             "theta_grid": tuple(grid),
-            "removed": tuple(sorted(removed)),
+            "removed": tuple(c + 1 for c in removed0),
             "means": tuple(m.mean for m in means),
             "stderrs": tuple(m.stderr for m in means),
             "exact": exact_mode,

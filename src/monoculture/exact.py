@@ -255,15 +255,18 @@ def _atom_cells(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
     # every combination has positive probability, so two candidates tie in
     # some ranking exactly when two cells in different rows are equal
     cells = x[:, None] + values[None, :] / theta
-    flat = cells.ravel()
-    order = np.argsort(flat, kind="stable")
-    owner = order // len(values)
-    clash = (flat[order[:-1]] == flat[order[1:]]) & (owner[:-1] != owner[1:])
+    order = np.argsort(cells.ravel(), kind="stable")
+    _raise_first_tie(cells.ravel()[order], order // len(values))
+    return cells
+
+
+def _raise_first_tie(ranked: np.ndarray, owners: np.ndarray) -> None:
+    """TieError naming the first equal neighbours in ranked held by two candidates."""
+    clash = (ranked[:-1] == ranked[1:]) & (owners[:-1] != owners[1:])
     if clash.any():
         k = int(np.argmax(clash))
-        a, b = sorted((int(owner[k]) + 1, int(owner[k + 1]) + 1))
-        raise TieError(f"candidates {a} and {b} tie at perturbed value {flat[order[k]]!r}")
-    return cells
+        a, b = sorted((int(owners[k]) + 1, int(owners[k + 1]) + 1))
+        raise TieError(f"candidates {a} and {b} tie at perturbed value {float(ranked[k])}")
 
 
 def _discrete_rum_top_two(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
@@ -307,29 +310,31 @@ def exact_selection_pmf(
     (cached, read-only), else the top of the survivors' own ranking (Luce's
     axiom; independent noise), with TieError on any discrete tie in the pool."""
     n = pool.n
-    removed = frozenset(int(c) for c in removed)
-    if not removed <= set(range(1, n + 1)) or len(removed) >= n:
-        raise ValueError(f"removed {sorted(removed)} is not a proper subset of 1..{n}")
+    removed0 = _removed0(removed, n)
     if spec.kind == "mallows":
-        return _mallows_first_survivor_pmf(spec.phi, n, tuple(sorted(c - 1 for c in removed)))
+        return _mallows_first_survivor_pmf(spec.phi, n, removed0)
     x = pool.as_array()
     if spec.noise is not None and not spec.noise.is_continuous:
         _atom_cells(spec.noise, spec.theta, x)
-    survivors = np.array([c for c in range(n) if c + 1 not in removed])
+    survivors = np.setdiff1d(np.arange(n), removed0)
     first = top_two_pmf(spec, x[survivors]).sum(axis=1) if len(survivors) > 1 else np.ones(1)
     return np.bincount(survivors, first / first.sum(), n)
 
 
-def _resolve_exact_values(pool_or_d: PoolOrDistribution, value_independent: bool) -> np.ndarray:
+def _removed0(removed, n: int) -> tuple[int, ...]:
+    """A proper subset of 1..n, checked, as sorted 0-based candidates."""
+    removed = frozenset(int(c) for c in removed)
+    if not removed <= set(range(1, n + 1)) or len(removed) >= n:
+        raise ValueError(f"removed {sorted(removed)} is not a proper subset of 1..{n}")
+    return tuple(sorted(c - 1 for c in removed))
+
+
+def _exact_pool(pool_or_d: PoolOrDistribution, value_independent: bool) -> CandidatePool | None:
+    """A fixed pool as itself; a drawn one as its mean pool if value_independent, else None."""
     if isinstance(pool_or_d, CandidatePool):
-        return pool_or_d.as_array()
+        return pool_or_d
     if isinstance(pool_or_d, CandidateDistribution):
-        if not value_independent:
-            raise UnsupportedModelError(
-                "exact expectations over a pool distribution need a value-independent "
-                "model; use the estimators module"
-            )
-        return pool_or_d.mean_pool().as_array()
+        return pool_or_d.mean_pool() if value_independent else None
     raise TypeError(f"expected pool or distribution, got {type(pool_or_d)!r}")
 
 
@@ -358,7 +363,11 @@ def exact_utility_lattice(theta_h_values, theta_a_values, family: RankingModelSp
     double enumeration of ranking pairs. A cell whose pmf raised ValueError
     holds that error, theta_a's when both did.
     """
-    x = _resolve_exact_values(pool, family.value_independent)
+    fixed = _exact_pool(pool, family.value_independent)
+    if fixed is None:
+        raise UnsupportedModelError("exact expectations over a pool distribution need a "
+                                    "value-independent model; use the estimators module")
+    x = fixed.as_array()
     index = {theta: k for k, theta in enumerate(dict.fromkeys([*theta_h_values, *theta_a_values]))}
     first, g = np.zeros((len(index), len(x))), np.zeros((len(index), len(x)))
     own, errors = [(0.0, 0.0)] * len(index), {}
@@ -535,6 +544,7 @@ class SequentialState:
 
 
 def _validate_sequence(sequence) -> tuple[str, ...]:
+    """A nonempty A/H sequence, in either case, as an upper-case tuple."""
     seq = tuple(str(s).upper() for s in sequence)
     if not seq or any(s not in ("A", "H") for s in seq):
         raise ValueError(f"sequence must be nonempty over A/H, got {sequence!r}")
@@ -547,7 +557,7 @@ def _sequential_values(k: int, phi_a: float, phi_h: float, pool_or_d: PoolOrDist
         raise ValueError(f"need k >= 1, got {k}")
     if not (phi_a > 1 and phi_h > 1):
         raise UnsupportedModelError(f"need phi > 1, got phi_a={phi_a}, phi_h={phi_h}")
-    x = _resolve_exact_values(pool_or_d, value_independent=True)
+    x = _exact_pool(pool_or_d, value_independent=True).as_array()
     n = len(x)
     if k > n:
         raise UnsupportedModelError(f"{k} firms cannot hire from {n} candidates")

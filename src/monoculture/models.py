@@ -155,7 +155,7 @@ class RankingModelSpec:
         if not self.theta > 0:
             raise UnsupportedModelError(f"need theta > 0, got {self.theta}")
         if self.kind == "rum" and self.noise is None:
-            raise UnsupportedModelError("rum needs a NoiseSpec")
+            raise UnsupportedModelError("rum needs noise")
         if self.kind != "rum" and self.noise is not None:
             raise UnsupportedModelError(f"{self.kind} takes no noise")
 

@@ -21,6 +21,7 @@ from .exact import (
     SequentialState,
     UtilityTable,
     _sequential_values,
+    _validate_sequence,
     exact_sequential_utilities,
     exact_utility_lattice,
     exact_utility_table,
@@ -198,9 +199,6 @@ def find_theta_star(
     """
     from scipy.optimize import brentq
 
-    if theta_h <= 0:
-        raise ValueError(f"need theta_h > 0, got {theta_h}")
-
     @cache  # brentq evaluates the bracket ends again and returns a point it evaluated
     def margin(theta_a: float) -> float:
         table = exact_utility_table(theta_a, theta_h, family, pool_or_d)
@@ -256,14 +254,11 @@ class StrategySequence:
     utilities: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        choices = tuple(str(c).upper() for c in self.choices)
-        object.__setattr__(self, "choices", choices)
-        if not choices or any(c not in ("A", "H") for c in choices):
-            raise ValueError(f"choices must be nonempty over A/H, got {self.choices!r}")
+        object.__setattr__(self, "choices", _validate_sequence(self.choices))
         if self.utilities is not None:
             utilities = tuple(float(u) for u in self.utilities)
             object.__setattr__(self, "utilities", utilities)
-            if len(utilities) != len(choices):
+            if len(utilities) != len(self.choices):
                 raise ValueError("one utility per firm or none at all")
 
     @property
@@ -392,24 +387,21 @@ def kfirm_braess_check(
 ) -> KFirmReport:
     if k < 2:
         raise ValueError(f"need k >= 2 firms, got {k}")
-    cache: dict[str, list[float]] = {}
-
-    def utilities(seq: str) -> list[float]:
-        got = cache.get(seq)
-        if got is None:
-            got = exact_sequential_utilities(seq, phi_a, phi_h, pool_or_d)
-            cache[seq] = got
-        return got
+    # every sequence, in binary-counter order (H as 0, A as 1)
+    utilities = {
+        "".join(seq): exact_sequential_utilities(seq, phi_a, phi_h, pool_or_d)
+        for seq in product("HA", repeat=k)
+    }
 
     def positional_average(own: str, rivals: tuple[str, ...]) -> float:
         total = 0.0
         for position in range(k):
             seq = "".join(rivals[:position]) + own + "".join(rivals[position:])
-            total += utilities(seq)[position]
+            total += utilities[seq][position]
         return total / k
 
-    all_a = utilities("A" * k)
-    all_h = utilities("H" * k)
+    all_a = utilities["A" * k]
+    all_h = utilities["H" * k]
     all_a_avg = sum(all_a) / k
     all_h_avg = sum(all_h) / k
 
@@ -425,9 +417,8 @@ def kfirm_braess_check(
 
     best_seq = None
     best_avg = -math.inf
-    for bits in range(2**k):
-        seq = format(bits, f"0{k}b").replace("1", "A").replace("0", "H")
-        avg = sum(utilities(seq)) / k
+    for seq, seq_utilities in utilities.items():
+        avg = sum(seq_utilities) / k
         if _strict(avg - best_avg, 0.0):
             best_avg = avg
             best_seq = seq
@@ -445,7 +436,7 @@ def kfirm_braess_check(
         all_h_equilibrium=all_h_equilibrium,
         a_strictly_dominant=dominant,
         braess=braess,
-        best_average_sequence=StrategySequence(tuple(best_seq), tuple(utilities(best_seq))),
+        best_average_sequence=StrategySequence(tuple(best_seq), tuple(utilities[best_seq])),
         detail={"profile_margins": profile_margins, "best_average": best_avg},
     )
 

@@ -278,7 +278,7 @@ def test_unread_flags_exit_one_and_name_themselves(capsys, argv, flag):
     (("sweep", "--grid", "0.75:0.75:1x0.5:1:0.5", "--pool", "1,0.7,0.3,0", "--firms", "3",
       "--seed", "4"), "--seed"),
     (("sweep", "--grid", "0.75:0.75:1x0.5:1:0.5", "--pool", "1,0.7,0.3,0", "--firms", "3",
-      "--family", "pl"), "sweep with --firms > 2 takes the distance-based family only"),
+      "--family", "pl"), "k-firm sweeps support the distance-based family only"),
 ])
 def test_flags_the_chosen_path_does_not_read_exit_one(capsys, argv, message):
     code, out, err = run(capsys, *argv)

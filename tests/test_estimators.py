@@ -141,8 +141,7 @@ def test_mallows_top_two_matches_the_pair_marginal(n):
 def test_mallows_first_survivors_match_the_selection_pmf(removed0):
     n, size = 6, 1_000_000
     pools = np.broadcast_to(np.linspace(1.0, 0.0, n), (size, n))
-    picks = _first_survivors(MALLOWS, pools, np.array(removed0, dtype=np.int64),
-                             np.random.default_rng(12))
+    picks = _first_survivors(MALLOWS, pools, removed0, np.random.default_rng(12))
     want = exact_selection_pmf(MALLOWS, CandidatePool(tuple(pools[0])), {c + 1 for c in removed0})
     got = np.bincount(picks, minlength=n) / size
     assert not np.isin(picks, removed0).any()
@@ -167,7 +166,7 @@ def test_top_two_picks_equal_the_full_ranking_prefix(spec, drawn):
 def test_masked_argmax_picks_the_first_survivor_of_the_full_ranking(spec):
     size = 20_000
     pools = _drawn_pools(size)
-    removed0 = np.array([0, 2, 3, 9])
+    removed0 = (0, 2, 3, 9)
     picks = _first_survivors(spec, pools, removed0, np.random.default_rng(6))
     orders = sample_rankings(spec, pools, np.random.default_rng(6))
     first_alive = np.argmax(~np.isin(orders, removed0), axis=1)
@@ -175,13 +174,31 @@ def test_masked_argmax_picks_the_first_survivor_of_the_full_ranking(spec):
 
 
 def test_vectorized_tie_detection_names_the_pair():
+    # rows of one fixed pool (a broadcast view) meet the exact engine's rule
+    # before any draw; the same rows as an ordinary matrix are checked per draw
     atoms = NoiseSpec.discrete(((-0.5, 0.5), (0.5, 0.5)))
     spec = RankingModelSpec.rum(atoms, 1.0)
     pools = np.broadcast_to(np.array([1.0, 0.0]), (500, 2))
-    rng = np.random.default_rng(0)
-    with pytest.raises(TieError) as err:
-        sample_rankings(spec, pools, rng)
-    assert "1" in str(err.value) and "2" in str(err.value)
+    for rows in (pools, pools.copy()):
+        with pytest.raises(TieError) as err:
+            sample_rankings(spec, rows, np.random.default_rng(0))
+        assert str(err.value) == "candidates 1 and 2 tie at perturbed value 0.5"
+
+
+def test_a_fixed_pool_that_can_tie_raises_the_exact_error_on_every_seed():
+    # 2 - 1 = 0 + 1 ties the pair in one ranking in 10^4, so 1,000 trials
+    # often draw no tie; the exact engine's rule decides before any draw
+    spec = RankingModelSpec.rum(NoiseSpec.discrete(((-1.0, 0.01), (0.0, 0.98), (1.0, 0.01))), 1.0)
+    pool = CandidatePool((2.0, 0.0))
+    with pytest.raises(TieError) as exact:
+        exact_utility_table(1.0, 1.0, spec, pool)
+    for seed in range(10):
+        for run in (lambda: mc_utility_table(1.0, 1.0, spec, pool, 1_000, seed),
+                    lambda: check_pref_first_position(spec, 1.0, pool, 1_000, seed),
+                    lambda: check_pref_weaker_competition(spec, 2.0, 1.0, pool, 1_000, seed)):
+            with pytest.raises(TieError) as err:
+                run()
+            assert str(err.value) == str(exact.value)
 
 
 def test_tie_anywhere_in_a_ranking_raises_through_the_table_trials():
@@ -355,8 +372,8 @@ def test_sampled_monotonicity_is_bit_identical_across_thread_counts(family, pool
 
 
 def test_a_discrete_tie_raises_the_same_error_at_any_thread_count():
-    # ties are rare enough here that most chunks have none, so the error
-    # must come from the first tied chunk in chunk order, not the first to finish
+    # ties are rare enough here that most chunks draw none; a fixed pool's
+    # ties are decided before any draw, so every worker count gets one error
     p = 5e-6
     spec = RankingModelSpec.rum(NoiseSpec.discrete(((0.0, 1 - 2 * p), (0.5, p), (-0.5, p))), 1.0)
     messages = []

@@ -320,11 +320,18 @@ def test_permutation_probabilities_match_pmf_for_mallows():
         assert abs(p - want[tuple(row.tolist())]) < 1e-14
 
 
+def _raw_support_sum(noise, theta, x):
+    """The continuous top-two pmf before top_two_pmf divides it by its total."""
+    nodes, weights = _gauss_legendre_grid(theta, x)
+    z = theta * (nodes[:, None] - x)
+    cdf = noise.cdf(z)
+    return _support_sum(weights[:, None] * theta * noise.pdf(z), cdf, 1.0 - cdf)
+
+
 def test_gaussian_quadrature_probabilities_sum_to_one():
-    spec = RankingModelSpec.rum(NoiseSpec.gaussian(), 0.8)
-    probs = permutation_probabilities(spec, POOL3)
-    assert abs(probs.sum() - 1.0) < 1e-9
-    assert (probs > 0).all()
+    raw = _raw_support_sum(NoiseSpec.gaussian(), 0.8, POOL3.as_array())
+    assert abs(raw.sum() - 1.0) < 1e-12
+    assert (raw[~np.eye(3, dtype=bool)] > 0).all()
 
 
 # ---------------------------------------------------------------- top two
@@ -344,9 +351,14 @@ def test_gaussian_quadrature_probabilities_sum_to_one():
 def test_top_two_pmf_is_the_pair_marginal_of_the_permutation_pmf(spec, sizes):
     for n in sizes:
         pool = spread_pool(n)
-        perms = perm_space(n).perms
-        want = np.zeros((n, n))
-        np.add.at(want, (perms[:, 0], perms[:, 1]), permutation_probabilities(spec, pool))
+        if spec.kind == "rum" and spec.noise.is_continuous:
+            # continuous permutation pmfs are built from top_two_pmf, so the
+            # per-pair quad oracle stands in for them
+            want = np.array(oracles.rum_top_two_quad(spec.noise.kind, spec.theta, pool.values))
+        else:
+            perms = perm_space(n).perms
+            want = np.zeros((n, n))
+            np.add.at(want, (perms[:, 0], perms[:, 1]), permutation_probabilities(spec, pool))
         got = top_two_pmf(spec, pool.as_array())
         assert np.abs(got - want).max() < 1e-12, n
 
@@ -357,7 +369,7 @@ def test_top_two_pmf_raises_on_a_discrete_tie_below_the_top_two():
     pool = CandidatePool((10.0, 5.0, 1.0, 0.0))
     with pytest.raises(TieError) as err:
         top_two_pmf(spec, pool.as_array())
-    assert "candidates 3 and 4" in str(err.value)
+    assert str(err.value) == "candidates 3 and 4 tie at perturbed value 0.5"
     with pytest.raises(TieError):
         exact_utility_table(1.0, 1.0, spec, pool)
     # 1e16 + 0.5 rounds to 1e16: a candidate meeting itself is no tie
@@ -422,20 +434,15 @@ def test_gumbel_table_at_high_accuracy_raises_no_warning():
 
 
 @pytest.mark.parametrize("theta_a", [2.0, 5.0])
-def test_laplacian_pair_integrals_sum_to_one_on_a_pool_quad_rejected(theta_a):
+def test_laplacian_support_sum_is_one_on_a_pool_quad_rejected(theta_a):
     # per-pair adaptive quad summed to 1.00000001..., past the 1e-8 check
     pool = CandidatePool((0.8277025938204418, 0.7535131086748066, 0.5495936876730595,
                           0.5381433132192782, 0.4091991363691613, 0.027559113243068367))
     family = RankingModelSpec.rum(NoiseSpec.laplacian(), 1.0)
     t = exact_utility_table(theta_a, 1.0, family, pool)
     assert all(math.isfinite(getattr(t, name)) for name in ENTRY_NAMES)
-    noise, x = NoiseSpec.laplacian(), pool.as_array()
     for theta in (theta_a, 1.0):
-        # the support-point sum before top_two_pmf divides it by its total
-        nodes, weights = _gauss_legendre_grid(theta, x)
-        z = theta * (nodes[:, None] - x)
-        cdf = noise.cdf(z)
-        raw = _support_sum(weights[:, None] * theta * noise.pdf(z), cdf, 1.0 - cdf)
+        raw = _raw_support_sum(NoiseSpec.laplacian(), theta, pool.as_array())
         assert abs(raw.sum() - 1.0) < 1e-12
 
 

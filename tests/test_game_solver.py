@@ -269,8 +269,10 @@ def test_crossing_search_rejects_families_without_a_sharing_penalty():
 
 
 def test_crossing_search_validates_theta_h():
-    with pytest.raises(ValueError):
-        find_theta_star(0.0, MALLOWS, POOL3)
+    # the model spec owns the accuracy rule
+    for theta_h in (0.0, -1.0, float("nan")):
+        with pytest.raises(UnsupportedModelError, match="need theta > 0"):
+            find_theta_star(theta_h, MALLOWS, POOL3)
 
 
 # ---------------------------------------------------------------- sequences
