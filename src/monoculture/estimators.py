@@ -35,15 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CandidateDistribution, CandidatePool, PoolOrDistribution
+from .core import PoolOrDistribution
 from .exact import (
     ENTRY_NAMES,
     UtilityTable,
-    _atom_cells,
     _exact_pool,
     _mallows_first_survivor_pmf,
-    _raise_first_tie,
     _removed0,
+    _tie_errors,
     exact_selection_pmf,
     top_two_pmf,
 )
@@ -109,6 +108,14 @@ class ConditionReport:
     detail: dict = field(default_factory=dict)
 
 
+def _increasing_grid(values, name: str) -> list[float]:
+    """values as floats; ValueError unless they strictly increase."""
+    grid = [float(v) for v in values]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{name} grid must be strictly increasing, got {grid}")
+    return grid
+
+
 def _verdict(est: EstimateWithError) -> str:
     if _strict(est.mean, est.stderr):
         return VERDICT_HOLDS
@@ -118,11 +125,10 @@ def _verdict(est: EstimateWithError) -> str:
 
 
 def _pool_matrix(pool_or_d: PoolOrDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
-    if isinstance(pool_or_d, CandidatePool):
-        return np.broadcast_to(pool_or_d.as_array(), (size, pool_or_d.n))
-    if isinstance(pool_or_d, CandidateDistribution):
+    fixed = _exact_pool(pool_or_d, value_independent=False)
+    if fixed is None:
         return pool_or_d.sample_matrix(rng, size)
-    raise TypeError(f"expected pool or distribution, got {type(pool_or_d)!r}")
+    return np.broadcast_to(fixed.as_array(), (size, fixed.n))
 
 
 def _mallows_orders(phi: float, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -168,7 +174,7 @@ def _raise_on_ties(keys: np.ndarray) -> None:
     if np.any(tied_rows):
         row = keys[np.argmax(tied_rows)]
         order = np.argsort(-row, kind="stable")
-        _raise_first_tie(row[order], order)
+        raise _tie_errors(row[order][None], order[None])[0]
 
 
 def _perturbed_keys(spec: RankingModelSpec, pools: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -177,14 +183,14 @@ def _perturbed_keys(spec: RankingModelSpec, pools: np.ndarray, rng: np.random.Ge
     Plackett-Luce uses the max-trick with standard Gumbel draws; RUMs
     perturb values directly; finite-atom noise follows the module's tie rule:
     rows that are one fixed pool, the stride-0 view `_pool_matrix` makes,
-    are judged by `_atom_cells` before the draw, other rows after it.
+    are judged by `top_two_pmf` before the draw, other rows after it.
     """
     size, n = pools.shape
     if spec.kind == "plackett_luce":
         return spec.theta * pools + rng.gumbel(0.0, 1.0, (size, n))
     fixed = pools.strides[0] == 0
     if fixed and not spec.noise.is_continuous:
-        _atom_cells(spec.noise, spec.theta, pools[0])
+        top_two_pmf(spec, pools[0])
     keys = pools + spec.noise.sample(rng, (size, n)) / spec.theta
     if not (fixed or spec.noise.is_continuous):
         _raise_on_ties(keys)
@@ -474,9 +480,7 @@ def check_monotonicity(
     estimate is the first difference whose verdict is the report's.
     """
     _workers(threads)  # checked even when the exact path leaves it unused
-    grid = [float(t) for t in theta_grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"theta grid must be increasing, got {grid}")
+    grid = _increasing_grid(theta_grid, "theta")
     removed0 = _removed0(removed, pool.n)
 
     fixed = _exact_pool(pool, spec.value_independent) if pool.n <= _EXACT_MONOTONICITY_N else None

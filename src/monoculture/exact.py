@@ -3,8 +3,9 @@
 Utility tables are linear in the n x n top-two pmf (`top_two_pmf`): closed
 forms for the distance-based family and Plackett-Luce, and for every RUM one
 support-point sum, `_support_sum`, over the nodes of a composite
-Gauss-Legendre rule or the cells of finite-atom noise. Neither they nor
-selection pmfs have a size cap; only the full-ranking pmf enumerates
+Gauss-Legendre rule or the cells of finite-atom noise. A lattice takes all
+its accuracies' pmfs from one batched call, `_top_two_pmfs`. Neither tables
+nor selection pmfs have a size cap; only the full-ranking pmf enumerates
 rankings and atoms.
 Sequential hiring keeps the mass of each state (S, R) after m hires: S the
 hired set, R the entries of the shared ranking revealed so far. Firms
@@ -112,7 +113,8 @@ def top_two_pmf(spec: RankingModelSpec, x) -> np.ndarray:
     pmf misses 1 by over 1e-8. Finite-atom noise sums over the n m perturbed
     cells, mass_b the atom's probability on b's own cells, with TieError on a
     tie anywhere in a ranking. The last 128 pmfs are cached by spec and
-    values (by n for the distance-based family).
+    values (by n for the distance-based family); lattices read the cache
+    for continuous noise only (`_top_two_pmfs`).
     """
     key = len(x) if spec.value_independent else tuple(float(v) for v in x)
     return _top_two_pmf(spec, key)
@@ -120,23 +122,50 @@ def top_two_pmf(spec: RankingModelSpec, x) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _top_two_pmf(spec: RankingModelSpec, key) -> np.ndarray:
-    if spec.kind == "mallows":
-        pmf = _mallows_top_two(spec.phi, key)
-    elif spec.kind == "plackett_luce":
-        pmf = _pl_top_two(spec.theta, np.array(key))
-    elif spec.noise.is_continuous:
-        pmf = _continuous_rum_top_two(spec.noise, spec.theta, np.array(key))
+    x = np.zeros(key) if spec.value_independent else np.array(key)  # key is n if values are unread
+    if spec.kind == "rum" and spec.noise.is_continuous:
+        pmf = _continuous_rum_top_two(spec.noise, spec.theta, x)
     else:
-        pmf = _discrete_rum_top_two(spec.noise, spec.theta, np.array(key))
+        pmfs, errors = _top_two_pmfs(spec, [spec.theta], x)
+        if errors:
+            raise errors[0]
+        pmf = pmfs[0]
     pmf.setflags(write=False)
     return pmf
 
 
-def _mallows_top_two(phi: float, n: int) -> np.ndarray:
+def _top_two_pmfs(family: RankingModelSpec, thetas, x: np.ndarray) -> tuple:
+    """Top-two pmfs of family at each accuracy, as a (T, n, n) stack, and the
+    ValueError, `with_theta`'s or the pmf's, of each accuracy without one.
+    Closed forms and finite atoms run as one batch, continuous noise through
+    the cached `top_two_pmf`; nothing is reduced across accuracies, so no
+    pmf depends on its batch."""
+    n, continuous = len(x), family.kind == "rum" and family.noise.is_continuous
+    pmfs, errors, t = np.zeros((len(thetas), n, n)), {}, np.ones(len(thetas))
+    for k, theta in enumerate(thetas):
+        try:
+            spec = family.with_theta(theta)
+            t[k] = spec.theta
+            if continuous:
+                pmfs[k] = top_two_pmf(spec, x)
+        except ValueError as exc:
+            errors[k] = exc
+    # a refused accuracy keeps t = 1 as a placeholder, and its own error
+    if family.kind == "mallows":
+        pmfs = _mallows_top_two(t + 1.0, n)
+    elif family.kind == "plackett_luce":
+        pmfs = _pl_top_two(t, x)
+    elif not continuous:
+        pmfs, ties = _discrete_rum_top_two(family.noise, t, x)
+        errors = {**ties, **errors}
+    return pmfs, errors
+
+
+def _mallows_top_two(phis: np.ndarray, n: int) -> np.ndarray:
     c = np.arange(n)
-    weights = (1.0 / phi) ** (c[:, None] + c[None, :] - (c[None, :] > c[:, None]))
-    np.fill_diagonal(weights, 0.0)
-    return weights / weights.sum()
+    weights = (1.0 / phis[:, None, None]) ** (c[:, None] + c[None, :] - (c[None, :] > c[:, None]))
+    weights[:, c, c] = 0.0
+    return weights / weights.sum(axis=(1, 2), keepdims=True)
 
 
 @lru_cache(maxsize=128)
@@ -176,12 +205,13 @@ def _mallows_first_survivor_pmf(phi: float, n: int, removed0: tuple[int, ...]) -
     return pmf
 
 
-def _pl_top_two(theta: float, x: np.ndarray) -> np.ndarray:
+def _pl_top_two(thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
     # each row shifts by its own max, so W - w_a never cancels to 0 / 0
+    theta = thetas[:, None, None]
     scores = np.where(np.eye(len(x), dtype=bool), -np.inf, theta * x)
-    w = np.exp(scores - scores.max(axis=1, keepdims=True))
-    first = np.exp(theta * x - theta * x.max())
-    return (first / first.sum())[:, None] * w / w.sum(axis=1, keepdims=True)
+    w = np.exp(scores - scores.max(axis=2, keepdims=True))
+    first = np.exp(theta * x[:, None] - theta * x.max())
+    return first / first.sum(axis=1, keepdims=True) * w / w.sum(axis=2, keepdims=True)
 
 
 def _continuous_rum_top_two(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
@@ -199,15 +229,16 @@ def _support_sum(mass: np.ndarray, below: np.ndarray, above: np.ndarray) -> np.n
     """P[a, b] = sum_k mass[k, b] above[k, a] prod_{c != a, b} below[k, c]
     over support points t_k (rows; columns are candidates), as the product
     (above * prod_{c != a} below)^T (mass / below), so that no K x n x n
-    array is formed. The product over c != a is an exclusive prefix times
-    an exclusive suffix cumprod; b's own factor is divided out of its mass,
-    with below floored at 1e-300 in that division only, where b's mass is
-    negligible."""
+    array is formed; leading axes are a batch, one product each. The product
+    over c != a is an exclusive prefix times an exclusive suffix cumprod; b's
+    own factor is divided out of its mass, with below floored at 1e-300 in
+    that division only, where b's mass is negligible."""
     prefix, suffix = np.ones_like(below), np.ones_like(below)
-    np.cumprod(below[:, :-1], axis=1, out=prefix[:, 1:])
-    np.cumprod(below[:, :0:-1], axis=1, out=suffix[:, -2::-1])
-    pmf = (above * (prefix * suffix)).T @ (mass / np.maximum(below, 1e-300))
-    np.fill_diagonal(pmf, 0.0)
+    np.cumprod(below[..., :-1], axis=-1, out=prefix[..., 1:])
+    np.cumprod(below[..., :0:-1], axis=-1, out=suffix[..., -2::-1])
+    pmf = np.swapaxes(above * (prefix * suffix), -1, -2) @ (mass / np.maximum(below, 1e-300))
+    c = np.arange(pmf.shape[-1])
+    pmf[..., c, c] = 0.0
     return pmf
 
 
@@ -242,46 +273,53 @@ def _atom_enumeration(noise: NoiseSpec, theta: float, x: np.ndarray) -> tuple[np
     n, m = len(x), len(noise.atoms)
     if m**n > 2_000_000:
         raise UnsupportedModelError(f"joint atom support {m}^{n} too large")
-    cells = _atom_cells(noise, theta, x)
+    cells, _, ties = _atom_cells(noise, np.array([theta]), x)
+    if ties:
+        raise ties[0]
+    cells = cells.reshape(n, m)
     probs = np.array([p for _, p in noise.atoms])
     grids = np.meshgrid(*([np.arange(m)] * n), indexing="ij")
     combos = np.stack([g.ravel() for g in grids], axis=1)
     return cells[np.arange(n), combos], np.prod(probs[combos], axis=1)
 
 
-def _atom_cells(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
-    """Each candidate's (row) value under each atom (column); TieError on a possible tie."""
+def _atom_cells(noise: NoiseSpec, thetas: np.ndarray, x: np.ndarray) -> tuple:
+    """Perturbed values, one row per accuracy with candidate c under atom j
+    at c m + j, each row's stable ascending order, and a TieError for each
+    accuracy at which some ranking ties two candidates."""
     values = np.array([v for v, _ in noise.atoms])
     # every combination has positive probability, so two candidates tie in
-    # some ranking exactly when two cells in different rows are equal
-    cells = x[:, None] + values[None, :] / theta
-    order = np.argsort(cells.ravel(), kind="stable")
-    _raise_first_tie(cells.ravel()[order], order // len(values))
-    return cells
+    # some ranking exactly when two cells of different candidates are equal
+    cells = (x[:, None] + values / thetas[:, None, None]).reshape(len(thetas), len(x) * len(values))
+    order = np.argsort(cells, axis=1, kind="stable")
+    return cells, order, _tie_errors(np.take_along_axis(cells, order, axis=1), order // len(values))
 
 
-def _raise_first_tie(ranked: np.ndarray, owners: np.ndarray) -> None:
-    """TieError naming the first equal neighbours in ranked held by two candidates."""
-    clash = (ranked[:-1] == ranked[1:]) & (owners[:-1] != owners[1:])
-    if clash.any():
-        k = int(np.argmax(clash))
-        a, b = sorted((int(owners[k]) + 1, int(owners[k + 1]) + 1))
-        raise TieError(f"candidates {a} and {b} tie at perturbed value {float(ranked[k])}")
+def _tie_errors(ranked: np.ndarray, owners: np.ndarray) -> dict[int, TieError]:
+    """For each row of ranked (sorted values) whose equal neighbours belong to
+    two owners (0-based candidates), a TieError naming the first such pair."""
+    clash = (ranked[:, :-1] == ranked[:, 1:]) & (owners[:, :-1] != owners[:, 1:])
+    errors = {}
+    for r in np.flatnonzero(clash.any(axis=1)).tolist():
+        k = int(np.argmax(clash[r]))
+        a, b = sorted((int(owners[r, k]) + 1, int(owners[r, k + 1]) + 1))
+        errors[r] = TieError(f"candidates {a} and {b} tie at perturbed value {float(ranked[r, k])}")
+    return errors
 
 
-def _discrete_rum_top_two(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
-    """`_support_sum` over the sorted cells, each carrying its atom's
-    probability as its owner's mass; below = Pr(X_c <= t) and above =
-    Pr(X_c > t) are direct cumulative sums. Exact up to rounding, as
-    `_atom_cells` rules out ties, so <= and < agree for every c != b."""
-    cells = _atom_cells(noise, theta, x)
-    n, m = cells.shape
-    order = np.argsort(cells.ravel(), kind="stable")
-    mass = np.zeros((n * m, n))
-    mass[np.arange(n * m), order // m] = np.array([q for _, q in noise.atoms])[order % m]
+def _discrete_rum_top_two(noise: NoiseSpec, thetas: np.ndarray, x: np.ndarray) -> tuple:
+    """`_support_sum` over each accuracy's sorted cells, each carrying its
+    atom's probability as its owner's mass; below = Pr(X_c <= t) and above =
+    Pr(X_c > t) are direct cumulative sums. Exact up to rounding where
+    `_atom_cells` finds no tie, as <= and < then agree for every c != b."""
+    cells, order, ties = _atom_cells(noise, thetas, x)
+    (size, cols), m = cells.shape, len(noise.atoms)
+    mass = np.zeros((size, cols, cols // m))
+    probs = np.array([q for _, q in noise.atoms])
+    mass[np.arange(size)[:, None], np.arange(cols), order // m] = probs[order % m]
     above = np.zeros_like(mass)
-    np.cumsum(mass[:0:-1], axis=0, out=above[-2::-1])
-    return _support_sum(mass, np.cumsum(mass, axis=0), above)
+    np.cumsum(mass[:, :0:-1], axis=1, out=above[:, -2::-1])
+    return _support_sum(mass, np.cumsum(mass, axis=1), above), ties
 
 
 def _pl_perm_probs(theta: float, x: np.ndarray) -> np.ndarray:
@@ -315,7 +353,7 @@ def exact_selection_pmf(
         return _mallows_first_survivor_pmf(spec.phi, n, removed0)
     x = pool.as_array()
     if spec.noise is not None and not spec.noise.is_continuous:
-        _atom_cells(spec.noise, spec.theta, x)
+        top_two_pmf(spec, x)  # TieError on a tie anywhere in the pool, removed candidates too
     survivors = np.setdiff1d(np.arange(n), removed0)
     first = top_two_pmf(spec, x[survivors]).sum(axis=1) if len(survivors) > 1 else np.ones(1)
     return np.bincount(survivors, first / first.sum(), n)
@@ -330,7 +368,8 @@ def _removed0(removed, n: int) -> tuple[int, ...]:
 
 
 def _exact_pool(pool_or_d: PoolOrDistribution, value_independent: bool) -> CandidatePool | None:
-    """A fixed pool as itself; a drawn one as its mean pool if value_independent, else None."""
+    """A fixed pool as itself; a drawn one as its mean pool if value_independent,
+    else None; TypeError for anything else (the one pool-kind check)."""
     if isinstance(pool_or_d, CandidatePool):
         return pool_or_d
     if isinstance(pool_or_d, CandidateDistribution):
@@ -351,7 +390,7 @@ def exact_utility_table(theta_a: float, theta_h: float, family: RankingModelSpec
 def exact_utility_lattice(theta_h_values, theta_a_values, family: RankingModelSpec,
                           pool: PoolOrDistribution) -> list[list[UtilityTable | ValueError]]:
     """The utility table of every cell (theta_h, theta_a) of an accuracy
-    lattice, one list per theta_h, from one top-two pmf per accuracy.
+    lattice, one list per theta_h, from one `_top_two_pmfs` stack.
 
     The first mover takes the top of its ranking; the second mover takes
     the top remaining candidate of its own ranking. Matching strategies
@@ -360,8 +399,8 @@ def exact_utility_lattice(theta_h_values, theta_a_values, family: RankingModelSp
     mover gets p1 @ x, a sharing second mover P.sum(0) @ x, and an
     independent one G = p1 @ x - p1 x + P @ x contracted against the first
     mover's p1: one matrix product over all accuracies, checked against
-    double enumeration of ranking pairs. A cell whose pmf raised ValueError
-    holds that error, theta_a's when both did.
+    double enumeration of ranking pairs. A cell whose accuracy has a
+    ValueError instead of a pmf holds it, theta_a's when both have one.
     """
     fixed = _exact_pool(pool, family.value_independent)
     if fixed is None:
@@ -369,17 +408,12 @@ def exact_utility_lattice(theta_h_values, theta_a_values, family: RankingModelSp
                                     "value-independent model; use the estimators module")
     x = fixed.as_array()
     index = {theta: k for k, theta in enumerate(dict.fromkeys([*theta_h_values, *theta_a_values]))}
-    first, g = np.zeros((len(index), len(x))), np.zeros((len(index), len(x)))
-    own, errors = [(0.0, 0.0)] * len(index), {}
-    for theta, k in index.items():
-        try:
-            pmf = top_two_pmf(family.with_theta(theta), x)
-        except ValueError as exc:
-            errors[k] = exc
-            continue
+    pmfs, errors = _top_two_pmfs(family, list(index), x)
+    first, g, own = np.zeros((len(index), len(x))), np.zeros((len(index), len(x))), []
+    for k, pmf in enumerate(pmfs):  # a failing accuracy's entries go unread
         first[k] = pmf.sum(axis=1)
         g[k] = first[k] @ x - first[k] * x + pmf @ x
-        own[k] = (float(first[k] @ x), float(pmf.sum(axis=0) @ x))
+        own.append((float(first[k] @ x), float(pmf.sum(axis=0) @ x)))
     # cross[s][t]: an independent second mover at accuracy t against a first
     # mover at s; one product for all pairs, so u_ha = u_hh where theta_a = theta_h
     cross = (first @ g.T).tolist()
@@ -555,8 +589,8 @@ def _sequential_values(k: int, phi_a: float, phi_h: float, pool_or_d: PoolOrDist
     """Check the arguments of k firms hiring in order; returns the pool values."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if not (phi_a > 1 and phi_h > 1):
-        raise UnsupportedModelError(f"need phi > 1, got phi_a={phi_a}, phi_h={phi_h}")
+    for phi in (phi_a, phi_h):
+        RankingModelSpec.mallows(phi)  # UnsupportedModelError unless phi > 1
     x = _exact_pool(pool_or_d, value_independent=True).as_array()
     n = len(x)
     if k > n:

@@ -161,8 +161,7 @@ class RankingModelSpec:
 
     @staticmethod
     def mallows(phi: float) -> "RankingModelSpec":
-        if not phi > 1:
-            raise UnsupportedModelError(f"need phi > 1, got {phi}")
+        """Dispersion phi at accuracy phi - 1, so phi > 1 is the rule theta > 0."""
         return RankingModelSpec("mallows", phi - 1.0)
 
     @staticmethod

@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .core import PoolOrDistribution
-from .estimators import DEFAULT_SWEEP_SAMPLES, _strict, mc_utility_table
+from .estimators import DEFAULT_SWEEP_SAMPLES, _increasing_grid, _strict, mc_utility_table
 from .exact import (
     SequentialState,
     UtilityTable,
@@ -40,12 +40,6 @@ BRACKET_LIMIT_FACTOR = 1024.0
 
 class BracketError(RuntimeError):
     """Raised when the dominance margin cannot be sign-bracketed."""
-
-
-def _margin_stderr(table: UtilityTable, names: tuple[str, ...]) -> float:
-    # entries share trial draws, so treating them as independent overstates
-    # the error; the overstatement only ever downgrades a verdict
-    return math.sqrt(sum(getattr(table, "stderr_" + name) ** 2 for name in names))
 
 
 @dataclass(frozen=True)
@@ -73,20 +67,19 @@ class DominanceReport:
 
 
 def check_dominance(table: UtilityTable) -> DominanceReport:
-    margin_a = (table.u_first_a + table.u_aa) - (table.u_first_h + table.u_ah)
-    margin_h = (table.u_first_a + table.u_ha) - (table.u_first_h + table.u_hh)
-    se_a = _margin_stderr(table, ("u_first_a", "u_aa", "u_first_h", "u_ah"))
-    se_h = _margin_stderr(table, ("u_first_a", "u_ha", "u_first_h", "u_hh"))
-    return DominanceReport(
-        margin_vs_a=margin_a,
-        margin_vs_h=margin_h,
-        stderr_vs_a=se_a,
-        stderr_vs_h=se_h,
-        a_dominant_vs_a=_strict(margin_a, se_a),
-        a_dominant_vs_h=_strict(margin_h, se_h),
-        tie_vs_a=not (_strict(margin_a, se_a) or _strict(-margin_a, se_a)),
-        tie_vs_h=not (_strict(margin_h, se_h) or _strict(-margin_h, se_h)),
-    )
+    fa, fh, aa = table.u_first_a, table.u_first_h, table.u_aa
+    ah, ha, hh = table.u_ah, table.u_ha, table.u_hh
+    s_fa, s_fh, s_aa = table.stderr_u_first_a, table.stderr_u_first_h, table.stderr_u_aa
+    s_ah, s_ha, s_hh = table.stderr_u_ah, table.stderr_u_ha, table.stderr_u_hh
+    margin_a, margin_h = (fa + aa) - (fh + ah), (fa + ha) - (fh + hh)
+    # entries share trial draws, so treating them as independent overstates
+    # the error; the overstatement only ever downgrades a verdict
+    se_a = math.sqrt(s_fa**2 + s_aa**2 + s_fh**2 + s_ah**2)
+    se_h = math.sqrt(s_fa**2 + s_ha**2 + s_fh**2 + s_hh**2)
+    strict_a, strict_h = _strict(margin_a, se_a), _strict(margin_h, se_h)
+    return DominanceReport(margin_a, margin_h, se_a, se_h, strict_a, strict_h,
+                           tie_vs_a=not (strict_a or _strict(-margin_a, se_a)),
+                           tie_vs_h=not (strict_h or _strict(-margin_h, se_h)))
 
 
 @dataclass(frozen=True)
@@ -144,22 +137,12 @@ def classify_equilibrium(table: UtilityTable) -> EquilibriumOutcome:
 
     welfare_aa = exact_welfare(table, "AA")
     welfare_hh = exact_welfare(table, "HH")
-    gap_se = _margin_stderr(table, ("u_first_h", "u_hh", "u_first_a", "u_aa"))
+    gap_se = math.sqrt(table.stderr_u_first_h**2 + table.stderr_u_hh**2
+                       + table.stderr_u_first_a**2 + table.stderr_u_aa**2)
     braess = dom.a_strictly_dominant and _strict(welfare_hh - welfare_aa, gap_se)
 
-    return EquilibriumOutcome(
-        label=label,
-        p=p,
-        welfare_aa=welfare_aa,
-        welfare_hh=welfare_hh,
-        braess=braess,
-        boundary=boundary,
-        detail={
-            "payoff_margin_vs_a": alpha,
-            "payoff_margin_vs_h": beta,
-            "dominance": dom,
-        },
-    )
+    detail = {"payoff_margin_vs_a": alpha, "payoff_margin_vs_h": beta, "dominance": dom}
+    return EquilibriumOutcome(label, p, welfare_aa, welfare_hh, braess, boundary, detail)
 
 
 @dataclass(frozen=True)
@@ -326,12 +309,8 @@ def binary_counter_scan(
     k: int,
     pool_or_d: PoolOrDistribution,
 ) -> ScanReport:
-    grid = [float(p) for p in phi_a_values]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("phi_a grid must be strictly increasing")
-    points = []
-    for phi_a in grid:
-        points.append(ScanPoint(phi_a, sequential_optimal_sequence(k, phi_a, phi_h, pool_or_d)))
+    points = [ScanPoint(phi_a, sequential_optimal_sequence(k, phi_a, phi_h, pool_or_d))
+              for phi_a in _increasing_grid(phi_a_values, "phi_a")]
     violation = None
     for i in range(1, len(points)):
         prev, cur = points[i - 1], points[i]
@@ -344,12 +323,7 @@ def binary_counter_scan(
                 "value": cur.sequence.binary_value,
             }
             break
-    return ScanReport(
-        phi_h=phi_h,
-        points=tuple(points),
-        monotone_nondecreasing=violation is None,
-        first_violation=violation,
-    )
+    return ScanReport(phi_h, tuple(points), violation is None, violation)
 
 
 @dataclass(frozen=True)

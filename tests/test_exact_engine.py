@@ -397,6 +397,30 @@ def test_softmax_selection_pmf_stays_finite_at_high_accuracy():
     assert pmf[1] >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("family, values", [
+    (MALLOWS, (2.7, 2.3, 1.9, 1.5, 1.0)),
+    (RankingModelSpec.plackett_luce(1.0), (3.1, 2.6, 2.05, 1.7, 0.95, 0.4, -0.3)),
+    (RankingModelSpec.rum(NoiseSpec.discrete(((-1.0, 0.2), (0.0, 0.5), (1.0, 0.3))), 1.0),
+     (2.0, 1.5, 1.25, 0.5, 0.0)),
+], ids=["mallows", "plackett_luce", "atoms"])
+def test_batched_pmfs_do_not_depend_on_the_batch(family, values):
+    # 65 accuracies in one batch, among them refused ones and, for the atoms,
+    # tying ones (4 and 2 tie candidates of this pool); every slice must be
+    # bit-identical to the pmf top_two_pmf computes alone, every error equal
+    thetas = [0.05 + 0.09 * k for k in range(60)] + [4.0, 0.0, float("nan"), 2.0, -1.0]
+    x = np.array(values)
+    pmfs, errors = exact_engine._top_two_pmfs(family, thetas, x)
+    assert pmfs.shape == (65, len(x), len(x))
+    for k, theta in enumerate(thetas):
+        try:
+            want = top_two_pmf(family.with_theta(theta), x)
+        except ValueError as exc:
+            assert type(errors[k]) is type(exc) and str(errors[k]) == str(exc)
+        else:
+            assert k not in errors and np.array_equal(pmfs[k], want)
+    assert {61, 62, 64} <= set(errors)
+
+
 def test_cached_top_two_pmf_is_read_only():
     spec = RankingModelSpec.plackett_luce(0.7)
     x = POOL4.as_array()

@@ -490,12 +490,15 @@ def test_exact_sweep_records_a_failing_accuracy_on_its_own_cells():
 def test_exact_sweep_lets_programming_errors_raise(monkeypatch):
     import monoculture.exact as exact
 
-    def broken(spec, x):
+    def broken(family, thetas, x):
         raise IndexError("index 5 is out of bounds")
 
-    monkeypatch.setattr(exact, "top_two_pmf", broken)
+    # the batched pmf kernel serves whole lattices and one-cell tables alike
+    monkeypatch.setattr(exact, "_top_two_pmfs", broken)
     with pytest.raises(IndexError):
         sweep_plane((1.0,), (0.5,), MALLOWS, POOL3)
+    with pytest.raises(IndexError):
+        exact_utility_table(0.5, 1.0, MALLOWS, POOL3)
 
 
 def test_exact_sweep_classifies_each_cell_once_in_row_major_order(monkeypatch):
@@ -507,6 +510,87 @@ def test_exact_sweep_classifies_each_cell_once_in_row_major_order(monkeypatch):
     rows, cols = (1.0, 1.5, 0.7), (0.5, 1.5, 3.0, 1.0)
     sweep_plane(rows, cols, MALLOWS, POOL4)
     assert seen == [exact_utility_table(a, h, MALLOWS, POOL4) for h in rows for a in cols]
+
+
+# outcomes of exact lattices recorded before lattice pmfs were batched; every
+# field must stay bit-identical (the atom cases include a tying accuracy)
+PINNED_CASES = {
+    "mallows_n5": (MALLOWS, (2.7, 2.319, 1.916, 1.491, 1.044), (0.5, 1.3), (0.3, 0.9, 2.2)),
+    "pl_n7": (RankingModelSpec.plackett_luce(1.0), (3.1, 2.6, 2.05, 1.7, 0.95, 0.4, -0.3),
+              (0.6, 1.8), (0.4, 1.1, 3.5)),
+    "atoms3_n5": (ATOMS, (2.0, 1.5, 1.25, 0.5, 0.0), (0.7, 1.3), (0.9, 4.0, 2.9)),
+    "atoms4_n6": (RankingModelSpec.rum(NoiseSpec.discrete(
+        ((-1.5, 0.1), (-0.25, 0.4), (0.5, 0.3), (2.0, 0.2))), 1.0),
+        (1.9, 1.45, 1.1, 0.62, 0.3, -0.15), (0.55, 1.7), (0.35, 1.23, 2.6)),
+    "gaussian_n3": (GAUSSIAN, (1.0, 0.5, 0.0), (0.8, 1.5), (0.6, 1.2, 2.5)),
+}
+PINNED_OUTCOMES = {
+    'mallows_n5': [
+        ('HH', None, 4.104695644061263, 4.300114698163184, -0.22384269859094807, -0.19376765906542293, 0.0, 0.0),
+        ('AA', None, 4.47493405959035, 4.300114698163184, 0.2175393071887317, 0.2664587056160297, 0.0, 0.0),
+        ('AA', None, 4.768483208988547, 4.300114698163184, 0.578791045501708, 0.6265548696919554, 0.0, 0.0),
+        ('HH', None, 4.104695644061263, 4.653863091525877, -0.6546159935233264, -0.6148776650103498, 0.0, 0.0),
+        ('HH', None, 4.47493405959035, 4.653863091525877, -0.21134542141160928, -0.16336435381086556, 0.0, 0.0),
+        ('AA', None, 4.768483208988547, 4.653863091525877, 0.16023169343019372, 0.1958813352659705, 0.0, 0.0),
+    ],
+    'pl_n7': [
+        ('HH', None, 3.8532578193351927, 4.2058255498622845, -0.38636737639279595, -0.386867329794343, 0.0, 0.0),
+        ('AA', None, 4.833237222748967, 4.2058255498622845, 0.7015967248658876, 0.7019168244280802, 0.0, 0.0),
+        ('AA', None, 5.587385577473485, 4.2058255498622845, 1.6165837928743816, 1.6544163763481698, 0.0, 0.0),
+        ('HH', None, 3.8532578193351927, 5.2724352401696954, -1.6035419995139133, -1.5906951928327633, 0.0, 0.0),
+        ('HH', None, 4.833237222748967, 5.2724352401696954, -0.5249596698272319, -0.5231879782147537, 0.0, 0.0),
+        ('AA', None, 5.587385577473485, 5.2724352401696954, 0.44053128596399027, 0.43817755589985996, 0.0, 0.0),
+    ],
+    'atoms3_n5': [
+        ('AH_asymmetric', 0.26757841355199435, 3.075529999999999, 3.1482415999999986, -0.07302470999999944, 0.02667839999999977, 0.0, 0.0),
+        'TieError: candidates 4 and 5 tie at perturbed value 0.25',
+        ('AA', None, 3.4225, 3.1482415999999986, 0.4680820000000008, 0.4989947000000008, 0.0, 0.0),
+        ('HH', None, 3.075529999999999, 3.276224139999999, -0.20144698999999955, -0.10216052000000087, 0.0, 0.0),
+        'TieError: candidates 4 and 5 tie at perturbed value 0.25',
+        ('AA', None, 3.4225, 3.276224139999999, 0.29935400000000056, 0.3707223600000007, 0.0, 0.0),
+    ],
+    'atoms4_n6': [
+        ('HH', None, 2.1549110000000007, 2.3621220357500006, -0.21519498299999995, -0.0867900029999995, 0.0, 0.0),
+        ('AA', None, 2.7525496, 2.3621220357500006, 0.4561098746599992, 0.5276322142300001, 0.0, 0.0),
+        ('AA', None, 3.163780000000001, 2.3621220357500006, 0.9342881612000005, 0.9841967214500009, 0.0, 0.0),
+        ('HH', None, 2.1549110000000007, 2.9679497418240004, -0.9507541140119997, -0.7812676121439992, 0.0, 0.0),
+        ('HH', None, 2.7525496, 2.9679497418240004, -0.2635793051200004, -0.20587475558399992, 0.0, 0.0),
+        ('AA', None, 3.163780000000001, 2.9679497418240004, 0.2506395878400012, 0.25819445017600096, 0.0, 0.0),
+    ],
+    'gaussian_n3': [
+        ('HH', None, 1.1241556827216228, 1.186542295166882, -0.08313306518250707, -0.06359590643403434, 0.0, 0.0),
+        ('AA', None, 1.2331207125767634, 1.186542295166882, 0.08559728634148067, 0.11594653544638667, 0.0, 0.0),
+        ('AA', None, 1.386535252611219, 1.186542295166882, 0.3325799168074801, 0.36981715265936344, 0.0, 0.0),
+        ('HH', None, 1.1241556827216228, 1.3080434846040978, -0.27537550690899915, -0.24881257694131031, 0.0, 0.0),
+        ('HH', None, 1.2331207125767634, 1.3080434846040978, -0.10344495363172879, -0.07380639562183222, 0.0, 0.0),
+        ('AA', None, 1.386535252611219, 1.3080434846040978, 0.15375157064001477, 0.17606736183968907, 0.0, 0.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_exact_sweep_keeps_its_recorded_outcomes(case):
+    family, values, rows, cols = PINNED_CASES[case]
+    got = []
+    for cell in sweep_plane(rows, cols, family, CandidatePool(values)):
+        if cell.error is not None:
+            got.append(cell.error)
+            continue
+        out, dom = cell.outcome, cell.outcome.detail["dominance"]
+        got.append((out.label, out.p, out.welfare_aa, out.welfare_hh, dom.margin_vs_a,
+                    dom.margin_vs_h, dom.stderr_vs_a, dom.stderr_vs_h))
+    assert got == PINNED_OUTCOMES[case]
+
+
+def test_exact_sweep_marks_only_the_invalid_accuracy_columns():
+    cols = (0.5, 0.0, float("nan"), 1.5)
+    cells = sweep_plane((1.0, 2.0), cols, MALLOWS, POOL3)
+    for cell, j in zip(cells, [0, 1, 2, 3] * 2):
+        if j in (1, 2):
+            assert cell.outcome is None
+            assert cell.error.startswith("UnsupportedModelError: need theta > 0")
+        else:
+            assert cell.error is None and cell.outcome is not None
 
 
 def test_sweep_plane_mc_results_do_not_depend_on_threads(monkeypatch, pool_sizes):
