@@ -11,20 +11,22 @@ numbers), which shrinks the variance of every estimated difference.
 
 No estimator samples a whole ranking. Every two-firm estimand reads only
 the top two of each ranking, and the monotonicity check only the best
-survivor of a removed set, so those paths draw just (top, runner-up) with
-`sample_top_two` and the best survivor with `_first_survivors`. The
-distance-based family draws pairs and first survivors from their exact
-laws, one uniform per row inverted through the cumulative closed-form
-top-two pmf or the repeated-insertion first-survivor pmf. RUM and
-Plackett-Luce take argmax passes over the same perturbed scores that
-`sample_rankings`, the public API's full-ranking sampler, sorts. Under equal
-seeds the RUM and Plackett-Luce picks equal the matching entries of
-`sample_rankings`; the distance-based picks have the same law but come from
-different draws.
+survivor of a removed set. One rule, `_picks`, chooses each ranking spec's
+sampler once per estimator call, before any chunk runs: the same law on
+every row means an exact-law draw. Rows share one law on a fixed pool, and
+under the distance-based family on any pool; their picks come from
+`top_two_pmf` (first survivors: `exact_selection_pmf`), one uniform per
+ranking inverted through its cumulative sum. Continuous noise takes that
+path only while its quadrature grid has at most CHUNK_SIZE nodes.
+Elsewhere, a drawn pool under a value-dependent family or a fixed pool past
+that grid, `sample_top_two` and `_first_survivors` take argmax passes over
+the perturbed scores that `sample_rankings`, the public API's full-ranking
+sampler, sorts, so equal seeds give equal picks; exact-law picks have the
+same law but come from different draws.
 
 Finite-atom noise raises TieError where two candidates can tie: on a fixed
-pool by the exact engine's rule, a tie in any ranking, whether or not one is
-drawn; on a drawn pool when a sampled row ties.
+pool by the exact engine's rule, a tie in any ranking, before any draw; on
+a drawn pool when a sampled row ties.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from .exact import (
     ENTRY_NAMES,
     UtilityTable,
     _exact_pool,
-    _mallows_first_survivor_pmf,
+    _gauss_legendre_grid,
     _removed0,
     _tie_errors,
     exact_selection_pmf,
@@ -156,15 +158,7 @@ def _inverse_cdf(weights: np.ndarray, size: int, rng: np.random.Generator) -> np
     that rounds up onto the total, so no draw leaves the support."""
     cum = np.cumsum(weights)
     idx = np.searchsorted(cum, rng.uniform(0.0, cum[-1], size), side="right")
-    return np.minimum(idx, cum.size - 1)
-
-
-def _mallows_top_two(spec: RankingModelSpec, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """(top, runner-up) pairs as (size, 2) 0-based candidates, drawn from the
-    closed-form pmf of `top_two_pmf`."""
-    first, second = np.nonzero(~np.eye(n, dtype=bool))
-    idx = _inverse_cdf(top_two_pmf(spec, range(n))[first, second], size, rng)
-    return np.stack((first[idx], second[idx]), axis=1)
+    return np.minimum(idx, np.flatnonzero(weights)[-1])
 
 
 def _raise_on_ties(keys: np.ndarray) -> None:
@@ -181,18 +175,14 @@ def _perturbed_keys(spec: RankingModelSpec, pools: np.ndarray, rng: np.random.Ge
     """Scores whose descending order is one RUM or Plackett-Luce ranking per row.
 
     Plackett-Luce uses the max-trick with standard Gumbel draws; RUMs
-    perturb values directly; finite-atom noise follows the module's tie rule:
-    rows that are one fixed pool, the stride-0 view `_pool_matrix` makes,
-    are judged by `top_two_pmf` before the draw, other rows after it.
+    perturb values directly, and finite-atom noise raises TieError on the
+    first row that ties.
     """
     size, n = pools.shape
     if spec.kind == "plackett_luce":
         return spec.theta * pools + rng.gumbel(0.0, 1.0, (size, n))
-    fixed = pools.strides[0] == 0
-    if fixed and not spec.noise.is_continuous:
-        top_two_pmf(spec, pools[0])
     keys = pools + spec.noise.sample(rng, (size, n)) / spec.theta
-    if not (fixed or spec.noise.is_continuous):
+    if not spec.noise.is_continuous:
         _raise_on_ties(keys)
     return keys
 
@@ -214,41 +204,55 @@ def sample_rankings(
 def sample_top_two(
     spec: RankingModelSpec, pools: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """(top, runner-up) of one ranking per pool row, as (size, 2) 0-based candidates.
-
-    Same law as the first two columns of `sample_rankings`. For RUM and
-    Plackett-Luce the draws are the same too, so equal seeds give equal picks.
+    """(top, runner-up) of one RUM or Plackett-Luce ranking per pool row, as
+    (size, 2) 0-based candidates: two argmax passes over the perturbed scores
+    that `sample_rankings` sorts, so equal seeds give its first two columns.
+    Estimators call it only where rows differ in law (`_picks`).
     """
-    size, n = pools.shape
-    if spec.kind == "mallows":
-        return _mallows_top_two(spec, n, size, rng)
     keys = _perturbed_keys(spec, pools, rng)
     top = np.argmax(keys, axis=1)
-    keys[np.arange(size), top] = -np.inf
+    keys[np.arange(len(keys)), top] = -np.inf
     return np.stack((top, np.argmax(keys, axis=1)), axis=1)
 
 
 def _first_survivors(
     spec: RankingModelSpec, pools: np.ndarray, removed0: tuple[int, ...], rng: np.random.Generator
 ) -> np.ndarray:
-    """Best-ranked candidate outside removed0 in one ranking per pool row.
-
-    The distance-based family draws it from its exact law,
-    `_mallows_first_survivor_pmf`, restricted to the survivors; RUM and
-    Plackett-Luce take the argmax of the perturbed scores with removed0
-    masked out.
-    """
-    if spec.kind == "mallows":
-        size, n = pools.shape
-        survivors = np.setdiff1d(np.arange(n), removed0)
-        pmf = _mallows_first_survivor_pmf(spec.phi, n, removed0)
-        return survivors[_inverse_cdf(pmf[survivors], size, rng)]
+    """Best-ranked candidate outside removed0 in one RUM or Plackett-Luce
+    ranking per pool row: the argmax of the perturbed scores with removed0
+    masked out."""
     keys = _perturbed_keys(spec, pools, rng)
     keys[:, removed0] = -np.inf
     return np.argmax(keys, axis=1)
 
 
+def _picks(spec: RankingModelSpec, pool_or_d: PoolOrDistribution, removed0=None):
+    """(pools, rng) -> the (top, runner-up) of one ranking per pool row, as
+    (size, 2) 0-based candidates, or with removed0 its best survivor: the
+    module's sampler rule. Where `_exact_pool` gives a pool, picks follow
+    `top_two_pmf` (`exact_selection_pmf`) on it through `_inverse_cdf`, but
+    for continuous noise only while its quadrature grid has at most
+    CHUNK_SIZE nodes, past which the pmf's K x n work arrays outgrow a chunk."""
+    fixed = _exact_pool(pool_or_d, spec.value_independent)
+    if (fixed is not None and spec.kind == "rum" and spec.noise.is_continuous
+            and len(_gauss_legendre_grid(spec.theta, fixed.as_array())[0]) > CHUNK_SIZE):
+        fixed = None
+    if fixed is None:
+        if removed0 is None:
+            return lambda pools, rng: sample_top_two(spec, pools, rng)
+        return lambda pools, rng: _first_survivors(spec, pools, removed0, rng)
+    if removed0 is None:
+        picks = np.argwhere(~np.eye(fixed.n, dtype=bool))
+        weights = top_two_pmf(spec, fixed.as_array())[picks[:, 0], picks[:, 1]]
+    else:
+        picks = np.setdiff1d(np.arange(fixed.n), removed0)
+        weights = exact_selection_pmf(spec, fixed, {c + 1 for c in removed0})[picks]
+    return lambda pools, rng: np.take(picks, _inverse_cdf(weights, len(pools), rng), axis=0)
+
+
 def _values_at(pools: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    if pools.strides[0] == 0:  # one fixed pool, the stride-0 view of `_pool_matrix`
+        return pools[0][picks]
     return np.take_along_axis(pools, picks[:, None], axis=1)[:, 0]
 
 
@@ -328,29 +332,15 @@ def mc_utility_trials(
     d_ah_aa and d_hh_ah are computed trial-by-trial before averaging, so
     their stderr reflects the common-random-number coupling.
     """
-    spec_a = spec.with_theta(theta_a)
-    spec_h = spec.with_theta(theta_h)
+    picks_a = _picks(spec.with_theta(theta_a), pool_or_d)
+    picks_h = _picks(spec.with_theta(theta_h), pool_or_d)
 
     def kernel(pools: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        sigma = sample_top_two(spec_a, pools, rng)
-        pi = sample_top_two(spec_h, pools, rng)
-        tau = sample_top_two(spec_h, pools, rng)
-        u_first_a = _values_at(pools, sigma[:, 0])
-        u_first_h = _values_at(pools, pi[:, 0])
-        u_aa = _values_at(pools, sigma[:, 1])
-        u_ah = _values_at(pools, _top_avoiding(pi, sigma[:, 0]))
-        u_ha = _values_at(pools, _top_avoiding(sigma, pi[:, 0]))
-        u_hh = _values_at(pools, _top_avoiding(tau, pi[:, 0]))
-        return {
-            "u_first_a": u_first_a,
-            "u_first_h": u_first_h,
-            "u_aa": u_aa,
-            "u_ah": u_ah,
-            "u_ha": u_ha,
-            "u_hh": u_hh,
-            "d_ah_aa": u_ah - u_aa,
-            "d_hh_ah": u_hh - u_ah,
-        }
+        sigma, pi, tau = picks_a(pools, rng), picks_h(pools, rng), picks_h(pools, rng)
+        u = dict(zip(ENTRY_NAMES, (_values_at(pools, picks) for picks in (
+            sigma[:, 0], pi[:, 0], sigma[:, 1], _top_avoiding(pi, sigma[:, 0]),
+            _top_avoiding(sigma, pi[:, 0]), _top_avoiding(tau, pi[:, 0])))))
+        return {**u, "d_ah_aa": u["u_ah"] - u["u_aa"], "d_hh_ah": u["u_hh"] - u["u_ah"]}
 
     return _run_chunks(kernel, pool_or_d, n_samples, seed, threads)
 
@@ -388,11 +378,11 @@ def check_pref_first_position(
     first-position preference, and whose value equals the second mover's
     utility loss or gain from sharing the first mover's ranking.
     """
-    spec_t = spec.with_theta(theta)
+    picks = _picks(spec.with_theta(theta), pool_or_d)
 
     def kernel(pools: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        pi = sample_top_two(spec_t, pools, rng)
-        sigma = sample_top_two(spec_t, pools, rng)
+        pi = picks(pools, rng)
+        sigma = picks(pools, rng)
         gap = _values_at(pools, pi[:, 0]) - _values_at(pools, pi[:, 1])
         hit = (pi[:, 0] != sigma[:, 0]).astype(float)
         return {"estimand": gap * hit}
@@ -425,13 +415,13 @@ def check_pref_weaker_competition(
     """
     if not theta1 > theta2:
         raise ValueError(f"need theta1 > theta2, got {theta1} <= {theta2}")
-    spec_strong = spec.with_theta(theta1)
-    spec_weak = spec.with_theta(theta2)
+    picks_strong = _picks(spec.with_theta(theta1), pool_or_d)
+    picks_weak = _picks(spec.with_theta(theta2), pool_or_d)
 
     def kernel(pools: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        sigma = sample_top_two(spec_strong, pools, rng)
-        pi = sample_top_two(spec_weak, pools, rng)
-        tau = sample_top_two(spec_weak, pools, rng)
+        sigma = picks_strong(pools, rng)
+        pi = picks_weak(pools, rng)
+        tau = picks_weak(pools, rng)
         after_weak = _values_at(pools, _top_avoiding(pi, tau[:, 0]))
         after_strong = _values_at(pools, _top_avoiding(pi, sigma[:, 0]))
         return {"estimand": after_weak - after_strong}
@@ -454,9 +444,10 @@ def _mc_selection_mean(
     stream: int,
     threads: int | None = None,
 ) -> EstimateWithError:
+    picks = _picks(spec, pool_or_d, removed0)
+
     def kernel(pools: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        picks = _first_survivors(spec, pools, removed0, rng)
-        return {"estimand": _values_at(pools, picks)}
+        return {"estimand": _values_at(pools, picks(pools, rng))}
 
     return _run_chunks(kernel, pool_or_d, n_samples, seed, threads, stream)["estimand"]
 

@@ -34,11 +34,12 @@ from monoculture.estimators import (
     VERDICT_HOLDS,
     VERDICT_INCONCLUSIVE,
     _first_survivors,
+    _picks,
     _verdict,
     sample_top_two,
 )
-from monoculture.exact import ENTRY_NAMES
-from monoculture import exact as exact_engine
+from monoculture.exact import ENTRY_NAMES, top_two_pmf
+from monoculture import estimators, exact as exact_engine
 from monoculture.permspace import perm_space
 from tests import oracles
 
@@ -51,6 +52,13 @@ GAUSSIAN = RankingModelSpec.rum(NoiseSpec.gaussian(), 1.0)
 LAPLACIAN = RankingModelSpec.rum(NoiseSpec.laplacian(), 0.7)
 SOFTMAX = RankingModelSpec.plackett_luce(1.3)
 UNIFORM15 = CandidateDistribution.uniform_centered_zero(1.7320508, 15)
+SEVEN_ATOMS = NoiseSpec.discrete(tuple((0.1234567 * k, 1 / 7) for k in range(-3, 4)))
+ATOMS7 = RankingModelSpec.rum(SEVEN_ATOMS, 1.0)
+
+
+def _spread(n):
+    # irregular gaps, so no atom offset ties two candidates
+    return CandidatePool(tuple(2.7 - 0.37 * i - 0.011 * i * i for i in range(n)))
 
 
 # ---------------------------------------------------------------- estimates
@@ -122,30 +130,81 @@ def test_vectorized_ranking_sampler_matches_permutation_probabilities():
     assert tv / 2 < 0.005
 
 
-@pytest.mark.parametrize("n", [3, 6])
-def test_mallows_top_two_matches_the_pair_marginal(n):
-    spec = MALLOWS.with_theta(1.0)  # phi = 2
-    size = 1_000_000
-    pools = np.zeros((size, n))
-    pairs = sample_top_two(spec, pools, np.random.default_rng(11))
-    perms = perm_space(n).perms
-    want = np.zeros((n, n))
-    np.add.at(want, (perms[:, 0], perms[:, 1]), mallows_perm_probs(2.0, n))
+# the exact-law draw that every family takes on a fixed pool; the
+# distance-based family keeps the ids it had when it was the only one
+_LAW_FAMILIES = (("", MALLOWS), ("plackett_luce-", SOFTMAX), ("gaussian-", GAUSSIAN),
+                 ("atoms-", ATOMS7))
+
+
+@pytest.mark.parametrize("spec, n", [
+    pytest.param(spec, n, id=f"{label}{n}") for label, spec in _LAW_FAMILIES for n in (3, 6)
+])
+def test_mallows_top_two_matches_the_pair_marginal(spec, n):
+    size, pool = 1_000_000, _spread(n)
+    pools = np.broadcast_to(pool.as_array(), (size, n))
+    pairs = _picks(spec, pool)(pools, np.random.default_rng(11))
     got = np.zeros((n, n))
     np.add.at(got, (pairs[:, 0], pairs[:, 1]), 1.0 / size)
     assert np.all(np.diag(got) == 0)
-    assert np.abs(got - want).sum() / 2 < 0.005
+    assert np.abs(got - top_two_pmf(spec, pool.as_array())).sum() / 2 < 0.005
 
 
-@pytest.mark.parametrize("removed0", [(), (1, 3), (0, 2, 3, 4)])
-def test_mallows_first_survivors_match_the_selection_pmf(removed0):
-    n, size = 6, 1_000_000
-    pools = np.broadcast_to(np.linspace(1.0, 0.0, n), (size, n))
-    picks = _first_survivors(MALLOWS, pools, removed0, np.random.default_rng(12))
-    want = exact_selection_pmf(MALLOWS, CandidatePool(tuple(pools[0])), {c + 1 for c in removed0})
+@pytest.mark.parametrize("spec, removed0", [
+    pytest.param(spec, removed0, id=f"{label}removed0{i}") for label, spec in _LAW_FAMILIES
+    for i, removed0 in enumerate([(), (1, 3), (0, 2, 3, 4)])
+])
+def test_mallows_first_survivors_match_the_selection_pmf(spec, removed0):
+    n, size, pool = 6, 1_000_000, _spread(6)
+    pools = np.broadcast_to(pool.as_array(), (size, n))
+    picks = _picks(spec, pool, removed0)(pools, np.random.default_rng(12))
+    want = exact_selection_pmf(spec, pool, {c + 1 for c in removed0})
     got = np.bincount(picks, minlength=n) / size
     assert not np.isin(picks, removed0).any()
     assert np.abs(got - want).sum() / 2 < 0.005
+
+
+def _reach_perturbation(*args):
+    raise AssertionError("perturbation path reached")
+
+
+@pytest.mark.parametrize("spec", [SOFTMAX, GAUSSIAN, ATOMS7], ids=["plackett_luce", "gaussian",
+                                                                   "atoms"])
+def test_a_fixed_pool_draws_every_pick_from_its_exact_law(spec, monkeypatch):
+    monkeypatch.setattr(estimators, "_perturbed_keys", _reach_perturbation)
+    pool = _spread(10)
+    mc_utility_table(1.5, 1.0, spec, pool, 2_000, 1)
+    check_pref_first_position(spec, 1.0, pool, 2_000, 2)
+    check_pref_weaker_competition(spec, 1.5, 1.0, pool, 2_000, 3)
+    assert not check_monotonicity(spec, (0.5, 1.0), {2, 5}, pool, 2_000, 4).detail["exact"]
+
+
+@pytest.mark.parametrize("spec", [SOFTMAX, GAUSSIAN, ATOMS7], ids=["plackett_luce", "gaussian",
+                                                                   "atoms"])
+def test_a_drawn_pool_perturbs_every_ranking(spec, monkeypatch):
+    monkeypatch.setattr(estimators, "_perturbed_keys", _reach_perturbation)
+    drawn = CandidateDistribution.uniform(0.0, 1.0, 10)
+    for run in (lambda: mc_utility_table(1.5, 1.0, spec, drawn, 2_000, 1),
+                lambda: check_pref_first_position(spec, 1.0, drawn, 2_000, 2),
+                lambda: check_pref_weaker_competition(spec, 1.5, 1.0, drawn, 2_000, 3),
+                lambda: check_monotonicity(spec, (0.5, 1.0), {2, 5}, drawn, 2_000, 4)):
+        with pytest.raises(AssertionError, match="perturbation path reached"):
+            run()
+
+
+def test_a_fixed_gaussian_pool_past_the_grid_bound_perturbs_without_a_pmf(monkeypatch):
+    # the quadrature grid of 200 candidates at theta = 1 outgrows one chunk
+    x = np.linspace(1.0, 0.0, 200)
+    assert len(exact_engine._gauss_legendre_grid(1.0, x)[0]) > CHUNK_SIZE
+    calls = []
+    perturbed_keys = estimators._perturbed_keys
+    monkeypatch.setattr(estimators, "_perturbed_keys",
+                        lambda *args: calls.append(1) or perturbed_keys(*args))
+    monkeypatch.setattr(exact_engine, "_top_two_pmf", lambda *args: pytest.fail("pmf computed"))
+    pool = CandidatePool(tuple(x))
+    mc_utility_table(1.0, 1.0, GAUSSIAN, pool, 3_000, 0)
+    assert len(calls) == 3
+    assert not check_monotonicity(GAUSSIAN, (1.0,), {1}, pool, 3_000, 0).detail["exact"]
+    assert len(calls) == 4
 
 
 def _drawn_pools(size):
@@ -174,8 +233,8 @@ def test_masked_argmax_picks_the_first_survivor_of_the_full_ranking(spec):
 
 
 def test_vectorized_tie_detection_names_the_pair():
-    # rows of one fixed pool (a broadcast view) meet the exact engine's rule
-    # before any draw; the same rows as an ordinary matrix are checked per draw
+    # a broadcast view and an ordinary copy are both checked per draw; the
+    # estimators judge a fixed pool by the exact engine's rule before any draw
     atoms = NoiseSpec.discrete(((-0.5, 0.5), (0.5, 0.5)))
     spec = RankingModelSpec.rum(atoms, 1.0)
     pools = np.broadcast_to(np.array([1.0, 0.0]), (500, 2))
@@ -291,13 +350,13 @@ def test_thread_count_never_changes_the_result(n_samples, family, pool_or_d):
 
 
 _PINNED = {  # two chunks each: a change to the draws any chunk makes changes these bits
-    "fixed": (
-        {"u_first_a": (0.743451519536903, 0.0026585657808461394),
-         "u_ah": (0.6562711046792089, 0.002967508743924289),
-         "d_hh_ah": (0.01265074770863483, 0.004360224909268914)},
-        (0.02333574529667149, 0.004189210476849953),
-        (0.009973468403280271, 0.002042440222999616),
-        ((0.49243849493487696, 0.5330800771828268), (0.002487411066547333, 0.002414121486326206)),
+    "fixed": (  # exact-law draws: within 1.5 stderrs of the exact estimands
+        {"u_first_a": (0.7391220453449108, 0.002670014024114392),
+         "u_ah": (0.6582247949831163, 0.0029692362701270285),
+         "d_hh_ah": (0.0009286058851905444, 0.004379926938207009)},
+        (0.022841292812349256, 0.004113111574313646),
+        (0.013736131210805597, 0.002094680995408131),
+        ((0.48879643029425945, 0.5345754944524843), (0.0025034773256123305, 0.002397318072906436)),
     ),
     "drawn": (
         {"u_first_a": (0.6753882140039212, 0.0027543327536812506),
@@ -344,7 +403,8 @@ _TIE_FREE_DISCRETE = RankingModelSpec.rum(NoiseSpec.discrete(((-0.1, 0.5), (0.1,
     (SOFTMAX, POOL4),
     (GAUSSIAN, UNIFORM15),
     (_TIE_FREE_DISCRETE, POOL3),
-], ids=["mallows", "plackett_luce", "gaussian_drawn", "discrete"])
+    (GAUSSIAN, POOL4),
+], ids=["mallows", "plackett_luce", "gaussian_drawn", "discrete", "gaussian_fixed"])
 def test_every_estimator_is_bit_identical_across_thread_counts(family, pool_or_d):
     def run_all(threads):
         return (
@@ -362,7 +422,8 @@ def test_every_estimator_is_bit_identical_across_thread_counts(family, pool_or_d
 @pytest.mark.parametrize("family, pool_or_d, removed", [
     (MALLOWS, CandidatePool(tuple(np.linspace(1.0, 0.1, 10))), {1, 2, 10}),
     (GAUSSIAN, UNIFORM15, {2, 7}),
-], ids=["mallows", "gaussian_drawn"])
+    (GAUSSIAN, POOL10, {2, 7}),
+], ids=["mallows", "gaussian_drawn", "gaussian_fixed"])
 def test_sampled_monotonicity_is_bit_identical_across_thread_counts(family, pool_or_d, removed):
     reports = [check_monotonicity(family, (0.5, 1.0), removed, pool_or_d, _RAGGED, 6,
                                   threads=threads) for threads in (None, 1, 3)]
@@ -590,14 +651,6 @@ def test_monotonicity_falls_back_to_sampling_for_large_continuous_models():
     stderrs = report.detail["stderrs"]
     for (m0, m1), (s0, s1) in zip(zip(means, means[1:]), zip(stderrs, stderrs[1:])):
         assert m1 - m0 > -4 * math.hypot(s0, s1)
-
-
-SEVEN_ATOMS = NoiseSpec.discrete(tuple((0.1234567 * k, 1 / 7) for k in range(-3, 4)))
-
-
-def _spread(n):
-    # irregular gaps, so no atom offset ties two candidates
-    return CandidatePool(tuple(2.7 - 0.37 * i - 0.011 * i * i for i in range(n)))
 
 
 @pytest.mark.parametrize("family, pool, removed, exact", [
