@@ -15,7 +15,6 @@ from .core import (
     CandidatePool,
     PoolError,
     PoolOrDistribution,
-    uniform_order_statistic_means,
 )
 from .estimators import (
     ConditionReport,
@@ -108,6 +107,5 @@ __all__ = [
     "sequential_optimal_sequence",
     "sweep_plane",
     "top_two_pmf",
-    "uniform_order_statistic_means",
     "well_ordered_check",
 ]

@@ -1,4 +1,4 @@
-"""Candidate pools and distributions over them.
+"""Candidate pools: a fixed pool, or a pool of n iid uniform draws.
 
 Conventions used across the package: candidates are indexed 1..n at the
 public boundary, with index i denoting the i-th best candidate, so pool
@@ -8,7 +8,8 @@ that draw or enumerate them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -29,6 +30,8 @@ class CandidatePool:
         object.__setattr__(self, "values", vals)
         if len(vals) < 2:
             raise PoolError(f"need at least 2 candidates, got {len(vals)}")
+        if not all(map(math.isfinite, vals)):
+            raise PoolError(f"values must be finite, got {vals}")
         for a, b in zip(vals, vals[1:]):
             if not a > b:
                 raise PoolError(f"values must be strictly decreasing, got {a} then {b}")
@@ -41,65 +44,39 @@ class CandidatePool:
         return np.asarray(self.values, dtype=float)
 
 
-def uniform_order_statistic_means(n: int, lo: float, hi: float) -> tuple[float, ...]:
-    """Expected order statistics of n iid uniform(lo, hi) draws, best first.
-
-    The i-th best of n has mean lo + (hi - lo) * (n + 1 - i) / (n + 1).
-    """
-    if n < 2:
-        raise PoolError(f"need n >= 2, got {n}")
-    if not hi > lo:
-        raise PoolError(f"need hi > lo, got [{lo}, {hi}]")
-    return tuple(lo + (hi - lo) * (n + 1 - i) / (n + 1) for i in range(1, n + 1))
-
-
 @dataclass(frozen=True)
 class CandidateDistribution:
-    """Distribution over candidate pools of n iid uniform draws.
+    """Distribution over candidate pools of n iid uniform(lo, hi) draws.
 
-    kind is "uniform" (params lo, hi) or "uniform_centered_zero" (param
-    halfwidth). Sampling sorts the draws descending and redraws on the
-    zero-probability event of a tie. A fixed pool is a CandidatePool.
+    Sampling sorts the draws descending and redraws on the zero-probability
+    event of a tie. A fixed pool is a CandidatePool.
     """
 
-    kind: str
     n: int
-    params: tuple[float, ...] = field(default=())
-
-    _KINDS = ("uniform", "uniform_centered_zero")
+    lo: float
+    hi: float
 
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise PoolError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == "uniform":
-            lo, hi = self.params
-            if not hi > lo:
-                raise PoolError(f"need hi > lo, got [{lo}, {hi}]")
-        else:
-            (halfwidth,) = self.params
-            if not halfwidth > 0:
-                raise PoolError(f"need halfwidth > 0, got {halfwidth}")
+        lo, hi = self.lo, self.hi
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise PoolError(f"bounds must be finite, got [{lo}, {hi}]")
+        if not hi > lo:
+            raise PoolError(f"need hi > lo, got [{lo}, {hi}]")
         if self.n < 2:
             raise PoolError(f"need n >= 2, got {self.n}")
 
     @staticmethod
     def uniform(lo: float, hi: float, n: int) -> "CandidateDistribution":
-        return CandidateDistribution("uniform", n, (float(lo), float(hi)))
+        return CandidateDistribution(n, float(lo), float(hi))
 
     @staticmethod
     def uniform_centered_zero(halfwidth: float, n: int) -> "CandidateDistribution":
-        return CandidateDistribution("uniform_centered_zero", n, (float(halfwidth),))
-
-    @property
-    def bounds(self) -> tuple[float, float]:
-        if self.kind == "uniform":
-            return self.params[0], self.params[1]
-        h = self.params[0]
-        return -h, h
+        """uniform(-halfwidth, halfwidth, n)."""
+        return CandidateDistribution.uniform(-halfwidth, halfwidth, n)
 
     def sample_matrix(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """(size, n) array of pools, each row sorted descending."""
-        lo, hi = self.bounds
+        lo, hi = self.lo, self.hi
         draws = rng.uniform(lo, hi, size=(size, self.n))
         draws.sort(axis=1)
         draws = draws[:, ::-1]
@@ -113,9 +90,10 @@ class CandidateDistribution:
         return draws
 
     def mean_pool(self) -> CandidatePool:
-        """Pool of expected order statistics."""
-        lo, hi = self.bounds
-        return CandidatePool(uniform_order_statistic_means(self.n, lo, hi))
+        """Pool of expected order statistics: the i-th best of n has mean
+        lo + (hi - lo) * (n + 1 - i) / (n + 1)."""
+        lo, hi, n = self.lo, self.hi, self.n
+        return CandidatePool(tuple(lo + (hi - lo) * (n + 1 - i) / (n + 1) for i in range(1, n + 1)))
 
 
 PoolOrDistribution = Union[CandidatePool, CandidateDistribution]

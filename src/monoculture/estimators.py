@@ -325,22 +325,21 @@ def mc_utility_trials(
     seed: int,
     threads: int | None = None,
 ) -> dict[str, EstimateWithError]:
-    """All six utility entries plus two paired differences, from shared draws.
+    """All six utility entries, named as in ENTRY_NAMES, from shared draws.
 
     Per trial: one pool (fresh from D, or the fixed pool), one algorithmic
-    ranking and two independent human rankings. The paired differences
-    d_ah_aa and d_hh_ah are computed trial-by-trial before averaging, so
-    their stderr reflects the common-random-number coupling.
+    ranking and two independent human rankings. The coupled differences
+    behind the paper's two conditions are `check_pref_first_position`'s and
+    `check_pref_weaker_competition`'s estimands.
     """
     picks_a = _picks(spec.with_theta(theta_a), pool_or_d)
     picks_h = _picks(spec.with_theta(theta_h), pool_or_d)
 
     def kernel(pools: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
         sigma, pi, tau = picks_a(pools, rng), picks_h(pools, rng), picks_h(pools, rng)
-        u = dict(zip(ENTRY_NAMES, (_values_at(pools, picks) for picks in (
+        return dict(zip(ENTRY_NAMES, (_values_at(pools, picks) for picks in (
             sigma[:, 0], pi[:, 0], sigma[:, 1], _top_avoiding(pi, sigma[:, 0]),
             _top_avoiding(sigma, pi[:, 0]), _top_avoiding(tau, pi[:, 0])))))
-        return {**u, "d_ah_aa": u["u_ah"] - u["u_aa"], "d_hh_ah": u["u_hh"] - u["u_ah"]}
 
     return _run_chunks(kernel, pool_or_d, n_samples, seed, threads)
 

@@ -5,8 +5,8 @@ forms for the distance-based family and Plackett-Luce, and for every RUM one
 support-point sum, `_support_sum`, over the nodes of a composite
 Gauss-Legendre rule or the cells of finite-atom noise. A lattice takes all
 its accuracies' pmfs from one batched call, `_top_two_pmfs`. Neither tables
-nor selection pmfs have a size cap; only the full-ranking pmf enumerates
-rankings and atoms.
+nor selection pmfs have a size cap; only the full-ranking pmf, defined for
+every family but continuous-noise RUMs, enumerates rankings and atoms.
 Sequential hiring keeps the mass of each state (S, R) after m hires: S the
 hired set, R the entries of the shared ranking revealed so far. Firms
 playing A and H move it by one step over move tables cached per (n, m),
@@ -38,7 +38,6 @@ from .models import (
 from .permspace import perm_space
 
 MAX_LEVEL_STATES = 1 << 17
-MAX_QUADRATURE_N = 3
 # continuous-noise quadrature: 16-point Gauss-Legendre panels of width at most
 # 1/theta over candidate windows of R = 40 noise units either side
 _GL_POINTS = 16
@@ -79,23 +78,18 @@ def permutation_probabilities(spec: RankingModelSpec, pool: CandidatePool) -> np
     """Exact pmf over all n! rankings, aligned with permspace row order.
 
     Supported: the distance-based family (any pool, value-independent),
-    Plackett-Luce, discrete-noise RUMs (joint atom enumeration), and
-    continuous-noise RUMs up to n = 3, where the top two fix the ranking.
+    Plackett-Luce, and discrete-noise RUMs (joint atom enumeration).
+    Continuous noise raises UnsupportedModelError at every n; its exact
+    path is `top_two_pmf`.
     """
-    n = pool.n
     if spec.kind == "mallows":
-        return mallows_perm_probs(spec.phi, n)
+        return mallows_perm_probs(spec.phi, pool.n)
     if spec.kind == "plackett_luce":
         return _pl_perm_probs(spec.theta, pool.as_array())
-    if spec.noise.kind == "discrete":
-        return _discrete_rum_perm_probs(spec.noise, spec.theta, pool.as_array())
-    if n > MAX_QUADRATURE_N:
-        raise UnsupportedModelError(
-            f"continuous-noise models are exact only up to n={MAX_QUADRATURE_N}; "
-            "use the estimators module for larger pools"
-        )
-    perms = perm_space(n).perms
-    return top_two_pmf(spec, pool.as_array())[perms[:, 0], perms[:, 1]]
+    if spec.noise.is_continuous:
+        raise UnsupportedModelError("continuous-noise models have no exact full-ranking pmf; "
+                                    "use top_two_pmf or the estimators module")
+    return _discrete_rum_perm_probs(spec.noise, spec.theta, pool.as_array())
 
 
 def top_two_pmf(spec: RankingModelSpec, x) -> np.ndarray:
@@ -346,14 +340,17 @@ def exact_selection_pmf(
     1-based candidates, as a length-n array over 0-based candidates whose
     removed entries are 0: the distance-based `_mallows_first_survivor_pmf`
     (cached, read-only), else the top of the survivors' own ranking (Luce's
-    axiom; independent noise), with TieError on any discrete tie in the pool."""
+    axiom; independent noise), with TieError on any discrete tie in the pool,
+    removed candidates too: `_atom_cells`' rule, as for the top-two pmf."""
     n = pool.n
     removed0 = _removed0(removed, n)
     if spec.kind == "mallows":
         return _mallows_first_survivor_pmf(spec.phi, n, removed0)
     x = pool.as_array()
     if spec.noise is not None and not spec.noise.is_continuous:
-        top_two_pmf(spec, x)  # TieError on a tie anywhere in the pool, removed candidates too
+        ties = _atom_cells(spec.noise, np.array([spec.theta]), x)[2]
+        if ties:
+            raise ties[0]
     survivors = np.setdiff1d(np.arange(n), removed0)
     first = top_two_pmf(spec, x[survivors]).sum(axis=1) if len(survivors) > 1 else np.ones(1)
     return np.bincount(survivors, first / first.sum(), n)

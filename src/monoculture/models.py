@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -187,7 +186,6 @@ class RankingModelSpec:
         return self.kind == "mallows"
 
 
-@lru_cache(maxsize=256)
 def mallows_perm_probs(phi: float, n: int) -> np.ndarray:
     """Probabilities of all n! rankings, aligned with perm_space(n) rows."""
     space = perm_space(n)

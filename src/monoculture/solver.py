@@ -458,6 +458,8 @@ def sweep_plane(
         raise ValueError("k-firm sweeps are exact-only")
     if k > 2 and family.kind != "mallows":
         raise ValueError("k-firm sweeps support the distance-based family only")
+    if engine == "mc":
+        _cell_seed(seed, 0, 0)  # a bad seed fails the sweep, not each cell
     rows = [float(t) for t in theta_h_values]
     cols = [float(t) for t in theta_a_values]
     if k == 2 and engine == "exact":

@@ -18,6 +18,8 @@ from monoculture import (
     CandidatePool,
     NoiseSpec,
     RankingModelSpec,
+    check_pref_first_position,
+    check_pref_weaker_competition,
     conditional_order_probability,
     exact_sequential_utilities,
     exact_utility_table,
@@ -26,7 +28,6 @@ from monoculture import (
     exact_selection_pmf,
     kfirm_braess_check,
     mc_utility_table,
-    mc_utility_trials,
     sequential_optimal_sequence,
     well_ordered_check,
 )
@@ -157,10 +158,12 @@ def test_criterion_07_continuous_noise_sampling_detects_both_rival_effects():
         for theta in (0.5, 1.0, 2.0):
             for pi, values in enumerate(RUM_POOLS):
                 pool = CandidatePool(values)
-                equal = mc_utility_trials(theta, theta, spec, pool, 1_000_000, seed=700 + pi)
-                assert equal["d_ah_aa"].z_score_vs_zero > 3.0
-                upward = mc_utility_trials(1.5 * theta, theta, spec, pool, 1_000_000, seed=800 + pi)
-                assert upward["d_hh_ah"].z_score_vs_zero > 3.0
+                # u_ah - u_aa at equal accuracies, u_hh - u_ah at a stronger A
+                equal = check_pref_first_position(spec, theta, pool, 1_000_000, seed=700 + pi)
+                assert equal.estimate.z_score_vs_zero > 3.0
+                upward = check_pref_weaker_competition(spec, 1.5 * theta, theta, pool, 1_000_000,
+                                                       seed=800 + pi)
+                assert upward.estimate.z_score_vs_zero > 3.0
     assert time.perf_counter() - t0 < 120.0
 
 

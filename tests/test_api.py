@@ -64,7 +64,6 @@ def test_exports_are_pinned():
         "sequential_optimal_sequence",
         "sweep_plane",
         "top_two_pmf",
-        "uniform_order_statistic_means",
         "well_ordered_check",
     ]
 

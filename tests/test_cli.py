@@ -210,6 +210,19 @@ def test_usage_errors_exit_one(capsys):
         assert err.strip()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("utilities", "--theta-h", "1", "--theta-a", "1", "--pool", "inf,0"), "bad pool"),
+    (("utilities", "--theta-h", "1", "--theta-a", "1", "--dist", "uniform:0:inf:3"),
+     "bad distribution"),
+    (("sweep", "--engine", "mc", "--grid", "1:1:1x1:2:1", "--pool", POOL, "--samples", "1000",
+      "--seed", "-1"), "non-negative"),
+], ids=["infinite_pool", "infinite_distribution", "negative_sweep_seed"])
+def test_non_finite_pools_and_bad_sweep_seeds_exit_one(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in err
+
+
 def test_each_subcommand_accepts_only_the_flags_it_reads():
     (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     pairs = [

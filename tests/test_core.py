@@ -9,7 +9,6 @@ from monoculture import (
     CandidateDistribution,
     CandidatePool,
     PoolError,
-    uniform_order_statistic_means,
 )
 from monoculture.permspace import perm_space
 from tests.oracles import inversions
@@ -23,6 +22,30 @@ def test_pool_requires_strictly_decreasing_values():
         CandidatePool((0.0, 1.0))
     with pytest.raises(PoolError):
         CandidatePool((1.0,))
+
+
+@pytest.mark.parametrize("values", [(math.inf, 0.0), (1.0, -math.inf), (math.nan, 0.0)])
+def test_pool_rejects_non_finite_values(values):
+    with pytest.raises(PoolError):
+        CandidatePool(values)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CandidateDistribution.uniform(1.0, 1.0, 3),  # hi <= lo
+    lambda: CandidateDistribution.uniform(2.0, 1.0, 3),
+    lambda: CandidateDistribution.uniform(0.0, math.inf, 3),  # a non-finite bound
+    lambda: CandidateDistribution.uniform(-math.inf, 0.0, 3),
+    lambda: CandidateDistribution.uniform(math.nan, 1.0, 3),
+    lambda: CandidateDistribution.uniform_centered_zero(0.0, 3),  # halfwidth <= 0
+    lambda: CandidateDistribution.uniform_centered_zero(-1.0, 3),
+    lambda: CandidateDistribution.uniform_centered_zero(math.inf, 3),
+    lambda: CandidateDistribution.uniform(0.0, 1.0, 1),  # n < 2
+    lambda: CandidateDistribution.uniform_centered_zero(1.0, 0),
+], ids=["hi_eq_lo", "hi_below_lo", "inf_hi", "inf_lo", "nan_lo",
+        "halfwidth_0", "halfwidth_negative", "halfwidth_inf", "n_1", "n_0"])
+def test_distribution_rejects_malformed_parameters(make):
+    with pytest.raises(PoolError):
+        make()
 
 
 def test_pool_holds_its_values_best_first():
@@ -39,21 +62,25 @@ def test_pool_array_is_a_copy():
     assert pool.as_array()[0] == 1.0
 
 
-def test_uniform_order_statistic_means_closed_form():
-    # E[X_(k)] for uniform[lo, hi] is lo + (hi - lo) * k / (n + 1), best first
-    got = uniform_order_statistic_means(4, 0.0, 1.0)
-    assert np.allclose(got, (4 / 5, 3 / 5, 2 / 5, 1 / 5), atol=1e-15)
-    got = uniform_order_statistic_means(3, -2.0, 2.0)
-    assert np.allclose(got, (1.0, 0.0, -1.0), atol=1e-15)
-
-
 def test_distribution_mean_pool_matches_order_statistics():
-    d = CandidateDistribution.uniform(0.0, 1.0, 6)
-    assert np.allclose(d.mean_pool().as_array(), uniform_order_statistic_means(6, 0.0, 1.0))
+    # E[X_(k)] for uniform[lo, hi] is lo + (hi - lo) * k / (n + 1), best first
+    got = CandidateDistribution.uniform(0.0, 1.0, 4).mean_pool().values
+    assert np.allclose(got, (4 / 5, 3 / 5, 2 / 5, 1 / 5), atol=1e-15)
+    got = CandidateDistribution.uniform(-2.0, 2.0, 3).mean_pool().values
+    assert np.allclose(got, (1.0, 0.0, -1.0), atol=1e-15)
     d0 = CandidateDistribution.uniform_centered_zero(math.sqrt(3.0), 3)
-    lo, hi = d0.bounds
-    assert lo == -math.sqrt(3.0) and hi == math.sqrt(3.0)
+    assert d0.lo == -math.sqrt(3.0) and d0.hi == math.sqrt(3.0)
     assert abs(d0.mean_pool().as_array()[1]) < 1e-15
+
+
+def test_centered_distribution_is_the_uniform_one():
+    h, n = 1.7320508, 15
+    centered = CandidateDistribution.uniform_centered_zero(h, n)
+    plain = CandidateDistribution.uniform(-h, h, n)
+    assert centered == plain
+    a = centered.sample_matrix(np.random.default_rng(11), 300)
+    b = plain.sample_matrix(np.random.default_rng(11), 300)
+    assert np.array_equal(a, b)
 
 
 def test_distribution_samples_sorted_and_in_bounds():

@@ -37,11 +37,9 @@ from monoculture import (
     sample_rankings,
     sweep_plane,
     top_two_pmf,
-    uniform_order_statistic_means,
 )
 from monoculture.exact import (
     ENTRY_NAMES,
-    MAX_QUADRATURE_N,
     SequentialState,
     _fresh_weights,
     _gauss_legendre_grid,
@@ -268,7 +266,6 @@ def test_no_engine_path_enumerates_rankings(monkeypatch):
 
     monkeypatch.setattr(permspace, "PermSpace", refuse)
     permspace.perm_space.cache_clear()
-    mallows_perm_probs.cache_clear()
     for spec in FAMILIES:
         for n in range(2, 13):
             exact_selection_pmf(spec, spread_pool(n), {1, n} if n > 2 else {1})
@@ -306,10 +303,18 @@ def test_discrete_top_two_pmf_matches_exact_enumeration(seed):
     assert max(abs(Fraction(got[a, b]) - want[a][b]) for a in range(n) for b in range(n)) <= 1e-15
 
 
-def test_quadrature_permutation_probabilities_capped_at_three():
+@pytest.mark.parametrize("pool", [CandidatePool((1.0, 0.0)), POOL3, POOL4], ids=["n2", "n3", "n4"])
+def test_continuous_noise_has_no_permutation_probabilities(pool):
     spec = RankingModelSpec.rum(NoiseSpec.gaussian(), 1.0)
     with pytest.raises(UnsupportedModelError):
-        permutation_probabilities(spec, POOL4)
+        permutation_probabilities(spec, pool)
+
+
+def test_mallows_permutation_probabilities_are_fresh_arrays():
+    probs = permutation_probabilities(MALLOWS, POOL3)
+    probs *= 2.0
+    assert abs(permutation_probabilities(MALLOWS, POOL3).sum() - 1.0) < 1e-15
+    assert abs(mallows_perm_probs(2.0, 3).sum() - 1.0) < 1e-15
 
 
 def test_permutation_probabilities_match_pmf_for_mallows():
@@ -352,8 +357,8 @@ def test_top_two_pmf_is_the_pair_marginal_of_the_permutation_pmf(spec, sizes):
     for n in sizes:
         pool = spread_pool(n)
         if spec.kind == "rum" and spec.noise.is_continuous:
-            # continuous permutation pmfs are built from top_two_pmf, so the
-            # per-pair quad oracle stands in for them
+            # continuous noise has no permutation pmf, so the per-pair quad
+            # oracle stands in for it
             want = np.array(oracles.rum_top_two_quad(spec.noise.kind, spec.theta, pool.values))
         else:
             perms = perm_space(n).perms
@@ -375,6 +380,19 @@ def test_top_two_pmf_raises_on_a_discrete_tie_below_the_top_two():
     # 1e16 + 0.5 rounds to 1e16: a candidate meeting itself is no tie
     spec = RankingModelSpec.rum(NoiseSpec.discrete(((0.0, 0.5), (0.5, 0.5))), 1.0)
     assert top_two_pmf(spec, (1e16, 0.0))[0, 1] == 1.0
+
+
+def test_selection_pmf_finds_ties_without_a_top_two_pmf(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a top-two pmf")
+
+    monkeypatch.setattr(exact_engine, "_discrete_rum_top_two", refuse)
+    exact_engine._top_two_pmf.cache_clear()
+    spec = RankingModelSpec.rum(NoiseSpec.discrete(((-0.5, 0.5), (0.5, 0.5))), 1.0)
+    pool = CandidatePool((10.0, 5.0, 1.0, 0.0))  # candidates 3 and 4 tie at 0.5
+    for removed in (set(), {3}, {1, 4}):
+        with pytest.raises(TieError, match="candidates 3 and 4 tie at perturbed value 0.5"):
+            exact_selection_pmf(spec, pool, removed)
 
 
 def test_softmax_top_two_pmf_stays_finite_at_high_accuracy():
@@ -487,13 +505,23 @@ def test_top_candidates_underflowing_cdf_is_divided_out_without_nan(kind, expect
 # ---------------------------------------------------------------- tables
 
 
+def _perm_probs(spec, pool):
+    """The pmf over permspace rows: the engine's, or for continuous noise on
+    at most three candidates, where the top two fix the ranking, the per-pair
+    quad oracle's."""
+    if spec.kind == "rum" and spec.noise.is_continuous:
+        P = oracles.rum_top_two_quad(spec.noise.kind, spec.theta, pool.values)
+        return np.array([P[a][b] for a, b in perm_space(pool.n).perms[:, :2].tolist()])
+    return permutation_probabilities(spec, pool)
+
+
 def double_enumeration_table(theta_a, theta_h, family, pool):
     """Literal enumeration over ranking pairs; the oracle for the factored
     cross terms."""
     x = pool.as_array()
     space = perm_space(pool.n)
-    p_a = permutation_probabilities(family.with_theta(theta_a), pool)
-    p_h = permutation_probabilities(family.with_theta(theta_h), pool)
+    p_a = _perm_probs(family.with_theta(theta_a), pool)
+    p_h = _perm_probs(family.with_theta(theta_h), pool)
 
     def first_utility(probs):
         return float(probs @ x[space.perms[:, 0]])
@@ -841,7 +869,7 @@ def test_sequential_validation():
 
 def test_sequential_accepts_distributions_via_order_statistic_means():
     d = CandidateDistribution.uniform(0.0, 1.0, 4)
-    means = CandidatePool(uniform_order_statistic_means(4, 0.0, 1.0))
+    means = CandidatePool((0.8, 0.6, 0.4, 0.2))  # E[X_(k)] = (n + 1 - k) / (n + 1)
     got = exact_sequential_utilities("AHA", 2.0, 1.5, d)
     want = exact_sequential_utilities("AHA", 2.0, 1.5, means)
     assert got == want

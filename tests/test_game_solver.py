@@ -625,6 +625,19 @@ def test_sweep_plane_validation():
         sweep_plane((1.0,), (1.0,), RankingModelSpec.plackett_luce(1.0), POOL4, k=3)
 
 
+def test_mc_sweep_rejects_a_bad_seed_before_any_cell(monkeypatch):
+    import monoculture.solver as solver
+
+    def refuse(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(solver, "mc_utility_table", refuse)
+    with pytest.raises(ValueError, match="non-negative"):
+        sweep_plane((1.0,), (1.0, 2.0), MALLOWS, POOL3, engine="mc", n_samples=1000, seed=-1)
+    # the exact engine reads no seed
+    assert sweep_plane((1.0,), (2.0,), MALLOWS, POOL3, seed=-1)[0].error is None
+
+
 def test_sweep_plane_mc_cells_need_two_trials():
     for n_samples in (0, 1):
         (cell,) = sweep_plane((1.0,), (1.5,), MALLOWS, POOL3, engine="mc", n_samples=n_samples)
