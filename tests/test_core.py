@@ -62,12 +62,17 @@ def test_pool_array_is_a_copy():
     assert pool.as_array()[0] == 1.0
 
 
-def test_distribution_mean_pool_matches_order_statistics():
+def test_uniform_order_statistic_means_closed_form():
     # E[X_(k)] for uniform[lo, hi] is lo + (hi - lo) * k / (n + 1), best first
     got = CandidateDistribution.uniform(0.0, 1.0, 4).mean_pool().values
     assert np.allclose(got, (4 / 5, 3 / 5, 2 / 5, 1 / 5), atol=1e-15)
     got = CandidateDistribution.uniform(-2.0, 2.0, 3).mean_pool().values
     assert np.allclose(got, (1.0, 0.0, -1.0), atol=1e-15)
+
+
+def test_distribution_mean_pool_matches_order_statistics():
+    got = CandidateDistribution.uniform(0.0, 1.0, 6).mean_pool().as_array()
+    assert np.allclose(got, np.arange(6, 0, -1) / 7, atol=1e-15)
     d0 = CandidateDistribution.uniform_centered_zero(math.sqrt(3.0), 3)
     assert d0.lo == -math.sqrt(3.0) and d0.hi == math.sqrt(3.0)
     assert abs(d0.mean_pool().as_array()[1]) < 1e-15
