@@ -90,8 +90,9 @@ def _strict(margin: float, se: float) -> bool:
     """The one strictness rule: a margin is strict when it clears both the z
     threshold on its stderr and the rounding floor STRICT_TOL, so exact and
     sampled results share it and no branch infers exactness. A margin (or
-    NaN) is a tie when neither it nor its negation is strict."""
-    return margin > max(DEFAULT_Z_THRESHOLD * se, STRICT_TOL)
+    NaN) is a tie when neither it nor its negation is strict. Two comparisons
+    match `margin > max(...)` on all floats, NaN included, with no call."""
+    return margin > DEFAULT_Z_THRESHOLD * se and margin > STRICT_TOL
 
 
 @dataclass(frozen=True)
@@ -499,7 +500,7 @@ def check_monotonicity(
     return ConditionReport(
         condition="monotonicity",
         estimate=next((d for d, v in zip(diffs, verdicts) if v == verdict),
-                      EstimateWithError(0.0, 0.0, means[0].n_samples)),
+                      EstimateWithError.exact(0.0)),  # no difference, no trial
         verdict=verdict,
         detail={
             "theta_grid": tuple(grid),

@@ -46,7 +46,8 @@ _GL_WINDOW = 40.0
 ENTRY_NAMES = ("u_first_a", "u_first_h", "u_aa", "u_ah", "u_ha", "u_hh")
 
 
-@dataclass(frozen=True)
+# plain, not frozen: one is built per sweep cell, and a frozen __init__ is ~4x slower
+@dataclass
 class UtilityTable:
     """First-mover and second-mover expected utilities for one (A, H) pair.
 

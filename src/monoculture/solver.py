@@ -42,7 +42,8 @@ class BracketError(RuntimeError):
     """Raised when the dominance margin cannot be sign-bracketed."""
 
 
-@dataclass(frozen=True)
+# plain, not frozen: one is built per sweep cell, and a frozen __init__ is ~4x slower
+@dataclass
 class DominanceReport:
     """Strictness of the two strategy comparisons, one per rival strategy.
 
@@ -82,7 +83,8 @@ def check_dominance(table: UtilityTable) -> DominanceReport:
                            tie_vs_h=not (strict_h or _strict(-margin_h, se_h)))
 
 
-@dataclass(frozen=True)
+# plain, not frozen: one is built per sweep cell, and a frozen __init__ is ~4x slower
+@dataclass
 class EquilibriumOutcome:
     """Symmetric equilibrium structure of one utility table.
 
@@ -415,7 +417,8 @@ def kfirm_braess_check(
     )
 
 
-@dataclass(frozen=True)
+# plain, not frozen: one is built per sweep cell, and a frozen __init__ is ~4x slower
+@dataclass
 class SweepCell:
     theta_h: float
     theta_a: float

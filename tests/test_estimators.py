@@ -30,11 +30,14 @@ from monoculture import (
 )
 from monoculture.estimators import (
     CHUNK_SIZE,
+    DEFAULT_Z_THRESHOLD,
+    STRICT_TOL,
     VERDICT_FAILS,
     VERDICT_HOLDS,
     VERDICT_INCONCLUSIVE,
     _first_survivors,
     _picks,
+    _strict,
     _verdict,
     sample_top_two,
 )
@@ -100,6 +103,24 @@ def test_a_rounding_level_estimate_is_inconclusive():
     for mean in (1e-12, -1e-12, 5e-13):
         assert _verdict(EstimateWithError(mean, 1e-15, 10**6)) == VERDICT_INCONCLUSIVE
     assert _verdict(EstimateWithError(math.nan, 0.0, 0)) == VERDICT_INCONCLUSIVE
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.floats(), st.floats(min_value=0.0) | st.sampled_from([-0.0, math.nan]))
+def test_strict_agrees_with_the_max_form(margin, se):
+    # floats() draws NaN, +-inf, +-0 and subnormals for the margin
+    assert _strict(margin, se) == (margin > max(DEFAULT_Z_THRESHOLD * se, STRICT_TOL))
+
+
+@pytest.mark.parametrize("margin, se, strict", [
+    (STRICT_TOL, 0.0, False), (math.nextafter(STRICT_TOL, 1.0), 0.0, True),
+    (STRICT_TOL, STRICT_TOL / 4, False), (3.0, 1.0, False), (math.nextafter(3.0, 4.0), 1.0, True),
+    (1.5, 0.5, False), (math.nan, 0.0, False), (1.0, math.nan, False),
+    (math.inf, math.inf, False), (math.inf, 0.0, True), (-0.0, -0.0, False),
+])
+def test_strict_at_its_thresholds(margin, se, strict):
+    # a margin equal to STRICT_TOL or to 3 stderrs is not strict
+    assert _strict(margin, se) == strict == (margin > max(DEFAULT_Z_THRESHOLD * se, STRICT_TOL))
 
 
 @settings(deadline=None, max_examples=200)
@@ -732,6 +753,12 @@ def test_exact_softmax_monotonicity_at_rounding_level_is_inconclusive():
 def test_monotonicity_single_point_grid_holds():
     report = check_monotonicity(MALLOWS, (1.0,), set(), POOL3)
     assert report.verdict == VERDICT_HOLDS
+    assert report.estimate == EstimateWithError.exact(0.0)
+    # a sampled grid of one point has no difference, so no trial backs it
+    report = check_monotonicity(GAUSSIAN, (1.0,), {2}, POOL10, n_samples=1000)
+    assert not report.detail["exact"] and report.verdict == VERDICT_HOLDS
+    assert report.estimate == EstimateWithError.exact(0.0)
+    assert report.estimate.n_samples == 0
 
 
 def test_monotonicity_validates_its_grid():

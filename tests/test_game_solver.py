@@ -31,7 +31,7 @@ from monoculture import (
     sweep_plane,
 )
 from monoculture import estimators
-from monoculture.exact import ENTRY_NAMES
+from monoculture.exact import ENTRY_NAMES, exact_utility_lattice
 from monoculture.solver import _cell_seed
 
 POOL3 = CandidatePool((1.0, 0.5, 0.0))
@@ -604,6 +604,32 @@ def test_sweep_plane_mc_results_do_not_depend_on_threads(monkeypatch, pool_sizes
         table = mc_utility_table(cols[j], rows[i], MALLOWS, POOL3, 20_000,
                                  _cell_seed(11, i, j), threads=1)
         assert cell.outcome == classify_equilibrium(table)
+
+
+def _all_distinct(objects):
+    return len({id(o) for o in objects}) == len(objects)
+
+
+@pytest.mark.parametrize("engine", ["exact", "mc"])
+def test_sweep_cells_share_no_record(engine):
+    # the per-cell records are mutable, so no two cells may hold one object;
+    # the theta_a grid repeats both theta_h values
+    rows, cols = (1.0, 1.5), (0.5, 1.0, 1.5, 1.0)
+    cells = sweep_plane(rows, cols, MALLOWS, POOL3, engine=engine, n_samples=2000, seed=3)
+    assert len(cells) == 8 and all(cell.error is None for cell in cells)
+    outcomes = [cell.outcome for cell in cells]
+    assert _all_distinct(cells) and _all_distinct(outcomes)
+    assert _all_distinct([out.detail["dominance"] for out in outcomes])
+    assert _all_distinct([out.detail for out in outcomes])
+
+
+def test_lattice_tables_share_no_record():
+    lattice = exact_utility_lattice((1.0, 1.5), (0.5, 1.0, 1.5, 1.0), MALLOWS, POOL3)
+    tables = [table for row in lattice for table in row]
+    assert len(tables) == 8 and all(isinstance(t, UtilityTable) for t in tables)
+    assert _all_distinct(tables)
+    # equal accuracies give equal tables, each its own object
+    assert tables[1] == tables[3]
 
 
 def test_sweep_plane_k_firm_cells_carry_sequences():
