@@ -7,22 +7,26 @@ then its rankings. Per-chunk moments (count, mean, centred sum of squares)
 are merged in chunk order, so results are bit-identical for a given seed on
 any number of workers; `threads=None` runs one per core, at most one per
 chunk. Within a trial all quantities share the same draws (common random
-numbers), which shrinks the variance of every estimated difference.
+numbers), which shrinks the variance of every estimated difference; so do
+the cells of an `mc_utility_lattice`.
 
 No estimator samples a whole ranking. Every two-firm estimand reads only
 the top two of each ranking, and the monotonicity check only the best
-survivor of a removed set. One rule, `_picks`, chooses each ranking spec's
-sampler once per estimator call, before any chunk runs: the same law on
-every row means an exact-law draw. Rows share one law on a fixed pool, and
-under the distance-based family on any pool; their picks come from
-`top_two_pmf` (first survivors: `exact_selection_pmf`), one uniform per
-ranking inverted through its cumulative sum. Continuous noise takes that
-path only while its quadrature grid has at most CHUNK_SIZE nodes.
-Elsewhere, a drawn pool under a value-dependent family or a fixed pool past
-that grid, `sample_top_two` and `_first_survivors` take argmax passes over
-the perturbed scores that `sample_rankings`, the public API's full-ranking
-sampler, sorts, so equal seeds give equal picks; exact-law picks have the
-same law but come from different draws.
+survivor of a removed set. One rule, `_Role`, chooses the sampler of each
+ranking role (one ranking per trial, at one or more accuracies) once per
+estimator call, before any chunk runs: the same law on every row means an
+exact-law draw. Rows share one law on a fixed pool, and under the
+distance-based family on any pool; their picks come from `top_two_pmf`
+(first survivors: `exact_selection_pmf`), one uniform per ranking inverted
+through its cumulative sum. Continuous noise takes that path only while its
+quadrature grid has at most CHUNK_SIZE nodes. Elsewhere, a drawn pool under
+a value-dependent family or a fixed pool past that grid, `_perturbed_picks`
+takes argmax passes over the perturbed scores that `sample_rankings`, the
+public API's full-ranking sampler, sorts, so equal seeds give equal picks;
+exact-law picks have the same law but come from different draws. A role
+draws once per chunk for all its accuracies, as no draw's size depends on
+one, so an accuracy's picks are those of a role of its own, bit for bit,
+unless the role mixes the two samplers: then all its accuracies perturb.
 
 Finite-atom noise raises TieError where two candidates can tie: on a fixed
 pool by the exact engine's rule, a tie in any ranking, before any draw; on
@@ -48,9 +52,10 @@ from .exact import (
     exact_selection_pmf,
     top_two_pmf,
 )
-from .models import RankingModelSpec
+from .models import RankingModelSpec, TieError
 
 CHUNK_SIZE = 1 << 13
+_KEY_ROWS = 1 << 10
 DEFAULT_Z_THRESHOLD = 3.0
 STRICT_TOL = 1e-12
 DEFAULT_CONDITION_SAMPLES = 1_000_000
@@ -153,15 +158,6 @@ def _mallows_orders(phi: float, n: int, size: int, rng: np.random.Generator) -> 
     return out
 
 
-def _inverse_cdf(weights: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """size indices into weights, drawn in proportion to them: one uniform per
-    row, inverted through their cumulative sum. The clip catches a uniform
-    that rounds up onto the total, so no draw leaves the support."""
-    cum = np.cumsum(weights)
-    idx = np.searchsorted(cum, rng.uniform(0.0, cum[-1], size), side="right")
-    return np.minimum(idx, np.flatnonzero(weights)[-1])
-
-
 def _raise_on_ties(keys: np.ndarray) -> None:
     """Raise TieError naming the best-placed tied pair of the first row with a tie."""
     ranked = np.sort(keys, axis=1)
@@ -172,20 +168,48 @@ def _raise_on_ties(keys: np.ndarray) -> None:
         raise _tie_errors(row[order][None], order[None])[0]
 
 
-def _perturbed_keys(spec: RankingModelSpec, pools: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Scores whose descending order is one RUM or Plackett-Luce ranking per row.
-
-    Plackett-Luce uses the max-trick with standard Gumbel draws; RUMs
-    perturb values directly, and finite-atom noise raises TieError on the
-    first row that ties.
-    """
-    size, n = pools.shape
+def _noise(spec: RankingModelSpec, pools: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The draw behind one RUM or Plackett-Luce ranking per pool row:
+    standard Gumbel for Plackett-Luce (the max-trick), else the noise."""
     if spec.kind == "plackett_luce":
-        return spec.theta * pools + rng.gumbel(0.0, 1.0, (size, n))
-    keys = pools + spec.noise.sample(rng, (size, n)) / spec.theta
+        return rng.gumbel(0.0, 1.0, pools.shape)
+    return spec.noise.sample(rng, pools.shape)
+
+
+def _perturbed_keys(spec: RankingModelSpec, pools: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Scores whose descending order is one ranking per row, from a `_noise`
+    draw: theta x + Gumbel, or x + noise / theta for a RUM, where finite-atom
+    noise raises TieError on the first row that ties."""
+    if spec.kind == "plackett_luce":
+        keys = pools * spec.theta
+        keys += noise
+        return keys
+    keys = noise / spec.theta
+    keys += pools
     if not spec.noise.is_continuous:
         _raise_on_ties(keys)
     return keys
+
+
+def _perturbed_picks(spec: RankingModelSpec, pools: np.ndarray, noise: np.ndarray,
+                     removed0=None) -> np.ndarray:
+    """(top, runner-up) of one ranking per row as 0-based candidates, or with
+    removed0 the best survivor, in the smallest integer type that holds -n:
+    argmax passes over `_perturbed_keys` built _KEY_ROWS rows at a time, so
+    a draw shared by accuracies costs no second full-size matrix."""
+    out = np.empty((len(pools), 2) if removed0 is None else len(pools),
+                   dtype=np.min_scalar_type(-pools.shape[1]))
+    for start in range(0, len(pools), _KEY_ROWS):
+        rows = slice(start, start + _KEY_ROWS)
+        keys = _perturbed_keys(spec, pools[rows], noise[rows])
+        if removed0 is not None:
+            keys[:, removed0] = -np.inf
+            out[rows] = np.argmax(keys, axis=1)
+            continue
+        top = out[rows, 0] = np.argmax(keys, axis=1)
+        keys[np.arange(len(keys)), top] = -np.inf
+        out[rows, 1] = np.argmax(keys, axis=1)
+    return out
 
 
 def sample_rankings(
@@ -199,56 +223,77 @@ def sample_rankings(
     size, n = pools.shape
     if spec.kind == "mallows":
         return _mallows_orders(spec.phi, n, size, rng)
-    return np.argsort(-_perturbed_keys(spec, pools, rng), axis=1, kind="stable")
+    keys = _perturbed_keys(spec, pools, _noise(spec, pools, rng))
+    return np.argsort(-keys, axis=1, kind="stable")
 
 
-def sample_top_two(
-    spec: RankingModelSpec, pools: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """(top, runner-up) of one RUM or Plackett-Luce ranking per pool row, as
-    (size, 2) 0-based candidates: two argmax passes over the perturbed scores
-    that `sample_rankings` sorts, so equal seeds give its first two columns.
-    Estimators call it only where rows differ in law (`_picks`).
-    """
-    keys = _perturbed_keys(spec, pools, rng)
-    top = np.argmax(keys, axis=1)
-    keys[np.arange(len(keys)), top] = -np.inf
-    return np.stack((top, np.argmax(keys, axis=1)), axis=1)
-
-
-def _first_survivors(
-    spec: RankingModelSpec, pools: np.ndarray, removed0: tuple[int, ...], rng: np.random.Generator
-) -> np.ndarray:
-    """Best-ranked candidate outside removed0 in one RUM or Plackett-Luce
-    ranking per pool row: the argmax of the perturbed scores with removed0
-    masked out."""
-    keys = _perturbed_keys(spec, pools, rng)
-    keys[:, removed0] = -np.inf
-    return np.argmax(keys, axis=1)
-
-
-def _picks(spec: RankingModelSpec, pool_or_d: PoolOrDistribution, removed0=None):
-    """(pools, rng) -> the (top, runner-up) of one ranking per pool row, as
-    (size, 2) 0-based candidates, or with removed0 its best survivor: the
-    module's sampler rule. Where `_exact_pool` gives a pool, picks follow
-    `top_two_pmf` (`exact_selection_pmf`) on it through `_inverse_cdf`, but
-    for continuous noise only while its quadrature grid has at most
-    CHUNK_SIZE nodes, past which the pmf's K x n work arrays outgrow a chunk."""
+def _law_table(spec: RankingModelSpec, pool_or_d: PoolOrDistribution, removed0):
+    """(picks, cumulative weights, last pick of nonzero weight) of spec's
+    exact law, or None where rows differ in law or, past CHUNK_SIZE grid
+    nodes, the pmf's K x n work arrays would outgrow a chunk. The clip to
+    the last pick catches a uniform that rounds up onto the total."""
     fixed = _exact_pool(pool_or_d, spec.value_independent)
-    if (fixed is not None and spec.kind == "rum" and spec.noise.is_continuous
-            and len(_gauss_legendre_grid(spec.theta, fixed.as_array())[0]) > CHUNK_SIZE):
-        fixed = None
-    if fixed is None:
-        if removed0 is None:
-            return lambda pools, rng: sample_top_two(spec, pools, rng)
-        return lambda pools, rng: _first_survivors(spec, pools, removed0, rng)
+    if fixed is None or (spec.kind == "rum" and spec.noise.is_continuous and len(
+            _gauss_legendre_grid(spec.theta, fixed.as_array())[0]) > CHUNK_SIZE):
+        return None
     if removed0 is None:
         picks = np.argwhere(~np.eye(fixed.n, dtype=bool))
         weights = top_two_pmf(spec, fixed.as_array())[picks[:, 0], picks[:, 1]]
     else:
         picks = np.setdiff1d(np.arange(fixed.n), removed0)
         weights = exact_selection_pmf(spec, fixed, {c + 1 for c in removed0})[picks]
-    return lambda pools, rng: np.take(picks, _inverse_cdf(weights, len(pools), rng), axis=0)
+    last = np.flatnonzero(weights)[-1]
+    return picks.astype(np.min_scalar_type(-fixed.n)), np.cumsum(weights), last
+
+
+class _Role:
+    """One ranking per trial at each of several accuracies, drawn once per
+    chunk by the module's rule (`picks`). errors maps each accuracy without
+    a sampler to its ValueError: `with_theta`'s, or its pmf's (TieError on a
+    fixed pool, UnsupportedModelError from the quadrature)."""
+
+    def __init__(self, family: RankingModelSpec, thetas, pool_or_d: PoolOrDistribution,
+                 removed0=None):
+        self.family, self.removed0, self.errors, self.live = family, removed0, {}, {}
+        for theta in dict.fromkeys(thetas):
+            try:
+                spec = family.with_theta(theta)
+                self.live[theta] = spec, _law_table(spec, pool_or_d, removed0)
+            except ValueError as exc:
+                self.errors[theta] = exc
+        self.exact = all(law is not None for _, law in self.live.values())
+
+    def picks(self, pools: np.ndarray, rng: np.random.Generator) -> dict:
+        """Each accuracy's picks for one chunk's pool rows, from one draw; a
+        drawn finite-atom row that ties leaves its TieError instead."""
+        if self.exact:
+            u = rng.random(len(pools))
+            return {theta: np.take(picks, np.minimum(
+                        np.searchsorted(cum, cum[-1] * u, side="right"), last), axis=0)
+                    for theta, (_, (picks, cum, last)) in self.live.items()}
+        noise, out = _noise(self.family, pools, rng), {}
+        for theta, (spec, _) in self.live.items():
+            try:
+                out[theta] = _perturbed_picks(spec, pools, noise, self.removed0)
+            except TieError as exc:
+                out[theta] = exc
+        return out
+
+
+def _picks(spec: RankingModelSpec, pool_or_d: PoolOrDistribution, removed0=None):
+    """(pools, rng) -> one ranking's (top, runner-up) per pool row, or with
+    removed0 its best survivor: a `_Role` of spec's accuracy alone, raising."""
+    role = _Role(spec, [spec.theta], pool_or_d, removed0)
+    if role.errors:
+        raise role.errors[spec.theta]
+
+    def picks(pools: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        got = role.picks(pools, rng)[spec.theta]
+        if isinstance(got, TieError):
+            raise got
+        return got
+
+    return picks
 
 
 def _values_at(pools: np.ndarray, picks: np.ndarray) -> np.ndarray:
@@ -270,97 +315,128 @@ def _workers(threads: int | None) -> int:
     """threads, checked, or for None the cores this process may run on."""
     if threads is None:
         return _cores()
-    if not (isinstance(threads, (int, np.integer)) and threads >= 1):
+    if isinstance(threads, bool) or not (isinstance(threads, (int, np.integer)) and threads >= 1):
         raise ValueError(f"threads must be None or an int >= 1, got {threads!r}")
     return threads
 
 
 def _run_chunks(kernel, pool_or_d: PoolOrDistribution, n_samples: int, seed: int,
                 threads: int | None, stream: int = 0) -> dict[str, EstimateWithError]:
-    """Mean and stderr of each per-trial array of `kernel(pools, rng)`, over
-    n_samples trials in chunks of CHUNK_SIZE on up to `threads` workers.
+    """Mean and stderr of each (name, per-trial array) pair that
+    `kernel(pools, rng)` yields, over n_samples trials in chunks of
+    CHUNK_SIZE on up to `threads` workers; each array is reduced as it comes.
     Chunk c draws its pool rows, then the kernel's draws, from the rng keyed
     by (seed, stream, c). Per-chunk centred moments are merged in chunk
     order (Chan, Golub & LeVeque 1979), which keeps the variance accurate
-    where E[v^2] - E[v]^2 would cancel; a stderr needs 2+ trials."""
-    if n_samples < 2:
-        raise ValueError(f"need n_samples >= 2, got {n_samples}")
+    where E[v^2] - E[v]^2 would cancel. A ValueError yielded for an array
+    is the name's result, the earliest chunk's; a stderr needs an int
+    n_samples >= 2."""
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
+        raise ValueError(f"need an integer n_samples >= 2, got {n_samples!r}")
     sizes = [min(CHUNK_SIZE, n_samples - start) for start in range(0, n_samples, CHUNK_SIZE)]
     workers = min(_workers(threads), len(sizes))
 
-    def moments(c: int) -> dict[str, tuple[int, float, float]]:
+    def moments(c: int) -> dict:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, c)))
         pools = _pool_matrix(pool_or_d, rng, sizes[c])
         out = {}
-        for name, v in kernel(pools, rng).items():
+        for name, v in kernel(pools, rng):
+            if isinstance(v, ValueError):
+                out[name] = v
+                continue
             mean = float(v.mean())
             d = v - mean
             out[name] = (v.size, mean, float((d * d).sum()))
         return out
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            parts = list(executor.map(moments, range(len(sizes))))
-    else:
-        parts = [moments(c) for c in range(len(sizes))]
-    estimates = {}
-    for name in parts[0]:
-        count, mean, m2 = 0, 0.0, 0.0
-        for part in parts:
-            n_c, mean_c, m2_c = part[name]
+    merged = {}
+
+    def merge(part: dict) -> None:  # called in chunk order, so only running totals are kept
+        for name, m in part.items():
+            acc = merged.get(name, (0, 0.0, 0.0))
+            if isinstance(acc, ValueError) or isinstance(m, ValueError):
+                merged[name] = acc if isinstance(acc, ValueError) else m  # the earliest error
+                continue
+            (count, mean, m2), (n_c, mean_c, m2_c) = acc, m
             total = count + n_c
             delta = mean_c - mean
-            mean += delta * n_c / total
-            m2 += m2_c + delta * delta * count * n_c / total
-            count = total
-        estimates[name] = EstimateWithError(mean, math.sqrt(m2 / count / count), count)
-    return estimates
+            merged[name] = (total, mean + delta * n_c / total,
+                            m2 + (m2_c + delta * delta * count * n_c / total))
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            for part in executor.map(moments, range(len(sizes))):
+                merge(part)
+    else:
+        for c in range(len(sizes)):
+            merge(moments(c))
+    return {name: m if isinstance(m, ValueError) else
+            EstimateWithError(m[1], math.sqrt(m[2] / m[0] / m[0]), m[0]) for name, m in merged.items()}
 
 
-def mc_utility_trials(
-    theta_a: float,
-    theta_h: float,
-    spec: RankingModelSpec,
-    pool_or_d: PoolOrDistribution,
-    n_samples: int,
-    seed: int,
-    threads: int | None = None,
-) -> dict[str, EstimateWithError]:
-    """All six utility entries, named as in ENTRY_NAMES, from shared draws.
+def mc_utility_lattice(theta_h_values, theta_a_values, spec: RankingModelSpec,
+                       pool_or_d: PoolOrDistribution, n_samples: int, seed: int,
+                       threads: int | None = None) -> list[list[UtilityTable | ValueError]]:
+    """The Monte Carlo utility table of every cell (theta_h, theta_a) of an
+    accuracy lattice, one list per theta_h, from one `_run_chunks` pass.
 
-    Per trial: one pool (fresh from D, or the fixed pool), one algorithmic
-    ranking and two independent human rankings. The coupled differences
-    behind the paper's two conditions are `check_pref_first_position`'s and
-    `check_pref_weaker_competition`'s estimands.
+    Per trial: one pool, an algorithmic ranking sigma and two independent
+    human rankings pi and tau. A chunk draws its pool rows, then one `_Role`
+    draw each for sigma (at every theta_a), pi and tau (at every theta_h),
+    and reads every cell's entries from them: cell (i, j) is the one-cell
+    `mc_utility_table` at the same seed, errors included. Where both of its
+    accuracies fail, theta_a's error wins; a drawn finite-atom tie comes
+    from the earliest chunk, sigma's before pi's before tau's. A bad
+    n_samples, seed or threads raises.
     """
-    picks_a = _picks(spec.with_theta(theta_a), pool_or_d)
-    picks_h = _picks(spec.with_theta(theta_h), pool_or_d)
+    rows, cols = [float(t) for t in theta_h_values], [float(t) for t in theta_a_values]
+    role_a, role_h = _Role(spec, cols, pool_or_d), _Role(spec, rows, pool_or_d)
+    cells = {(i, j): role_a.errors.get(a) or role_h.errors.get(h)
+             for i, h in enumerate(rows) for j, a in enumerate(cols)}
+    live = [cell for cell, error in cells.items() if error is None]
 
-    def kernel(pools: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        sigma, pi, tau = picks_a(pools, rng), picks_h(pools, rng), picks_h(pools, rng)
-        return dict(zip(ENTRY_NAMES, (_values_at(pools, picks) for picks in (
-            sigma[:, 0], pi[:, 0], sigma[:, 1], _top_avoiding(pi, sigma[:, 0]),
-            _top_avoiding(sigma, pi[:, 0]), _top_avoiding(tau, pi[:, 0])))))
+    def kernel(pools: np.ndarray, rng: np.random.Generator):
+        sigma = role_a.picks(pools, rng)
+        pi, tau = role_h.picks(pools, rng), role_h.picks(pools, rng)
+        for i, j in live:
+            s, p, t = sigma[cols[j]], pi[rows[i]], tau[rows[i]]
+            tie = next((e for e in (s, p, t) if isinstance(e, TieError)), None)
+            if tie is not None:
+                yield from (((i, j, name), tie) for name in ENTRY_NAMES)
+                continue
+            for name, picks in zip(ENTRY_NAMES, (
+                    s[:, 0], p[:, 0], s[:, 1], _top_avoiding(p, s[:, 0]),
+                    _top_avoiding(s, p[:, 0]), _top_avoiding(t, p[:, 0]))):
+                yield (i, j, name), _values_at(pools, picks)
 
-    return _run_chunks(kernel, pool_or_d, n_samples, seed, threads)
+    est = _run_chunks(kernel, pool_or_d, n_samples, seed, threads) if live else {}
+    for i, j in live:
+        entries = [est[i, j, name] for name in ENTRY_NAMES]
+        cells[i, j] = entries[0] if isinstance(entries[0], ValueError) else UtilityTable(
+            *(e.mean for e in entries), *(e.stderr for e in entries), entries[0].n_samples)
+    return [[cells[i, j] for j in range(len(cols))] for i in range(len(rows))]
 
 
-def mc_utility_table(
-    theta_a: float,
-    theta_h: float,
-    spec: RankingModelSpec,
-    pool_or_d: PoolOrDistribution,
-    n_samples: int,
-    seed: int,
-    threads: int | None = None,
-) -> UtilityTable:
-    """Monte Carlo counterpart of the exact utility table."""
-    est = mc_utility_trials(theta_a, theta_h, spec, pool_or_d, n_samples, seed, threads)
-    return UtilityTable(
-        **{name: est[name].mean for name in ENTRY_NAMES},
-        **{f"stderr_{name}": est[name].stderr for name in ENTRY_NAMES},
-        n_samples=n_samples,
-    )
+def mc_utility_table(theta_a: float, theta_h: float, spec: RankingModelSpec,
+                     pool_or_d: PoolOrDistribution, n_samples: int, seed: int,
+                     threads: int | None = None) -> UtilityTable:
+    """Monte Carlo counterpart of the exact utility table: the one-cell
+    `mc_utility_lattice`, raising its cell's error."""
+    [[table]] = mc_utility_lattice([theta_h], [theta_a], spec, pool_or_d, n_samples, seed, threads)
+    if isinstance(table, ValueError):
+        raise table
+    return table
+
+
+def mc_utility_trials(theta_a: float, theta_h: float, spec: RankingModelSpec,
+                      pool_or_d: PoolOrDistribution, n_samples: int, seed: int,
+                      threads: int | None = None) -> dict[str, EstimateWithError]:
+    """`mc_utility_table`'s six entries as estimates named as in ENTRY_NAMES.
+    The coupled differences behind the paper's two conditions are the
+    estimands of `check_pref_first_position` and `check_pref_weaker_competition`."""
+    table = mc_utility_table(theta_a, theta_h, spec, pool_or_d, n_samples, seed, threads)
+    return {name: EstimateWithError(getattr(table, name), getattr(table, f"stderr_{name}"),
+                                    table.n_samples) for name in ENTRY_NAMES}
 
 
 def check_pref_first_position(
@@ -380,12 +456,12 @@ def check_pref_first_position(
     """
     picks = _picks(spec.with_theta(theta), pool_or_d)
 
-    def kernel(pools: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    def kernel(pools: np.ndarray, rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
         pi = picks(pools, rng)
         sigma = picks(pools, rng)
         gap = _values_at(pools, pi[:, 0]) - _values_at(pools, pi[:, 1])
         hit = (pi[:, 0] != sigma[:, 0]).astype(float)
-        return {"estimand": gap * hit}
+        return [("estimand", gap * hit)]
 
     est = _run_chunks(kernel, pool_or_d, n_samples, seed, threads)["estimand"]
     return ConditionReport(
@@ -418,13 +494,13 @@ def check_pref_weaker_competition(
     picks_strong = _picks(spec.with_theta(theta1), pool_or_d)
     picks_weak = _picks(spec.with_theta(theta2), pool_or_d)
 
-    def kernel(pools: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    def kernel(pools: np.ndarray, rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
         sigma = picks_strong(pools, rng)
         pi = picks_weak(pools, rng)
         tau = picks_weak(pools, rng)
         after_weak = _values_at(pools, _top_avoiding(pi, tau[:, 0]))
         after_strong = _values_at(pools, _top_avoiding(pi, sigma[:, 0]))
-        return {"estimand": after_weak - after_strong}
+        return [("estimand", after_weak - after_strong)]
 
     est = _run_chunks(kernel, pool_or_d, n_samples, seed, threads)["estimand"]
     return ConditionReport(
@@ -446,8 +522,8 @@ def _mc_selection_mean(
 ) -> EstimateWithError:
     picks = _picks(spec, pool_or_d, removed0)
 
-    def kernel(pools: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        return {"estimand": _values_at(pools, picks(pools, rng))}
+    def kernel(pools: np.ndarray, rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
+        return [("estimand", _values_at(pools, picks(pools, rng)))]
 
     return _run_chunks(kernel, pool_or_d, n_samples, seed, threads, stream)["estimand"]
 

@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .core import PoolOrDistribution
-from .estimators import DEFAULT_SWEEP_SAMPLES, _increasing_grid, _strict, mc_utility_table
+from .estimators import DEFAULT_SWEEP_SAMPLES, _increasing_grid, _strict, mc_utility_lattice
 from .exact import (
     SequentialState,
     UtilityTable,
@@ -426,10 +426,6 @@ class SweepCell:
     error: str | None = None
 
 
-def _cell_seed(seed: int, i: int, j: int) -> int:
-    return int(np.random.SeedSequence((seed, i, j)).generate_state(1, np.uint64)[0])
-
-
 def sweep_plane(
     theta_h_values,
     theta_a_values,
@@ -447,11 +443,12 @@ def sweep_plane(
     mapping theta to dispersion 1 + theta). Domain failures (ValueError and
     its subclasses, such as UnsupportedModelError and TieError) are recorded
     on the cell rather than aborting the sweep; any other exception is a bug
-    and propagates. Exact two-firm tables come from one
-    `exact_utility_lattice` call, so an accuracy whose pmf fails marks just
-    its own row or column. Cell seeds derive from (seed, row, column). Cells
-    are classified one after another; a Monte Carlo cell spreads its own
-    chunks over the cores, as `mc_utility_table` does by default.
+    and propagates. Two-firm tables come from one `exact_utility_lattice` or
+    `mc_utility_lattice` call, so an accuracy whose pmf fails marks just its
+    own row or column. Monte Carlo cells share the sweep's seed and draws:
+    each equals `mc_utility_table` at that seed, and one pass spreads the
+    chunks of every cell over the cores. Cells are then classified one after
+    another, in row-major order.
     """
     if engine not in ("exact", "mc"):
         raise ValueError(f"engine must be exact or mc, got {engine!r}")
@@ -462,12 +459,13 @@ def sweep_plane(
     if k > 2 and family.kind != "mallows":
         raise ValueError("k-firm sweeps support the distance-based family only")
     if engine == "mc":
-        _cell_seed(seed, 0, 0)  # a bad seed fails the sweep, not each cell
+        np.random.SeedSequence((seed,))  # a bad seed fails the sweep, not each cell
     rows = [float(t) for t in theta_h_values]
     cols = [float(t) for t in theta_a_values]
-    if k == 2 and engine == "exact":
+    if k == 2:
         try:
-            lattice = exact_utility_lattice(rows, cols, family, pool_or_d)
+            lattice = (exact_utility_lattice(rows, cols, family, pool_or_d) if engine == "exact"
+                       else mc_utility_lattice(rows, cols, family, pool_or_d, n_samples, seed))
         except ValueError as exc:
             lattice = [[exc] * len(cols) for _ in rows]
 
@@ -477,8 +475,7 @@ def sweep_plane(
             if k > 2:
                 seq = sequential_optimal_sequence(k, 1.0 + theta_a, 1.0 + theta_h, pool_or_d)
                 return SweepCell(theta_h, theta_a, seq)
-            table = lattice[i][j] if engine == "exact" else mc_utility_table(
-                theta_a, theta_h, family, pool_or_d, n_samples, _cell_seed(seed, i, j))
+            table = lattice[i][j]
             if not isinstance(table, ValueError):
                 return SweepCell(theta_h, theta_a, classify_equilibrium(table))
         except ValueError as exc:

@@ -35,11 +35,12 @@ from monoculture.estimators import (
     VERDICT_FAILS,
     VERDICT_HOLDS,
     VERDICT_INCONCLUSIVE,
-    _first_survivors,
+    _noise,
+    _perturbed_picks,
     _picks,
     _strict,
     _verdict,
-    sample_top_two,
+    mc_utility_lattice,
 )
 from monoculture.exact import ENTRY_NAMES, top_two_pmf
 from monoculture import estimators, exact as exact_engine
@@ -84,7 +85,9 @@ def test_trials_require_at_least_one_sample():
         mc_utility_trials(1.5, 1.0, MALLOWS, POOL3, 0, seed=1)
 
 
-@pytest.mark.parametrize("n_samples", [0, 1])
+@pytest.mark.parametrize("n_samples", [0, 1, pytest.param(1e4, id="float"),
+                                       pytest.param(np.float64(1e4), id="float64"),
+                                       pytest.param(True, id="bool")])
 @pytest.mark.parametrize("estimate", [
     lambda n: mc_utility_trials(1.5, 1.0, MALLOWS, POOL3, n, seed=1),
     lambda n: mc_utility_table(1.5, 1.0, GAUSSIAN, UNIFORM15, n, seed=1),
@@ -93,7 +96,8 @@ def test_trials_require_at_least_one_sample():
     lambda n: check_monotonicity(GAUSSIAN, (0.5, 1.0), {1}, POOL10, n_samples=n),
 ], ids=["trials", "table", "first-position", "weaker-competition", "monotonicity"])
 def test_every_sampled_estimate_needs_two_trials(estimate, n_samples):
-    # one trial has no stderr; it must not pass for an exact result
+    # one trial has no stderr; it must not pass for an exact result. A count
+    # must be an int: a float one, even a whole one, is refused as well
     with pytest.raises(ValueError, match="n_samples >= 2"):
         estimate(n_samples)
 
@@ -222,10 +226,11 @@ def test_a_fixed_gaussian_pool_past_the_grid_bound_perturbs_without_a_pmf(monkey
                         lambda *args: calls.append(1) or perturbed_keys(*args))
     monkeypatch.setattr(exact_engine, "_top_two_pmf", lambda *args: pytest.fail("pmf computed"))
     pool = CandidatePool(tuple(x))
+    blocks = math.ceil(3_000 / estimators._KEY_ROWS)  # scores are built block by block
     mc_utility_table(1.0, 1.0, GAUSSIAN, pool, 3_000, 0)
-    assert len(calls) == 3
+    assert len(calls) == 3 * blocks
     assert not check_monotonicity(GAUSSIAN, (1.0,), {1}, pool, 3_000, 0).detail["exact"]
-    assert len(calls) == 4
+    assert len(calls) == 4 * blocks
 
 
 def _drawn_pools(size):
@@ -237,7 +242,7 @@ def _drawn_pools(size):
 def test_top_two_picks_equal_the_full_ranking_prefix(spec, drawn):
     size = 20_000
     pools = _drawn_pools(size) if drawn else np.broadcast_to(POOL7.as_array(), (size, 7))
-    pairs = sample_top_two(spec, pools, np.random.default_rng(4))
+    pairs = _perturbed_picks(spec, pools, _noise(spec, pools, np.random.default_rng(4)))
     orders = sample_rankings(spec, pools, np.random.default_rng(4))
     assert np.array_equal(pairs, orders[:, :2])
 
@@ -247,7 +252,7 @@ def test_masked_argmax_picks_the_first_survivor_of_the_full_ranking(spec):
     size = 20_000
     pools = _drawn_pools(size)
     removed0 = (0, 2, 3, 9)
-    picks = _first_survivors(spec, pools, removed0, np.random.default_rng(6))
+    picks = _perturbed_picks(spec, pools, _noise(spec, pools, np.random.default_rng(6)), removed0)
     orders = sample_rankings(spec, pools, np.random.default_rng(6))
     first_alive = np.argmax(~np.isin(orders, removed0), axis=1)
     assert np.array_equal(picks, orders[np.arange(size), first_alive])
@@ -469,7 +474,7 @@ def test_a_discrete_tie_raises_the_same_error_at_any_thread_count():
     assert messages[0] == messages[1]
 
 
-@pytest.mark.parametrize("threads", [0, -3, 1.5, "2"])
+@pytest.mark.parametrize("threads", [0, -3, 1.5, "2", True])
 @pytest.mark.parametrize("call", [
     lambda t: mc_utility_table(1.5, 1.0, GAUSSIAN, POOL3, 100, 0, threads=t),
     lambda t: check_pref_first_position(GAUSSIAN, 1.0, POOL3, 100, threads=t),
@@ -543,6 +548,101 @@ def test_stderr_is_positive_on_any_non_degenerate_pool_at_any_offset(spec, pool,
     table = mc_utility_table(1.5, 1.0, spec, pool, 4_000, seed=seed)
     for name in ENTRY_NAMES:
         assert getattr(table, "stderr_" + name) > 0, name
+
+
+# ---------------------------------------------------------------- lattice
+
+# theta_a repeats both theta_h values, so the lattice has two diagonal cells
+_ROWS, _COLS = (0.8, 1.3), (0.5, 0.8, 1.3)
+_UNIFORM7 = CandidateDistribution.uniform(0.0, 1.0, 7)
+
+
+@pytest.mark.parametrize("spec, pool_or_d", [
+    (MALLOWS, POOL4), (SOFTMAX, POOL7), (GAUSSIAN, _spread(5)), (ATOMS7, _spread(6)),
+    (GAUSSIAN, UNIFORM15), (SOFTMAX, _UNIFORM7), (MALLOWS, _UNIFORM7), (ATOMS7, _UNIFORM7),
+], ids=["mallows-fixed", "plackett_luce-fixed", "gaussian-fixed", "atoms-fixed",
+        "gaussian-drawn", "plackett_luce-drawn", "mallows-drawn", "atoms-drawn"])
+def test_every_lattice_cell_is_its_one_cell_table(spec, pool_or_d):
+    # cells share the lattice's draws, and each equals the one-worker table
+    # at the lattice's seed on every entry and stderr
+    lattice = mc_utility_lattice(_ROWS, _COLS, spec, pool_or_d, CHUNK_SIZE + 77, 21)
+    for theta_h, row in zip(_ROWS, lattice):
+        for theta_a, table in zip(_COLS, row):
+            assert table == mc_utility_table(theta_a, theta_h, spec, pool_or_d,
+                                             CHUNK_SIZE + 77, 21, threads=1)
+
+
+def _one_cell_error(theta_a, theta_h, spec, pool_or_d, n_samples):
+    with pytest.raises(ValueError) as info:
+        mc_utility_table(theta_a, theta_h, spec, pool_or_d, n_samples, 0)
+    return info.value
+
+
+def _assert_cells_match_one_cell_calls(rows, cols, spec, pool_or_d, n_samples, failing):
+    lattice = mc_utility_lattice(rows, cols, spec, pool_or_d, n_samples, 0)
+    for i, theta_h in enumerate(rows):
+        for j, theta_a in enumerate(cols):
+            cell = lattice[i][j]
+            if (i, j) in failing:
+                want = _one_cell_error(theta_a, theta_h, spec, pool_or_d, n_samples)
+                assert type(cell) is type(want) and str(cell) == str(want)
+            else:
+                assert cell == mc_utility_table(theta_a, theta_h, spec, pool_or_d, n_samples, 0)
+    return lattice
+
+
+def test_a_refused_accuracy_marks_only_its_own_row_or_column():
+    # theta_a's error where both accuracies are refused, as the one-cell call
+    lattice = _assert_cells_match_one_cell_calls((-1.0, 1.0), (0.0, 1.5), MALLOWS, POOL3, 3_000,
+                                                 failing={(0, 0), (0, 1), (1, 0)})
+    assert str(lattice[0][0]) == str(lattice[1][0]) != str(lattice[0][1])
+
+
+def test_a_fixed_pool_tie_at_one_accuracy_marks_only_its_cells():
+    # pool gap 2 equals an atom gap scaled by theta = 1 or 0.5, never by 1.5
+    spec = RankingModelSpec.rum(NoiseSpec.discrete(((-1.0, 0.3), (0.0, 0.4), (1.0, 0.3))), 1.0)
+    pool = CandidatePool((2.0, 0.0))
+    with pytest.raises(TieError):
+        exact_utility_table(1.0, 1.5, spec, pool)
+    _assert_cells_match_one_cell_calls((1.5, 1.0), (1.0, 1.5), spec, pool, 3_000,
+                                       failing={(0, 0), (1, 0), (1, 1)})
+
+
+def test_a_drawn_pool_tie_at_one_accuracy_marks_only_its_cells():
+    # at theta = 1e-17 the atoms swamp every pool value, so two of three
+    # candidates always tie; at theta = 1 a tie has probability zero. The
+    # sigma ranking draws first, so its tie names the cell where both tie.
+    spec = RankingModelSpec.rum(NoiseSpec.discrete(((-1.0, 0.5), (1.0, 0.5))), 1.0)
+    drawn = CandidateDistribution.uniform(0.0, 1.0, 3)
+    lattice = _assert_cells_match_one_cell_calls((1e-17, 1.0), (1.0, 1e-17), spec, drawn,
+                                                 CHUNK_SIZE + 5, failing={(0, 0), (0, 1), (1, 1)})
+    # replay chunk 0's stream: its pool rows, then sigma's and pi's noise
+    rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(0, 0)))
+    pools = drawn.sample_matrix(rng, CHUNK_SIZE)
+    sigma, pi = spec.noise.sample(rng, pools.shape), spec.noise.sample(rng, pools.shape)
+    for noise, cell in ((sigma, lattice[0][1]), (sigma, lattice[1][1]), (pi, lattice[0][0])):
+        with pytest.raises(TieError) as info:
+            estimators._raise_on_ties(pools + noise / 1e-17)
+        assert str(cell) == str(info.value)
+    assert str(lattice[0][0]) != str(lattice[0][1])
+
+
+def test_a_role_that_mixes_samplers_perturbs_and_keeps_its_law():
+    # 152 candidates over [0, 10]: the quadrature grid passes CHUNK_SIZE at
+    # theta = 1 but not at theta = 2, so the algorithmic role perturbs at both
+    x = np.linspace(10.0, 0.0, 152)
+    assert len(exact_engine._gauss_legendre_grid(1.0, x)[0]) > CHUNK_SIZE
+    assert len(exact_engine._gauss_legendre_grid(2.0, x)[0]) <= CHUNK_SIZE
+    pool = CandidatePool(tuple(x))
+    assert not estimators._Role(GAUSSIAN, (1.0, 2.0), pool).exact
+    lattice = mc_utility_lattice((2.0,), (1.0, 2.0), GAUSSIAN, pool, 20_000, 5)
+    for theta_a, table in zip((1.0, 2.0), lattice[0]):
+        exact = exact_utility_table(theta_a, 2.0, GAUSSIAN, pool)
+        for name in ENTRY_NAMES:
+            gap = getattr(table, name) - getattr(exact, name)
+            assert abs(gap) <= 4 * getattr(table, f"stderr_{name}"), (theta_a, name)
+    # the exact-law cell of its own draws differently
+    assert lattice[0][1] != mc_utility_table(2.0, 2.0, GAUSSIAN, pool, 20_000, 5)
 
 
 # ---------------------------------------------------------------- calibration

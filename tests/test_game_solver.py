@@ -32,7 +32,6 @@ from monoculture import (
 )
 from monoculture import estimators
 from monoculture.exact import ENTRY_NAMES, exact_utility_lattice
-from monoculture.solver import _cell_seed
 
 POOL3 = CandidatePool((1.0, 0.5, 0.0))
 POOL4 = CandidatePool((1.0, 0.7, 0.3, 0.0))
@@ -443,7 +442,7 @@ def test_sweep_plane_lets_programming_errors_raise(monkeypatch):
     def broken(*args, **kwargs):
         raise IndexError("index 5 is out of bounds")
 
-    monkeypatch.setattr(solver, "mc_utility_table", broken)
+    monkeypatch.setattr(solver, "mc_utility_lattice", broken)
     with pytest.raises(IndexError):
         sweep_plane((1.0,), (0.5,), MALLOWS, POOL3, engine="mc", n_samples=1_000)
 
@@ -594,15 +593,14 @@ def test_exact_sweep_marks_only_the_invalid_accuracy_columns():
 
 
 def test_sweep_plane_mc_results_do_not_depend_on_threads(monkeypatch, pool_sizes):
-    # a default sweep spreads each cell's chunks over the cores; every cell
-    # must equal the one-worker table at that cell's seed
+    # a default sweep spreads the chunks of all its cells over the cores in
+    # one pass; every cell must equal the one-worker table at the sweep's seed
     monkeypatch.setattr(estimators, "_cores", lambda: 4)
     rows, cols = (1.0, 1.2), (0.8, 1.4)
     cells = sweep_plane(rows, cols, MALLOWS, POOL3, engine="mc", n_samples=20_000, seed=11)
-    assert pool_sizes == [3] * 4  # 20,000 trials are three chunks per cell
+    assert pool_sizes == [3]  # 20,000 trials are three chunks, for every cell at once
     for cell, (i, j) in zip(cells, [(i, j) for i in range(2) for j in range(2)]):
-        table = mc_utility_table(cols[j], rows[i], MALLOWS, POOL3, 20_000,
-                                 _cell_seed(11, i, j), threads=1)
+        table = mc_utility_table(cols[j], rows[i], MALLOWS, POOL3, 20_000, 11, threads=1)
         assert cell.outcome == classify_equilibrium(table)
 
 
@@ -657,7 +655,7 @@ def test_mc_sweep_rejects_a_bad_seed_before_any_cell(monkeypatch):
     def refuse(*args):
         raise AssertionError("a cell ran")
 
-    monkeypatch.setattr(solver, "mc_utility_table", refuse)
+    monkeypatch.setattr(solver, "mc_utility_lattice", refuse)
     with pytest.raises(ValueError, match="non-negative"):
         sweep_plane((1.0,), (1.0, 2.0), MALLOWS, POOL3, engine="mc", n_samples=1000, seed=-1)
     # the exact engine reads no seed
@@ -665,7 +663,8 @@ def test_mc_sweep_rejects_a_bad_seed_before_any_cell(monkeypatch):
 
 
 def test_sweep_plane_mc_cells_need_two_trials():
-    for n_samples in (0, 1):
+    # a float count, even a whole one, is refused on every cell, not by range()
+    for n_samples in (0, 1, 1e4, np.float64(1e4)):
         (cell,) = sweep_plane((1.0,), (1.5,), MALLOWS, POOL3, engine="mc", n_samples=n_samples)
         assert cell.outcome is None
         assert "n_samples >= 2" in cell.error
