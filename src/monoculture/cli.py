@@ -804,10 +804,10 @@ def _engine(text: str) -> str:
 
 
 def _trial_count(text: str) -> int:
-    n = int(float(text))
-    if n < 2:
-        raise ValueError("a stderr needs at least 2 trials")
-    return n
+    n = float(text)  # so 1e6 reads as a count
+    if not (n.is_integer() and n >= 2):
+        raise ValueError("need a whole number of trials, at least 2 for a stderr")
+    return int(n)
 
 
 # flag -> (converter from its text, value when unset, help)

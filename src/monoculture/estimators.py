@@ -1,14 +1,15 @@
 """Coupled Monte Carlo estimation of utilities and condition checks.
 
 Trials are partitioned into chunks of CHUNK_SIZE (8192) rows by one driver,
-`_run_chunks`. Chunk c draws from an rng stream keyed by (seed, stream, c):
-its pool rows first (fresh from a distribution; a fixed pool draws nothing),
-then its rankings. Per-chunk moments (count, mean, centred sum of squares)
-are merged in chunk order, so results are bit-identical for a given seed on
-any number of workers; `threads=None` runs one per core, at most one per
-chunk. Within a trial all quantities share the same draws (common random
-numbers), which shrinks the variance of every estimated difference; so do
-the cells of an `mc_utility_lattice`.
+`_run_chunks`, which every estimator call runs once. Chunk c draws from the
+rng keyed by (seed, 0, c): its pool rows first (fresh from a distribution; a
+fixed pool draws nothing), then its rankings. Per-chunk moments (count,
+mean, centred sum of squares) are merged in chunk order, so results are
+bit-identical for a given seed on any number of workers; `threads=None` runs
+one per core, at most one per chunk. Within a trial all quantities share the
+same draws (common random numbers), which shrinks the variance of every
+estimated difference: the cells of an `mc_utility_lattice` and the grid
+points of a sampled `check_monotonicity` share them too.
 
 No estimator samples a whole ranking. Every two-firm estimand reads only
 the top two of each ranking, and the monotonicity check only the best
@@ -280,18 +281,21 @@ class _Role:
         return out
 
 
-def _picks(spec: RankingModelSpec, pool_or_d: PoolOrDistribution, removed0=None):
-    """(pools, rng) -> one ranking's (top, runner-up) per pool row, or with
-    removed0 its best survivor: a `_Role` of spec's accuracy alone, raising."""
-    role = _Role(spec, [spec.theta], pool_or_d, removed0)
+def _picks(family: RankingModelSpec, thetas, pool_or_d: PoolOrDistribution, removed0=None):
+    """(pools, rng) -> a list of each accuracy's (top, runner-up) of one
+    ranking per pool row, or with removed0 its best survivor: the raising
+    view of a `_Role` over thetas, raising its first refused accuracy's error
+    now and a drawn tie's TieError when drawn."""
+    role = _Role(family, thetas, pool_or_d, removed0)
     if role.errors:
-        raise role.errors[spec.theta]
+        raise next(iter(role.errors.values()))
 
-    def picks(pools: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        got = role.picks(pools, rng)[spec.theta]
-        if isinstance(got, TieError):
-            raise got
-        return got
+    def picks(pools: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
+        got = role.picks(pools, rng)
+        for p in got.values():
+            if isinstance(p, TieError):
+                raise p
+        return [got[theta] for theta in thetas]
 
     return picks
 
@@ -320,16 +324,25 @@ def _workers(threads: int | None) -> int:
     return threads
 
 
+def _moments(v: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, centred sum of squares) of v; its temporary dies here."""
+    mean = float(v.mean())
+    d = v - mean
+    d *= d
+    return v.size, mean, float(d.sum())
+
+
 def _run_chunks(kernel, pool_or_d: PoolOrDistribution, n_samples: int, seed: int,
-                threads: int | None, stream: int = 0) -> dict[str, EstimateWithError]:
+                threads: int | None) -> dict[str, EstimateWithError]:
     """Mean and stderr of each (name, per-trial array) pair that
     `kernel(pools, rng)` yields, over n_samples trials in chunks of
     CHUNK_SIZE on up to `threads` workers; each array is reduced as it comes.
     Chunk c draws its pool rows, then the kernel's draws, from the rng keyed
-    by (seed, stream, c). Per-chunk centred moments are merged in chunk
-    order (Chan, Golub & LeVeque 1979), which keeps the variance accurate
-    where E[v^2] - E[v]^2 would cancel. A ValueError yielded for an array
-    is the name's result, the earliest chunk's; a stderr needs an int
+    by (seed, 0, c): the 0 is a retired stream index, kept so that every
+    seeded result keeps its bits. Per-chunk centred moments are merged in
+    chunk order (Chan, Golub & LeVeque 1979), which keeps the variance
+    accurate where E[v^2] - E[v]^2 would cancel. A ValueError yielded for an
+    array is the name's result, the earliest chunk's; a stderr needs an int
     n_samples >= 2."""
     if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
         raise ValueError(f"need an integer n_samples >= 2, got {n_samples!r}")
@@ -337,17 +350,10 @@ def _run_chunks(kernel, pool_or_d: PoolOrDistribution, n_samples: int, seed: int
     workers = min(_workers(threads), len(sizes))
 
     def moments(c: int) -> dict:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, c)))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, c)))
         pools = _pool_matrix(pool_or_d, rng, sizes[c])
-        out = {}
-        for name, v in kernel(pools, rng):
-            if isinstance(v, ValueError):
-                out[name] = v
-                continue
-            mean = float(v.mean())
-            d = v - mean
-            out[name] = (v.size, mean, float((d * d).sum()))
-        return out
+        return {name: v if isinstance(v, ValueError) else _moments(v)
+                for name, v in kernel(pools, rng)}
 
     merged = {}
 
@@ -454,11 +460,10 @@ def check_pref_first_position(
     first-position preference, and whose value equals the second mover's
     utility loss or gain from sharing the first mover's ranking.
     """
-    picks = _picks(spec.with_theta(theta), pool_or_d)
+    picks = _picks(spec, [theta], pool_or_d)
 
     def kernel(pools: np.ndarray, rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
-        pi = picks(pools, rng)
-        sigma = picks(pools, rng)
+        [pi], [sigma] = picks(pools, rng), picks(pools, rng)
         gap = _values_at(pools, pi[:, 0]) - _values_at(pools, pi[:, 1])
         hit = (pi[:, 0] != sigma[:, 0]).astype(float)
         return [("estimand", gap * hit)]
@@ -491,13 +496,10 @@ def check_pref_weaker_competition(
     """
     if not theta1 > theta2:
         raise ValueError(f"need theta1 > theta2, got {theta1} <= {theta2}")
-    picks_strong = _picks(spec.with_theta(theta1), pool_or_d)
-    picks_weak = _picks(spec.with_theta(theta2), pool_or_d)
+    strong, weak = _picks(spec, [theta1], pool_or_d), _picks(spec, [theta2], pool_or_d)
 
     def kernel(pools: np.ndarray, rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
-        sigma = picks_strong(pools, rng)
-        pi = picks_weak(pools, rng)
-        tau = picks_weak(pools, rng)
+        [sigma], [pi], [tau] = strong(pools, rng), weak(pools, rng), weak(pools, rng)
         after_weak = _values_at(pools, _top_avoiding(pi, tau[:, 0]))
         after_strong = _values_at(pools, _top_avoiding(pi, sigma[:, 0]))
         return [("estimand", after_weak - after_strong)]
@@ -511,21 +513,26 @@ def check_pref_weaker_competition(
     )
 
 
-def _mc_selection_mean(
-    spec: RankingModelSpec,
-    pool_or_d: PoolOrDistribution,
-    removed0: tuple[int, ...],
-    n_samples: int,
-    seed: int,
-    stream: int,
-    threads: int | None = None,
-) -> EstimateWithError:
-    picks = _picks(spec, pool_or_d, removed0)
+def _mc_selection_mean(spec: RankingModelSpec, grid: list[float], pool_or_d: PoolOrDistribution,
+                       removed0: tuple[int, ...], n_samples: int, seed: int,
+                       threads: int | None = None):
+    """(means, steps): Monte Carlo E[value of the best survivor] at each
+    accuracy of grid and each paired step between neighbours, from one pass
+    whose `_Role` draws each ranking once for the whole grid. A step is
+    written into the older value array, so it allocates no array."""
+    picks = _picks(spec, grid, pool_or_d, removed0)
 
-    def kernel(pools: np.ndarray, rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
-        return [("estimand", _values_at(pools, picks(pools, rng)))]
+    def kernel(pools: np.ndarray, rng: np.random.Generator):
+        prev = None
+        for i, p in enumerate(picks(pools, rng)):
+            values = _values_at(pools, p)
+            yield ("mean", i), values
+            if prev is not None:
+                yield ("step", i), np.subtract(values, prev, out=prev)
+            prev = values
 
-    return _run_chunks(kernel, pool_or_d, n_samples, seed, threads, stream)["estimand"]
+    est = _run_chunks(kernel, pool_or_d, n_samples, seed, threads)
+    return [est["mean", i] for i in range(len(grid))], [est["step", i] for i in range(1, len(grid))]
 
 
 def check_monotonicity(
@@ -541,10 +548,12 @@ def check_monotonicity(
 
     Evaluates E[value of best survivor] on the accuracy grid, exactly or by
     Monte Carlo as picked from family, pool kind and n before anything is
-    computed (exact-path errors propagate). Each consecutive difference is
-    judged by `_verdict`: the check fails if any fails, holds if all hold (so
-    a one-point grid holds), and is inconclusive otherwise. The reported
-    estimate is the first difference whose verdict is the report's.
+    computed (exact-path errors propagate). Each step between consecutive
+    grid points is judged by `_verdict`: the check fails if any fails, holds
+    if all hold (so a one-point grid holds), and is inconclusive otherwise.
+    The reported estimate is the first step whose verdict is the report's;
+    a sampled step is paired, the mean of per-trial differences over draws
+    the whole grid shares, with the stderr of those differences.
     """
     _workers(threads)  # checked even when the exact path leaves it unused
     grid = _increasing_grid(theta_grid, "theta")
@@ -556,27 +565,18 @@ def check_monotonicity(
         x = fixed.as_array()
         pmfs = [exact_selection_pmf(spec.with_theta(t), fixed, removed) for t in grid]
         means = [EstimateWithError.exact(float(pmf @ x)) for pmf in pmfs]
+        steps = [EstimateWithError.exact(b.mean - a.mean) for a, b in zip(means, means[1:])]
     else:
-        means = [
-            _mc_selection_mean(
-                spec.with_theta(t), pool, removed0, n_samples, seed, stream=i, threads=threads
-            )
-            for i, t in enumerate(grid)
-        ]
+        means, steps = _mc_selection_mean(spec, grid, pool, removed0, n_samples, seed, threads)
 
-    diffs = [
-        EstimateWithError(b.mean - a.mean, math.hypot(a.stderr, b.stderr),
-                          max(a.n_samples, b.n_samples))
-        for a, b in zip(means, means[1:])
-    ]
-    verdicts = [_verdict(d) for d in diffs]
-    # the worst verdict of any difference; with no differences, holds
+    verdicts = [_verdict(d) for d in steps]
+    # the worst verdict of any step; with no steps, holds
     verdict = min(verdicts, key=(VERDICT_FAILS, VERDICT_INCONCLUSIVE, VERDICT_HOLDS).index,
                   default=VERDICT_HOLDS)
     return ConditionReport(
         condition="monotonicity",
-        estimate=next((d for d, v in zip(diffs, verdicts) if v == verdict),
-                      EstimateWithError.exact(0.0)),  # no difference, no trial
+        estimate=next((d for d, v in zip(steps, verdicts) if v == verdict),
+                      EstimateWithError.exact(0.0)),  # no step, no trial
         verdict=verdict,
         detail={
             "theta_grid": tuple(grid),

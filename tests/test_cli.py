@@ -203,11 +203,19 @@ def test_usage_errors_exit_one(capsys):
         ("sweep", "--grid", "1:2:1x1:2:1", "--pool", POOL, "--firms", "1"),
         ("utilities", "--theta-h", "1", "--theta-a", "2", "--pool", POOL,
          "--engine", "mc", "--samples", "1e400"),
+        # a count that is not whole is refused, not truncated to 2 trials
+        ("utilities", "--theta-h", "1", "--theta-a", "1.5", "--pool", POOL,
+         "--engine", "mc", "--samples", "2.7"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.strip()
+
+
+@pytest.mark.parametrize("text, count", [("1e6", 1_000_000), ("3e5", 300_000), ("70000", 70_000)])
+def test_a_whole_trial_count_may_be_written_as_a_float(text, count):
+    assert cli.FLAGS["samples"][0](text) == count
 
 
 @pytest.mark.parametrize("argv, message", [

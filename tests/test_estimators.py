@@ -27,6 +27,7 @@ from monoculture import (
     mc_utility_table,
     mc_utility_trials,
     sample_rankings,
+    sweep_plane,
 )
 from monoculture.estimators import (
     CHUNK_SIZE,
@@ -167,7 +168,7 @@ _LAW_FAMILIES = (("", MALLOWS), ("plackett_luce-", SOFTMAX), ("gaussian-", GAUSS
 def test_mallows_top_two_matches_the_pair_marginal(spec, n):
     size, pool = 1_000_000, _spread(n)
     pools = np.broadcast_to(pool.as_array(), (size, n))
-    pairs = _picks(spec, pool)(pools, np.random.default_rng(11))
+    [pairs] = _picks(spec, [spec.theta], pool)(pools, np.random.default_rng(11))
     got = np.zeros((n, n))
     np.add.at(got, (pairs[:, 0], pairs[:, 1]), 1.0 / size)
     assert np.all(np.diag(got) == 0)
@@ -181,7 +182,7 @@ def test_mallows_top_two_matches_the_pair_marginal(spec, n):
 def test_mallows_first_survivors_match_the_selection_pmf(spec, removed0):
     n, size, pool = 6, 1_000_000, _spread(6)
     pools = np.broadcast_to(pool.as_array(), (size, n))
-    picks = _picks(spec, pool, removed0)(pools, np.random.default_rng(12))
+    [picks] = _picks(spec, [spec.theta], pool, removed0)(pools, np.random.default_rng(12))
     want = exact_selection_pmf(spec, pool, {c + 1 for c in removed0})
     got = np.bincount(picks, minlength=n) / size
     assert not np.isin(picks, removed0).any()
@@ -385,7 +386,7 @@ _PINNED = {  # two chunks each: a change to the draws any chunk makes changes th
          "u_hh": (0.6591534008683069, 0.0029617968386996033)},
         (0.022841292812349256, 0.004113111574313646),
         (0.013736131210805597, 0.002094680995408131),
-        ((0.48879643029425945, 0.5345754944524843), (0.0025034773256123305, 0.002397318072906436)),
+        ((0.48879643029425945, 0.5302821997105643), (0.0025034773256123305, 0.0024110168778968054)),
     ),
     "drawn": (
         {"u_first_a": (0.6753882140039212, 0.0027543327536812506),
@@ -393,7 +394,7 @@ _PINNED = {  # two chunks each: a change to the draws any chunk makes changes th
          "u_hh": (0.6036392587999252, 0.003006034725921478)},
         (0.024643014004420496, 0.003979550245850088),
         (0.011218222561948587, 0.0019269097288138013),
-        ((0.4491402464318575, 0.48539646541300385), (0.0027067725640207555, 0.002672622314907115)),
+        ((0.4491402464318575, 0.48795861087560227), (0.0027067725640207555, 0.0026516246546524117)),
     ),
 }
 
@@ -459,6 +460,26 @@ def test_sampled_monotonicity_is_bit_identical_across_thread_counts(family, pool
     assert not reports[0].detail["exact"]
     assert reports[1] == reports[0]
     assert reports[2] == reports[0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: mc_utility_table(1.5, 1.0, GAUSSIAN, UNIFORM15, n, 3),
+    lambda n: mc_utility_trials(1.5, 1.0, SOFTMAX, POOL4, n, 3),
+    lambda n: check_pref_first_position(GAUSSIAN, 1.0, POOL4, n, 4),
+    lambda n: check_pref_weaker_competition(MALLOWS, 1.5, 1.0, UNIFORM15, n, 5),
+    lambda n: check_monotonicity(GAUSSIAN, (0.5, 1.0, 2.0), {2, 7}, POOL10, n, 6),
+    lambda n: sweep_plane((1.0, 1.2), (0.8, 1.4), MALLOWS, POOL3, engine="mc", n_samples=n),
+], ids=["table", "trials", "first_position", "weaker_competition", "monotonicity", "sweep"])
+def test_every_sampled_call_makes_one_pass(call, monkeypatch, pool_sizes):
+    # one `_run_chunks` pass and one thread pool per call, whatever its grid:
+    # a loop of passes per accuracy would draw each ranking more than once
+    passes, run_chunks = [], estimators._run_chunks
+    monkeypatch.setattr(estimators, "_run_chunks",
+                        lambda *args: passes.append(1) or run_chunks(*args))
+    monkeypatch.setattr(estimators, "_cores", lambda: 2)
+    call(2 * CHUNK_SIZE + 1)
+    assert len(passes) == 1
+    assert pool_sizes == [2]
 
 
 def test_a_discrete_tie_raises_the_same_error_at_any_thread_count():
@@ -839,6 +860,56 @@ def test_sampled_mallows_monotonicity_matches_the_contiguous_closed_form():
         assert abs(mean - want) <= 5 * se, (theta, mean, want, se)
     assert report.verdict == VERDICT_HOLDS
     assert check_monotonicity(MALLOWS, grid, removed, pool, seed=5, threads=2) == report
+
+
+_DRAWN10 = CandidateDistribution.uniform(0.0, 1.0, 10)
+
+
+@pytest.mark.parametrize("spec, pool_or_d", [
+    (MALLOWS, POOL10), (GAUSSIAN, POOL10), (ATOMS7, POOL10),
+    (GAUSSIAN, _DRAWN10), (SOFTMAX, _DRAWN10), (ATOMS7, _DRAWN10), (MALLOWS, _DRAWN10),
+], ids=["mallows-fixed", "gaussian-fixed", "atoms-fixed", "gaussian-drawn",
+        "plackett_luce-drawn", "atoms-drawn", "mallows-drawn"])
+def test_every_grid_mean_is_its_one_point_grid(spec, pool_or_d):
+    # no draw's size depends on the accuracy, so the grid's shared draws give
+    # each mean, stderr and count the bits of that accuracy's draws alone
+    grid, removed0, n = (0.5, 1.0, 2.0), (1, 4), 2 * CHUNK_SIZE + 11
+    means, _ = estimators._mc_selection_mean(spec, grid, pool_or_d, removed0, n, 8)
+    for theta, mean in zip(grid, means):
+        assert [mean] == estimators._mc_selection_mean(spec, [theta], pool_or_d, removed0, n, 8,
+                                                       threads=1)[0]
+
+
+def test_a_grid_that_mixes_samplers_perturbs_and_keeps_its_law():
+    # 152 candidates over [0, 10]: the quadrature grid passes CHUNK_SIZE at
+    # theta = 1 only, so every grid point perturbs
+    x, grid, removed = np.linspace(10.0, 0.0, 152), (1.0, 1.5, 2.0), {1}
+    assert [len(exact_engine._gauss_legendre_grid(t, x)[0]) > CHUNK_SIZE for t in grid] == [
+        True, False, False]
+    pool = CandidatePool(tuple(x))
+    assert not estimators._Role(GAUSSIAN, grid, pool, (0,)).exact
+    report = check_monotonicity(GAUSSIAN, grid, removed, pool, 20_000, 5)
+    for theta, mean, se in zip(grid, report.detail["means"], report.detail["stderrs"]):
+        want = exact_selection_pmf(GAUSSIAN.with_theta(theta), pool, removed) @ x
+        assert abs(mean - want) <= 4 * se, theta
+
+
+@pytest.mark.parametrize("spec, removed", [(MALLOWS, {1, 2, 10}), (GAUSSIAN, {2, 7})],
+                         ids=["mallows", "gaussian"])
+def test_paired_step_intervals_cover_the_exact_step_and_are_sharper(spec, removed):
+    # 99.9% intervals on the step from 300 independent runs should cover the
+    # exact step at least 99% of the time; pairing the two accuracies' draws
+    # must beat unpaired means by far more than chance
+    grid, x, z999 = (0.5, 0.6), POOL10.as_array(), 3.2905267314919255
+    lo, hi = [exact_selection_pmf(spec.with_theta(t), POOL10, removed) @ x for t in grid]
+    step = hi - lo
+    covered = 0
+    for seed in range(300):
+        report = check_monotonicity(spec, grid, removed, POOL10, 20_000, seed)
+        est, stderrs = report.estimate, report.detail["stderrs"]
+        covered += abs(est.mean - step) <= z999 * est.stderr
+        assert 0 < est.stderr < math.hypot(*stderrs) / 3, seed
+    assert covered >= 297
 
 
 def test_exact_softmax_monotonicity_at_rounding_level_is_inconclusive():
