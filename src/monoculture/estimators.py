@@ -69,6 +69,7 @@ _EXACT_MONOTONICITY_N = 8
 VERDICT_HOLDS = "holds"
 VERDICT_FAILS = "fails"
 VERDICT_INCONCLUSIVE = "inconclusive"
+_VERDICTS = (VERDICT_FAILS, VERDICT_INCONCLUSIVE, VERDICT_HOLDS)  # at `_sign` + 1
 
 
 @dataclass(frozen=True)
@@ -101,11 +102,17 @@ def _strict(margin: float, se: float) -> bool:
     return margin > DEFAULT_Z_THRESHOLD * se and margin > STRICT_TOL
 
 
+def _sign(margin: float, se: float) -> int:
+    """The one rule for every two-sided decision, `_strict` both ways: 1 when
+    the margin is strict, -1 when its negation is, 0 on a tie (NaN too)."""
+    return _strict(margin, se) - _strict(-margin, se)
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     """Outcome of one behavioral-condition check.
 
-    verdict follows `_strict`, the rule the solver judges margins by, for
+    verdict follows `_sign`, the rule the solver judges margins by, for
     exact and sampled estimates alike: holds when the estimate exceeds both
     DEFAULT_Z_THRESHOLD times its stderr and STRICT_TOL, fails when its
     negation does, and is inconclusive otherwise.
@@ -126,11 +133,7 @@ def _increasing_grid(values, name: str) -> list[float]:
 
 
 def _verdict(est: EstimateWithError) -> str:
-    if _strict(est.mean, est.stderr):
-        return VERDICT_HOLDS
-    if _strict(-est.mean, est.stderr):
-        return VERDICT_FAILS
-    return VERDICT_INCONCLUSIVE
+    return _VERDICTS[_sign(est.mean, est.stderr) + 1]
 
 
 def _pool_matrix(pool_or_d: PoolOrDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -549,7 +552,7 @@ def check_monotonicity(
     Evaluates E[value of best survivor] on the accuracy grid, exactly or by
     Monte Carlo as picked from family, pool kind and n before anything is
     computed (exact-path errors propagate). Each step between consecutive
-    grid points is judged by `_verdict`: the check fails if any fails, holds
+    grid points is judged by `_sign`: the check fails if any fails, holds
     if all hold (so a one-point grid holds), and is inconclusive otherwise.
     The reported estimate is the first step whose verdict is the report's;
     a sampled step is paired, the mean of per-trial differences over draws
@@ -569,15 +572,13 @@ def check_monotonicity(
     else:
         means, steps = _mc_selection_mean(spec, grid, pool, removed0, n_samples, seed, threads)
 
-    verdicts = [_verdict(d) for d in steps]
-    # the worst verdict of any step; with no steps, holds
-    verdict = min(verdicts, key=(VERDICT_FAILS, VERDICT_INCONCLUSIVE, VERDICT_HOLDS).index,
-                  default=VERDICT_HOLDS)
+    signs = [_sign(d.mean, d.stderr) for d in steps]
+    worst = min(signs, default=1)  # the worst step's sign; with no steps, holds
     return ConditionReport(
         condition="monotonicity",
-        estimate=next((d for d, v in zip(steps, verdicts) if v == verdict),
+        estimate=next((d for d, s in zip(steps, signs) if s == worst),
                       EstimateWithError.exact(0.0)),  # no step, no trial
-        verdict=verdict,
+        verdict=_VERDICTS[worst + 1],
         detail={
             "theta_grid": tuple(grid),
             "removed": tuple(c + 1 for c in removed0),

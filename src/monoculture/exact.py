@@ -55,7 +55,7 @@ class UtilityTable:
     algorithmic / human ranking; u_xy is the second mover's utility when
     the first mover played x and the second plays y. stderr_* fields are
     zero for exact computation. The solver judges every margin of a table,
-    exact or sampled, by one rule, `estimators._strict`: strict when it
+    exact or sampled, by one rule, `estimators._sign`: strict when it
     exceeds both DEFAULT_Z_THRESHOLD times its stderr and STRICT_TOL, a tie
     when neither it nor its negation is strict.
     """

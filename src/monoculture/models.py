@@ -151,8 +151,8 @@ class RankingModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise UnsupportedModelError(f"unknown model kind {self.kind!r}")
-        if not self.theta > 0:
-            raise UnsupportedModelError(f"need theta > 0, got {self.theta}")
+        if not 0 < self.theta < math.inf:  # NaN fails too
+            raise UnsupportedModelError(f"need theta > 0 and finite, got {self.theta}")
         if self.kind == "rum" and self.noise is None:
             raise UnsupportedModelError("rum needs noise")
         if self.kind != "rum" and self.noise is not None:

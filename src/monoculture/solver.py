@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .core import PoolOrDistribution
-from .estimators import DEFAULT_SWEEP_SAMPLES, _increasing_grid, _strict, mc_utility_lattice
+from .estimators import DEFAULT_SWEEP_SAMPLES, _increasing_grid, _sign, _strict, mc_utility_lattice
 from .exact import (
     SequentialState,
     UtilityTable,
@@ -50,7 +50,7 @@ class DominanceReport:
     margin_vs_a compares playing A against playing H when the rival runs
     the shared ranking; margin_vs_h is the same comparison against a human
     rival. Margins are full-table differences (the one-half payoff weights
-    cancel). Strictness and ties follow `_strict`.
+    cancel). Strictness and ties follow `_sign`.
     """
 
     margin_vs_a: float
@@ -73,14 +73,13 @@ def check_dominance(table: UtilityTable) -> DominanceReport:
     s_fa, s_fh, s_aa = table.stderr_u_first_a, table.stderr_u_first_h, table.stderr_u_aa
     s_ah, s_ha, s_hh = table.stderr_u_ah, table.stderr_u_ha, table.stderr_u_hh
     margin_a, margin_h = (fa + aa) - (fh + ah), (fa + ha) - (fh + hh)
-    # entries share trial draws, so treating them as independent overstates
-    # the error; the overstatement only ever downgrades a verdict
+    # the entries share trial draws but their errors add as if independent,
+    # which can understate the margin's error on drawn pools (ROADMAP item 9)
     se_a = math.sqrt(s_fa**2 + s_aa**2 + s_fh**2 + s_ah**2)
     se_h = math.sqrt(s_fa**2 + s_ha**2 + s_fh**2 + s_hh**2)
-    strict_a, strict_h = _strict(margin_a, se_a), _strict(margin_h, se_h)
-    return DominanceReport(margin_a, margin_h, se_a, se_h, strict_a, strict_h,
-                           tie_vs_a=not (strict_a or _strict(-margin_a, se_a)),
-                           tie_vs_h=not (strict_h or _strict(-margin_h, se_h)))
+    sign_a, sign_h = _sign(margin_a, se_a), _sign(margin_h, se_h)
+    return DominanceReport(margin_a, margin_h, se_a, se_h, sign_a > 0, sign_h > 0,
+                           tie_vs_a=sign_a == 0, tie_vs_h=sign_h == 0)
 
 
 # plain, not frozen: one is built per sweep cell, and a frozen __init__ is ~4x slower
@@ -108,43 +107,41 @@ class EquilibriumOutcome:
 def classify_equilibrium(table: UtilityTable) -> EquilibriumOutcome:
     """Label, mixing weight, welfare and Braess flag of one utility table.
 
-    One strictness rule, `estimators._strict`, judges both dominance
-    margins and the welfare gap, for exact and sampled tables alike: a
-    difference is strict when it exceeds both DEFAULT_Z_THRESHOLD times its
-    stderr and STRICT_TOL, and a tie when neither it nor its negation is
-    strict. A pure profile is stable unless its payoff margin is strictly
-    negative by the same rule at stderr 0.
+    One sign rule, `estimators._sign`, judges both dominance margins and
+    the welfare gap, for exact and sampled tables alike: a difference is
+    strict when it exceeds both DEFAULT_Z_THRESHOLD times its stderr and
+    STRICT_TOL, and a tie when neither it nor its negation is strict. The
+    label reads `check_dominance`'s flags: AA is stable unless A strictly
+    loses against an A rival, HH unless A strictly gains against an H rival.
     """
     dom = check_dominance(table)
     # payoff of A minus payoff of H against an A rival (alpha) and an H
     # rival (beta); each payoff averages the first- and second-mover entries
-    alpha = 0.5 * dom.margin_vs_a
-    beta = 0.5 * dom.margin_vs_h
-    aa_stable = not _strict(-alpha, 0.0)
-    hh_stable = not _strict(beta, 0.0)
-    boundary = dom.tie_vs_a or dom.tie_vs_h
+    alpha, beta = 0.5 * dom.margin_vs_a, 0.5 * dom.margin_vs_h
+    aa_stable = dom.a_dominant_vs_a or dom.tie_vs_a
+    hh_stable = not dom.a_dominant_vs_h
 
     p = None
-    if alpha < 0 < beta:
-        label = LABEL_ASYMMETRIC
-        p = -beta / (alpha - beta)
-    elif aa_stable and not hh_stable:
+    if aa_stable and hh_stable:
+        # both pure profiles stable: the larger stability margin decides
+        label = LABEL_AA if alpha >= -beta else LABEL_HH
+    elif aa_stable:
         label = LABEL_AA
-    elif hh_stable and not aa_stable:
+    elif hh_stable:
         label = LABEL_HH
     else:
-        # both pure profiles stable only on a measure-zero tie boundary;
-        # fall back to the larger stability margin
-        label = LABEL_AA if alpha >= -beta else LABEL_HH
+        label = LABEL_ASYMMETRIC
+        p = -beta / (alpha - beta)
 
     welfare_aa = exact_welfare(table, "AA")
     welfare_hh = exact_welfare(table, "HH")
     gap_se = math.sqrt(table.stderr_u_first_h**2 + table.stderr_u_hh**2
                        + table.stderr_u_first_a**2 + table.stderr_u_aa**2)
-    braess = dom.a_strictly_dominant and _strict(welfare_hh - welfare_aa, gap_se)
+    braess = dom.a_strictly_dominant and _sign(welfare_hh - welfare_aa, gap_se) > 0
 
     detail = {"payoff_margin_vs_a": alpha, "payoff_margin_vs_h": beta, "dominance": dom}
-    return EquilibriumOutcome(label, p, welfare_aa, welfare_hh, braess, boundary, detail)
+    return EquilibriumOutcome(label, p, welfare_aa, welfare_hh, braess,
+                              dom.tie_vs_a or dom.tie_vs_h, detail)
 
 
 @dataclass(frozen=True)

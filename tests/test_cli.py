@@ -193,6 +193,8 @@ def test_usage_errors_exit_one(capsys):
         ("conditions", "--pool", POOL, "--check", "sideways"),
         # library ValueErrors and overflow become usage errors, not tracebacks
         ("utilities", "--theta-h", "1", "--theta-a", "abc", "--pool", POOL),
+        # a non-finite accuracy is refused, not carried into NaN utilities
+        ("utilities", "--theta-h", "1", "--theta-a", "inf", "--pool", POOL, "--family", "pl"),
         ("utilities", "--theta-h", "1", "--theta-a", "2", "--pool", POOL, "--seed", "x"),
         ("sweep", "--grid", "1:2:1x1:2:1", "--pool", POOL, "--firms", "two"),
         ("conditions", "--check", "monotonicity", "--grid", "1:2:0.5", "--pool", POOL,

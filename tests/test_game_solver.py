@@ -3,6 +3,7 @@ k-firm hiring sequences."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,6 +106,50 @@ def test_margin_at_rounding_level_is_never_strict():
     assert out.detail["dominance"].a_strictly_dominant
     assert out.welfare_hh - out.welfare_aa == pytest.approx(5e-13, rel=1e-3)
     assert not out.braess
+
+
+# margins at zero, straddling STRICT_TOL, decisive, or NaN; stderrs of 0,
+# of rounding level, of sampling size, or NaN
+MARGINS = (st.sampled_from([0.0, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, -2e-12, math.nan])
+           | st.floats(-3.0, 3.0))
+STDERRS = st.sampled_from([0.0, 0.0, 1e-14, math.nan]) | st.floats(0.0, 0.5)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4), MARGINS, MARGINS,
+       st.lists(STDERRS, min_size=6, max_size=6))
+def test_every_flag_and_label_follows_one_sign_rule(free, margin_a, margin_h, stderrs):
+    fa, fh, aa, ha = free
+    t = UtilityTable(u_first_a=fa, u_first_h=fh, u_aa=aa, u_ah=fa + aa - fh - margin_a,
+                     u_ha=ha, u_hh=fa + ha - fh - margin_h,
+                     **{f"stderr_{n}": se for n, se in zip(ENTRY_NAMES, stderrs)}, n_samples=100)
+    out = classify_equilibrium(t)
+    dom = out.detail["dominance"]
+    signs = []
+    for margin, se, dominant, tie in (
+        (dom.margin_vs_a, dom.stderr_vs_a, dom.a_dominant_vs_a, dom.tie_vs_a),
+        (dom.margin_vs_h, dom.stderr_vs_h, dom.a_dominant_vs_h, dom.tie_vs_h),
+    ):
+        sign = estimators._sign(margin, se)
+        assert (dominant, tie) == (sign > 0, sign == 0)
+        verdict = estimators._verdict(estimators.EstimateWithError(margin, se, 100))
+        assert verdict == {1: estimators.VERDICT_HOLDS, 0: estimators.VERDICT_INCONCLUSIVE,
+                           -1: estimators.VERDICT_FAILS}[sign]
+        signs.append(sign)
+    aa_stable, hh_stable = signs[0] >= 0, signs[1] <= 0
+    assert out.boundary == (0 in signs)
+    if aa_stable and hh_stable:
+        assert out.label in ("AA", "HH") and out.p is None
+    elif aa_stable or hh_stable:
+        assert (out.label, out.p) == ("AA" if aa_stable else "HH", None)
+    else:
+        # anti-coordination needs both margins strict, so never on a boundary
+        assert out.label == "AH_asymmetric" and not out.boundary
+        assert 0.0 < out.p < 1.0
+    if 0 not in signs:
+        # strict margins stay strict at stderr 0, so the label cannot move
+        at_zero = classify_equilibrium(replace(t, **{f"stderr_{n}": 0.0 for n in ENTRY_NAMES}))
+        assert (at_zero.label, at_zero.p) == (out.label, out.p)
 
 
 # ---------------------------------------------------------------- classification
@@ -274,6 +319,18 @@ def test_crossing_search_validates_theta_h():
             find_theta_star(theta_h, MALLOWS, POOL3)
 
 
+@pytest.mark.parametrize("family", [MALLOWS, RankingModelSpec.plackett_luce(1.0), GAUSSIAN],
+                         ids=["mallows", "plackett_luce", "gaussian"])
+def test_an_infinite_accuracy_is_refused_by_both_engines(family):
+    # it once gave NaN exact utilities, a sampled first-mover utility of 0
+    # with stderr 0, or a quadrature failure, depending on the family
+    for theta_a, theta_h in ((math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(UnsupportedModelError, match="need theta > 0"):
+            exact_utility_table(theta_a, theta_h, family, POOL3)
+        with pytest.raises(UnsupportedModelError, match="need theta > 0"):
+            mc_utility_table(theta_a, theta_h, family, POOL3, 1000, 0)
+
+
 # ---------------------------------------------------------------- sequences
 
 
@@ -425,6 +482,17 @@ def test_sweep_plane_shapes_and_labels():
         assert cell.outcome.label in ("AA", "HH")
     # row-major: theta_h changes slowest
     assert [c.theta_h for c in cells] == [1.0, 1.0, 1.0, 1.5, 1.5, 1.5]
+
+
+@pytest.mark.parametrize("family", [MALLOWS, GAUSSIAN], ids=["mallows", "gaussian"])
+def test_sampled_sweep_labels_match_the_exact_sweep(family):
+    # on the diagonal the vs-H margin is exactly 0, so a sampled table ties
+    # there and must read HH, as the exact one does, not anti-coordinate
+    axis = (0.5, 1.0, 1.5, 2.0, 2.5)
+    exact = sweep_plane(axis, axis, family, POOL3)
+    sampled = sweep_plane(axis, axis, family, POOL3, engine="mc", seed=0)
+    assert [c.outcome.label for c in sampled] == [c.outcome.label for c in exact]
+    assert all(c.outcome.p is None for c in sampled if c.theta_a == c.theta_h)
 
 
 def test_sweep_plane_records_cell_errors_without_aborting():
