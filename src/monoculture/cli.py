@@ -585,11 +585,9 @@ FIGURE4_SCAN_LINES = ((1.2, 1.21, 1.50), (2.0, 2.01, 2.80), (5.0, 5.01, 5.80))
 def reproduce_figure4(log: CheckLog, args) -> None:
     seen: dict[str, tuple[float, float]] = {}
     for phi_h, lo, hi, step in FIGURE4_VERTICALS:
-        count = int(round((hi - lo) / step)) + 1
-        for i in range(count):
-            phi_a = lo + i * step
-            seq = sequential_optimal_sequence(5, phi_a, phi_h, FIGURE4_POOL).as_string()
-            seen.setdefault(seq, (phi_h, phi_a))
+        grid = [lo + i * step for i in range(int(round((hi - lo) / step)) + 1)]
+        for point in binary_counter_scan(phi_h, grid, 5, FIGURE4_POOL).points:
+            seen.setdefault(point.sequence.as_string(), (phi_h, point.phi_a))
     a_prefixed = sorted(s for s in seen if s.startswith("A"))
     for s in a_prefixed:
         ph, pa = seen[s]

@@ -98,8 +98,9 @@ def _strict(margin: float, se: float) -> bool:
     threshold on its stderr and the rounding floor STRICT_TOL, so exact and
     sampled results share it and no branch infers exactness. A margin (or
     NaN) is a tie when neither it nor its negation is strict. Two comparisons
-    match `margin > max(...)` on all floats, NaN included, with no call."""
-    return margin > DEFAULT_Z_THRESHOLD * se and margin > STRICT_TOL
+    match `margin > max(...)` on all floats, NaN included, with no call, and
+    `&` applies the rule elementwise to arrays of margins."""
+    return (margin > DEFAULT_Z_THRESHOLD * se) & (margin > STRICT_TOL)
 
 
 def _sign(margin: float, se: float) -> int:

@@ -8,10 +8,11 @@ its accuracies' pmfs from one batched call, `_top_two_pmfs`. Neither tables
 nor selection pmfs have a size cap; only the full-ranking pmf, defined for
 every family but continuous-noise RUMs, enumerates rankings and atoms.
 Sequential hiring keeps the mass of each state (S, R) after m hires: S the
-hired set, R the entries of the shared ranking revealed so far. Firms
-playing A and H move it by one step over move tables cached per (n, m),
-with at most MAX_LEVEL_STATES states at any level. All are exact up to
-rounding and quadrature error.
+hired set, R the entries of the shared ranking revealed so far, over rows:
+a scan's phi_a values, or a k-firm check's A/H prefixes. Firms playing A
+and H move it by one step over move tables cached per (n, m); batches keep
+rows times states within MAX_LEVEL_STATES at every level. All are exact up
+to rounding and quadrature error.
 """
 from __future__ import annotations
 
@@ -453,8 +454,8 @@ class _Moves(NamedTuple):
     dest_a[i, code, e] after m + 1 hires if the firm played A, which reveals
     the hire, and to dest_h[i, code, e] if it played H. reveals[t] =
     (src, dst, slot) reveal one member of S from the states with t entries
-    revealed. A reveal's probability is entry slot of the table in
-    `_reveal_weights`; hire_slot[i, code, e] is that of outside[i, e].
+    revealed. A reveal's probability is entry slot of a `_reveal_table` row;
+    hire_slot[i, code, e] is that of outside[i, e].
     """
 
     outside: np.ndarray
@@ -490,29 +491,21 @@ def _moves(n: int, m: int) -> _Moves:
     return moves
 
 
-@lru_cache(maxsize=64)
-def _reveal_weights(phi: float, n: int, m: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Read-only probabilities of the reveals of `_moves(n, m)`, round by
-    round, and of its hires. Given a revealed prefix, the rest of a
-    distance-based ranking is again distance-based with the same phi (the
-    multistage property, Fligner & Verducci 1986), so its next entry is the
-    r-th best of the s unrevealed candidates with probability
-    q^r / sum_{j < s} q^j, q = 1/phi."""
-    powers = (1.0 / phi) ** np.arange(n)
-    table = (powers / np.cumsum(powers)[:, None]).ravel()
-    moves = _moves(n, m)
-    rounds, hire = tuple(table[slot] for _, _, slot in moves.reveals), table[moves.hire_slot]
-    for arr in (*rounds, hire):
-        arr.setflags(write=False)
-    return rounds, hire
+def _reveal_table(phi, n: int) -> np.ndarray:
+    """Reveal probabilities, a row of n * n per phi. Given a revealed prefix,
+    the rest of a distance-based ranking is again distance-based with the
+    same phi (the multistage property, Fligner & Verducci 1986), so its next
+    entry is the r-th best of the s unrevealed candidates with probability
+    q^r / sum_{j < s} q^j, q = 1/phi: entry (s - 1) * n + r of the row."""
+    powers = (1.0 / np.asarray(phi, dtype=float).reshape(-1, 1)) ** np.arange(n)
+    return (powers[:, None, :] / powers.cumsum(axis=1)[:, :, None]).reshape(len(powers), -1)
 
 
-def _arrivals(mass: np.ndarray, moves: _Moves, rounds: tuple[np.ndarray, ...]) -> np.ndarray:
+def _arrivals(mass: np.ndarray, reveals, table: np.ndarray) -> np.ndarray:
     """Probability of standing at each state when a ranking's next reveal is
     drawn: mass plus what the reveal rounds carry there."""
-    mass = mass.copy()
-    for (src, dst, _), w in zip(moves.reveals, rounds):
-        mass += np.bincount(dst, mass[src] * w, len(mass))
+    for src, dst, slot in reveals:
+        mass = mass + np.bincount(dst, mass[src] * table[slot], len(mass))
     return mass
 
 
@@ -521,58 +514,101 @@ def _fresh_weights(phi_h: float, n: int, m: int) -> np.ndarray:
     """Read-only first-survivor pmf of a fresh ranking for every removed set
     after m hires, over its outside candidates: reveal from R empty until an
     entry is not in S."""
-    moves = _moves(n, m)
-    rounds, hire = _reveal_weights(phi_h, n, m)
+    moves, table = _moves(n, m), _reveal_table(phi_h, n).ravel()
     start = np.zeros(_level_states(n, m))
     start[:: 1 << m] = 1.0
-    pmf = (_arrivals(start, moves, rounds).reshape(len(hire), -1, 1) * hire).sum(axis=1)
+    pmf = (_arrivals(start, moves.reveals, table).reshape(len(moves.outside), -1, 1)
+           * table[moves.hire_slot]).sum(axis=1)
     pmf.setflags(write=False)
     return pmf
 
 
 class SequentialState:
-    """Forward state of the k-firm hiring recursion.
+    """Forward state of the k-firm hiring recursion, over rows.
 
-    mass holds the probability of each state (S, R) of `_moves`: S is the
-    set of candidates hired so far, R the entries of the shared algorithmic
-    ranking revealed so far. A firm playing A reveals entries until one is
-    not in S and hires it; a firm playing H hires the first survivor of a
-    fresh ranking and reveals nothing.
+    mass holds the probability of each state (S, R) of `_moves`, one block
+    of states per row: S is the set of candidates hired so far, R the
+    entries of the shared algorithmic ranking revealed so far. Each row has
+    its own phi_a (a scalar is one row); phi_h and the values x are shared.
+    A firm playing A reveals entries until one is not in S and hires it; a
+    firm playing H hires the first survivor of a fresh ranking and reveals
+    nothing. A row's numbers equal its one-row run's. Callers keep rows
+    times the largest level's states within MAX_LEVEL_STATES.
     """
 
-    def __init__(self, phi_a: float, phi_h: float, x: np.ndarray):
+    def __init__(self, phi_a, phi_h: float, x: np.ndarray):
         self.phi_a, self.phi_h, self.x = phi_a, phi_h, x
-        self.mass = np.ones(1)
+        table = _reveal_table(phi_a, len(x))
+        self.rows, self._table = len(table), table.ravel()
+        self.mass = np.ones(self.rows)
         self.hired = 0
-        self._steps: dict[str, tuple[float, np.ndarray, np.ndarray]] = {}
+        self._level, self._steps = None, {}
 
-    def _step(self, strategy: str) -> tuple[float, np.ndarray, np.ndarray]:
-        """The next firm's utility, hire flows and their destinations,
-        computed once per firm and strategy."""
+    def _step(self, strategy: str) -> tuple[np.ndarray, np.ndarray]:
+        """The next firm's utility per row and its hire flows, once per firm
+        and strategy; the level's moves, offset by row, are built once."""
         if strategy not in self._steps:
             n, m = len(self.x), self.hired
             if m >= n:
                 raise UnsupportedModelError("no candidates left to hire")
-            moves = _moves(n, m)
+            if self._level is None:
+                moves = _moves(n, m)
+                reveals, hire_slot = moves.reveals, moves.hire_slot
+                if self.rows > 1:  # offset each index into its row's block of the flat arrays
+                    size, shift = len(self.mass) // self.rows, np.arange(self.rows)[:, None]
+                    reveals = tuple(((src + size * shift).ravel(), (dst + size * shift).ravel(),
+                                     (slot + n * n * shift).ravel()) for src, dst, slot in reveals)
+                    hire_slot = hire_slot + n * n * shift.reshape(-1, 1, 1, 1)
+                sets, codes, _ = moves.hire_slot.shape
+                self._level = (moves, _level_states(n, m + 1), reveals, hire_slot,
+                               self.x[moves.outside], (self.rows, sets, codes, 1))
+            _, _, reveals, hire_slot, values, shape = self._level
             if strategy == "A":
-                rounds, weights = _reveal_weights(self.phi_a, n, m)
-                mass, dest = _arrivals(self.mass, moves, rounds), moves.dest_a
+                mass, weights = _arrivals(self.mass, reveals, self._table), self._table[hire_slot]
             else:
-                weights = _fresh_weights(self.phi_h, n, m)[:, None, :]
-                mass, dest = self.mass, moves.dest_h
-            flows = mass.reshape(len(moves.outside), -1, 1) * weights
-            utility = float((flows.sum(axis=1) * self.x[moves.outside]).sum())
-            self._steps[strategy] = utility, flows, dest
+                mass, weights = self.mass, _fresh_weights(self.phi_h, n, m)[:, None, :]
+            flows = mass.reshape(shape) * weights
+            # codes summed in order, from a codes-major copy (numpy's own middle-axis
+            # sum runs the short outsider axis innermost); one outsider leaves the
+            # codes contiguous, and numpy sums them pairwise there, as it always did
+            if flows.shape[3] == 1:
+                sums = np.add.reduce(flows, axis=2)
+            else:
+                sums = np.add.reduce(flows.transpose(2, 0, 1, 3).copy(), axis=0)
+            per_move = sums * values
+            self._steps[strategy] = np.add.reduce(per_move.reshape(self.rows, -1), axis=1), flows
         return self._steps[strategy]
 
-    def utility_of_next(self, strategy: str) -> float:
+    def utility_of_next(self, strategy: str) -> np.ndarray:
+        """The next firm's expected utility on each row if it plays strategy."""
         return self._step(strategy)[0]
 
-    def hire(self, strategy: str) -> None:
-        _, flows, dest = self._step(strategy)
+    def hire(self, strategy, parents=None) -> np.ndarray:
+        """The next firm hires by strategy, "A" or "H", on every row, or by A
+        where a boolean array strategy is True and by H elsewhere. With
+        parents, row i after the hire continues row parents[i] by
+        strategy[i], so rows may branch. Returns the utility on each row."""
+        if parents is None and not isinstance(strategy, str):
+            if np.count_nonzero(strategy) in (0, self.rows):
+                strategy = "A" if strategy[0] else "H"
+        if isinstance(strategy, str):
+            utility, flows = self._step(strategy)
+            moves, after = self._level[:2]
+            dest = moves.dest_a if strategy == "A" else moves.dest_h
+        else:
+            rows = slice(None) if parents is None else parents
+            (u_a, flows_a), (u_h, flows_h) = self._step("A"), self._step("H")
+            moves, after = self._level[:2]
+            utility = np.where(strategy, u_a[rows], u_h[rows])
+            flows = np.where(strategy[:, None, None, None], flows_a[rows], flows_h[rows])
+            dest = np.where(strategy[:, None], moves.dest_a.reshape(1, -1), moves.dest_h.reshape(1, -1))
+            self._table, self.rows = self._table.reshape(self.rows, -1)[rows].ravel(), len(flows)
+        if self.rows > 1:
+            dest = dest.reshape(-1, moves.dest_a.size) + after * np.arange(self.rows)[:, None]
+        self.mass = np.bincount(dest.ravel(), flows.ravel(), self.rows * after)
         self.hired += 1
-        self.mass = np.bincount(dest.ravel(), flows.ravel(), _level_states(len(self.x), self.hired))
-        self._steps = {}
+        self._level, self._steps = None, {}
+        return utility
 
 
 def _validate_sequence(sequence) -> tuple[str, ...]:
@@ -583,11 +619,15 @@ def _validate_sequence(sequence) -> tuple[str, ...]:
     return seq
 
 
-def _sequential_values(k: int, phi_a: float, phi_h: float, pool_or_d: PoolOrDistribution) -> np.ndarray:
-    """Check the arguments of k firms hiring in order; returns the pool values."""
+def _sequential_values(k: int, phi_a: list[float], phi_h: float,
+                       pool_or_d: PoolOrDistribution) -> tuple[np.ndarray, int]:
+    """Check the arguments of k firms hiring in order at each phi_a, in the
+    order that one call per phi_a would meet them. Returns the pool values
+    and the rows a batch may carry: rows times the largest level's states
+    stay within MAX_LEVEL_STATES."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    for phi in (phi_a, phi_h):
+    for phi in (*phi_a[:1], phi_h):
         RankingModelSpec.mallows(phi)  # UnsupportedModelError unless phi > 1
     x = _exact_pool(pool_or_d, value_independent=True).as_array()
     n = len(x)
@@ -597,7 +637,30 @@ def _sequential_values(k: int, phi_a: float, phi_h: float, pool_or_d: PoolOrDist
     if states > MAX_LEVEL_STATES:
         raise UnsupportedModelError(f"{k} firms hiring from {n} candidates need {states} "
                                     f"states at one level, over the bound {MAX_LEVEL_STATES}")
-    return x
+    for phi in phi_a[1:]:
+        RankingModelSpec.mallows(phi)
+    return x, MAX_LEVEL_STATES // states
+
+
+def _sequence_rows(sequences: list[tuple[str, ...]], phi_a: float, phi_h: float,
+                   pool_or_d: PoolOrDistribution) -> np.ndarray:
+    """Per-firm utilities, one row per A/H sequence of a common length k.
+    Sequences with a common prefix share the state after it, so each batch
+    runs as one prefix tree: a row per distinct prefix, branching into the
+    letters its sequences play next."""
+    plays = np.array(sequences) == "A"
+    x, step = _sequential_values(plays.shape[1], [phi_a], phi_h, pool_or_d)
+    utilities = np.empty(plays.shape)
+    for start in range(0, len(plays), step):
+        batch, state = plays[start:start + step], SequentialState(phi_a, phi_h, x)
+        row = np.zeros(len(batch), dtype=np.intp)  # each sequence's row
+        for m, plays_a in enumerate(batch.T):
+            child = 2 * row + plays_a  # the (prefix row, letter) each sequence takes
+            taken = np.zeros(2 * state.rows, dtype=bool)
+            taken[child] = True
+            keys, row = np.flatnonzero(taken), (np.cumsum(taken) - 1)[child]
+            utilities[start:start + step, m] = state.hire(keys % 2 == 1, keys // 2)[row]
+    return utilities
 
 
 def exact_sequential_utilities(
@@ -615,10 +678,5 @@ def exact_sequential_utilities(
     depend on the values).
     """
     seq = _validate_sequence(sequence)
-    x = _sequential_values(len(seq), phi_a, phi_h, pool_or_d)
-    state = SequentialState(phi_a, phi_h, x)
-    utilities = []
-    for strategy in seq:
-        utilities.append(state.utility_of_next(strategy))
-        state.hire(strategy)
-    return utilities
+    state = SequentialState(phi_a, phi_h, _sequential_values(len(seq), [phi_a], phi_h, pool_or_d)[0])
+    return [float(state.hire(strategy)[0]) for strategy in seq]

@@ -210,8 +210,7 @@ def conditional_order_probability(
         )
     if not xi > xj:
         raise ValueError(f"need xi > xj, got {xi} <= {xj}")
-    if not theta > 0:
-        raise ValueError(f"need theta > 0, got {theta}")
+    RankingModelSpec.rum(noise, theta)  # UnsupportedModelError unless 0 < theta < inf
 
     if noise.kind == "laplacian":
         lam = math.sqrt(2.0) * theta

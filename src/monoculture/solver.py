@@ -20,9 +20,10 @@ from .estimators import DEFAULT_SWEEP_SAMPLES, _increasing_grid, _sign, _strict,
 from .exact import (
     SequentialState,
     UtilityTable,
+    _sequence_rows,
     _sequential_values,
     _validate_sequence,
-    exact_sequential_utilities,
+    exact_sequential_utilities,  # unused here; bench/tracing.py wraps it in this namespace
     exact_utility_lattice,
     exact_utility_table,
     exact_welfare,
@@ -267,18 +268,25 @@ def sequential_optimal_sequence(
     A firm's utility depends on predecessors only, so choosing the better
     of A and H given the hiring history is dominant; ties go to H.
     """
-    x = _sequential_values(k, phi_a, phi_h, pool_or_d)
-    state = SequentialState(phi_a, phi_h, x)
-    choices: list[str] = []
-    utilities: list[float] = []
-    for _ in range(k):
-        u_a = state.utility_of_next("A")
-        u_h = state.utility_of_next("H")
-        choice = "A" if _strict(u_a - u_h, 0.0) else "H"
-        choices.append(choice)
-        utilities.append(u_a if choice == "A" else u_h)
-        state.hire(choice)
-    return StrategySequence(tuple(choices), tuple(utilities))
+    return _optimal_sequences(k, [phi_a], phi_h, pool_or_d)[0]
+
+
+def _optimal_sequences(k: int, phi_a: list[float], phi_h: float,
+                       pool_or_d: PoolOrDistribution) -> list[StrategySequence]:
+    """`sequential_optimal_sequence` at each phi_a, as the rows of batched
+    recursions; a row's choices and utilities equal its one-row call's."""
+    if not phi_a:  # an empty scan reads no other argument
+        return []
+    x, step = _sequential_values(k, phi_a, phi_h, pool_or_d)
+    sequences: list[StrategySequence] = []
+    for start in range(0, len(phi_a), step):
+        state = SequentialState(phi_a[start:start + step], phi_h, x)
+        plays_a, utilities = np.empty((k, state.rows), dtype=bool), np.empty((k, state.rows))
+        for m in range(k):
+            plays_a[m] = _strict(state.utility_of_next("A") - state.utility_of_next("H"), 0.0)
+            utilities[m] = state.hire(plays_a[m])
+        sequences += map(StrategySequence, np.where(plays_a.T, "A", "H").tolist(), utilities.T.tolist())
+    return sequences
 
 
 @dataclass(frozen=True)
@@ -308,8 +316,8 @@ def binary_counter_scan(
     k: int,
     pool_or_d: PoolOrDistribution,
 ) -> ScanReport:
-    points = [ScanPoint(phi_a, sequential_optimal_sequence(k, phi_a, phi_h, pool_or_d))
-              for phi_a in _increasing_grid(phi_a_values, "phi_a")]
+    grid = _increasing_grid(phi_a_values, "phi_a")
+    points = list(map(ScanPoint, grid, _optimal_sequences(k, grid, phi_h, pool_or_d)))
     violation = None
     for i in range(1, len(points)):
         prev, cur = points[i - 1], points[i]
@@ -360,11 +368,10 @@ def kfirm_braess_check(
 ) -> KFirmReport:
     if k < 2:
         raise ValueError(f"need k >= 2 firms, got {k}")
-    # every sequence, in binary-counter order (H as 0, A as 1)
-    utilities = {
-        "".join(seq): exact_sequential_utilities(seq, phi_a, phi_h, pool_or_d)
-        for seq in product("HA", repeat=k)
-    }
+    # every sequence, in binary-counter order (H as 0, A as 1), as one prefix tree of rows
+    sequences = list(product("HA", repeat=k))
+    rows = _sequence_rows(sequences, phi_a, phi_h, pool_or_d).tolist()
+    utilities = dict(zip(map("".join, sequences), rows))
 
     def positional_average(own: str, rivals: tuple[str, ...]) -> float:
         total = 0.0

@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from monoculture import cli, estimators
 from monoculture.cli import build_parser, main, parse_axis, parse_grid
 
 POOL = "1,0.5,0"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -591,3 +593,15 @@ def test_reproduce_counterexample_b1_passes(capsys):
     code, out, _ = run(capsys, "reproduce", "counterexample-b1")
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("target", ["figure4", "kfirm-braess"])
+def test_reproduce_output_matches_its_golden_record(capsys, tmp_path, target):
+    # stdout, exit code and --out table recorded before the k-firm recursion
+    # was batched; no digit of these two targets comes from a BLAS product
+    out = tmp_path / "checks.csv"
+    code, stdout, _ = run(capsys, "reproduce", target, "--out", str(out))
+    golden = GOLDEN / f"reproduce-{target}"
+    assert code == int(golden.with_suffix(".exit").read_text())
+    assert stdout == golden.with_suffix(".stdout").read_text()
+    assert out.read_text() == golden.with_suffix(".csv").read_text()

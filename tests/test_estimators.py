@@ -128,6 +128,20 @@ def test_strict_at_its_thresholds(margin, se, strict):
     assert _strict(margin, se) == strict == (margin > max(DEFAULT_Z_THRESHOLD * se, STRICT_TOL))
 
 
+EDGE_MARGINS = (math.nan, 0.0, -0.0, STRICT_TOL, -STRICT_TOL, math.nextafter(STRICT_TOL, 1.0),
+                -math.nextafter(STRICT_TOL, 1.0), math.inf, -math.inf, 3.0, -3.0)
+
+
+@pytest.mark.parametrize("se", [0.0, -0.0, STRICT_TOL / 4, 1.0, math.inf, math.nan])
+def test_strict_on_an_array_is_the_scalar_rule_elementwise(se):
+    # the batched k-firm pick judges a whole row of margins by one call
+    want = [_strict(margin, se) for margin in EDGE_MARGINS]
+    assert all(type(strict) is bool for strict in want)
+    for ses in (se, np.full(len(EDGE_MARGINS), se)):
+        got = _strict(np.array(EDGE_MARGINS), ses)
+        assert got.dtype == bool and got.tolist() == want
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.floats(), st.floats(min_value=0.0))
 def test_negating_an_estimate_swaps_holds_and_fails(mean, stderr):

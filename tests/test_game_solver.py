@@ -4,6 +4,7 @@ k-firm hiring sequences."""
 import math
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from monoculture import (
     CandidatePool,
     NoiseSpec,
     RankingModelSpec,
+    ScanReport,
     StrategySequence,
     TieError,
     UnsupportedModelError,
@@ -31,8 +33,8 @@ from monoculture import (
     sequential_optimal_sequence,
     sweep_plane,
 )
-from monoculture import estimators
-from monoculture.exact import ENTRY_NAMES, exact_utility_lattice
+from monoculture import estimators, exact as exact_engine
+from monoculture.exact import ENTRY_NAMES, _sequence_rows, _sequential_values, exact_utility_lattice
 
 POOL3 = CandidatePool((1.0, 0.5, 0.0))
 POOL4 = CandidatePool((1.0, 0.7, 0.3, 0.0))
@@ -427,6 +429,92 @@ def test_binary_counter_scan_counts_up():
 def test_binary_counter_scan_validates_the_grid():
     with pytest.raises(ValueError):
         binary_counter_scan(1.5, (2.0, 1.5), 2, POOL4)
+
+
+@st.composite
+def hiring_cases(draw):
+    """A pool of 2..7 candidates, k <= n firms, phi_h and an increasing
+    phi_a grid of 1..8 points."""
+    n = draw(st.integers(2, 7))
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n, unique=True))
+    phis = st.floats(1.01, 20.0)
+    grid = sorted(draw(st.lists(phis, min_size=1, max_size=8, unique=True)))
+    return CandidatePool(tuple(sorted(values, reverse=True))), draw(st.integers(1, n)), draw(phis), grid
+
+
+@settings(deadline=None, max_examples=60)
+@given(hiring_cases())
+def test_every_scan_point_equals_its_one_row_call(case):
+    # a scan runs its grid as the rows of one batched recursion
+    pool, k, phi_h, grid = case
+    for point in binary_counter_scan(phi_h, grid, k, pool).points:
+        one = sequential_optimal_sequence(k, point.phi_a, phi_h, pool)
+        assert point.sequence.choices == one.choices
+        assert point.sequence.utilities == one.utilities
+
+
+@settings(deadline=None, max_examples=40)
+@given(hiring_cases(), st.data())
+def test_every_fixed_sequence_row_equals_its_replay(case, data):
+    # a k-firm check runs all 2^k sequences as one prefix tree of rows; any
+    # list of sequences, repeated or out of order, runs the same way
+    pool, k, phi_h, grid = case
+    phi_a = grid[-1]
+    every = list(product("HA", repeat=k))
+    some = data.draw(st.lists(st.sampled_from(every), min_size=1, max_size=9))
+    for sequences in (every, some):
+        rows = _sequence_rows(sequences, phi_a, phi_h, pool)
+        for seq, row in zip(sequences, rows):
+            assert row.tolist() == exact_sequential_utilities(seq, phi_a, phi_h, pool)
+    if k >= 2:
+        rep = kfirm_braess_check(k, phi_a, phi_h, pool)
+        assert rep.all_a_utilities == tuple(exact_sequential_utilities("A" * k, phi_a, phi_h, pool))
+        assert rep.all_h_utilities == tuple(exact_sequential_utilities("H" * k, phi_a, phi_h, pool))
+        best = rep.best_average_sequence
+        assert best.utilities == tuple(exact_sequential_utilities(best.choices, phi_a, phi_h, pool))
+
+
+@settings(deadline=None, max_examples=40)
+@given(hiring_cases(), st.integers(1, 3))
+def test_a_run_split_across_batches_equals_the_unsplit_run(case, per_batch):
+    pool, k, phi_h, grid = case
+    sequences = list(product("HA", repeat=k))
+    scan = binary_counter_scan(phi_h, grid, k, pool)
+    rows = _sequence_rows(sequences, grid[0], phi_h, pool)
+    peak = max(math.comb(pool.n, m) << m for m in range(k + 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_engine, "MAX_LEVEL_STATES", peak * per_batch)
+        assert _sequential_values(k, grid, phi_h, pool)[1] == per_batch
+        assert binary_counter_scan(phi_h, grid, k, pool) == scan
+        assert (_sequence_rows(sequences, grid[0], phi_h, pool) == rows).all()
+
+
+def test_an_empty_scan_checks_no_other_argument():
+    # no phi_a, no recursion: a bad phi_h, k or pool goes unread
+    for phi_h, k, pool in ((0.5, 5, POOL3), (2.0, 0, POOL3), (2.0, 2, "not a pool")):
+        assert binary_counter_scan(phi_h, [], k, pool) == ScanReport(phi_h, (), True, None)
+
+
+FIGURE4_VALUES = (0.8802603238735085, 0.7930895096001102, 0.4780680736602443,
+                  0.4717689954978974, 0.4629054887939623, 0.04432299121099936)
+
+
+@pytest.mark.parametrize("values, k, phi_a, phi_h, choices, utilities", [
+    (FIGURE4_VALUES, 5, 2.3, 2.0, "AAHAH",
+     (0.7804443176312703, 0.6847748592244671, 0.5758424216587302, 0.48199208572340485,
+      0.3891368488417372)),
+    ((1.0, 0.7, 0.3, 0.0), 3, 1.6, 1.3, "AAA",
+     (0.6879861711322386, 0.5644047355832044, 0.43559526441679564)),
+    ((0.95, 0.8, 0.61, 0.5, 0.33, 0.2, 0.04), 7, 9.5, 5.0, "AAAAAAH",
+     (0.9319543230353247, 0.7928928571198788, 0.6175716710182761, 0.4944068817256233,
+      0.3341638672775385, 0.20051353472938746, 0.058496865093973824)),
+])
+def test_sequences_keep_their_recorded_utilities(values, k, phi_a, phi_h, choices, utilities):
+    # recorded before the recursion was batched; each scan row must match too
+    seq = sequential_optimal_sequence(k, phi_a, phi_h, CandidatePool(values))
+    assert seq.as_string() == choices and seq.utilities == utilities
+    scan = binary_counter_scan(phi_h, (phi_a, phi_a * 1.5), k, CandidatePool(values))
+    assert scan.points[0].sequence == seq
 
 
 # ---------------------------------------------------------------- k firms

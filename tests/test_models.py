@@ -17,6 +17,7 @@ from monoculture import (
     NoiseSpec,
     RankingModelSpec,
     TieError,
+    UnsupportedModelError,
     UnsupportedNoiseError,
     conditional_order_probability,
     exact_selection_pmf,
@@ -380,6 +381,16 @@ def test_truncated_order_probability_rejects_bad_input():
         conditional_order_probability(NoiseSpec.gumbel(), 1.0, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         conditional_order_probability(NoiseSpec.gaussian(), 0.0, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "laplacian"])
+@pytest.mark.parametrize("theta", [math.inf, math.nan, 0.0, -1.0])
+def test_truncated_order_probability_refuses_an_accuracy_outside_the_model_rule(kind, theta):
+    # the rule RankingModelSpec enforces: 0 < theta < inf; inf once fell
+    # through to a ZeroDivisionError in the gaussian transform
+    noise = NoiseSpec.gaussian() if kind == "gaussian" else NoiseSpec.laplacian()
+    with pytest.raises(UnsupportedModelError, match="need theta > 0 and finite"):
+        conditional_order_probability(noise, 1.0, 0.5, theta, 0.8)
 
 
 # ---------------------------------------------------------------- well-ordered
