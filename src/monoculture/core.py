@@ -9,6 +9,7 @@ that draw or enumerate them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -62,6 +63,8 @@ class CandidateDistribution:
             raise PoolError(f"bounds must be finite, got [{lo}, {hi}]")
         if not hi > lo:
             raise PoolError(f"need hi > lo, got [{lo}, {hi}]")
+        if not isinstance(self.n, numbers.Integral):
+            raise PoolError(f"need an integer n, got {self.n!r}")
         if self.n < 2:
             raise PoolError(f"need n >= 2, got {self.n}")
 

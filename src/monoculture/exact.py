@@ -397,9 +397,10 @@ def exact_utility_lattice(theta_h_values, theta_a_values, family: RankingModelSp
     rankings. With P a ranking's top-two pmf and p1 = P.sum(1), a first
     mover gets p1 @ x, a sharing second mover P.sum(0) @ x, and an
     independent one G = p1 @ x - p1 x + P @ x contracted against the first
-    mover's p1: one matrix product over all accuracies, checked against
-    double enumeration of ranking pairs. A cell whose accuracy has a
-    ValueError instead of a pmf holds it, theta_a's when both have one.
+    mover's p1: one matrix product over all pairs of accuracies, after two
+    row dots per accuracy (`np.vecdot`, bits independent of the lattice),
+    checked against double enumeration of ranking pairs. A cell whose
+    accuracy has a ValueError instead of a pmf holds it, theta_a's when both.
     """
     fixed = _exact_pool(pool, family.value_independent)
     if fixed is None:
@@ -407,19 +408,17 @@ def exact_utility_lattice(theta_h_values, theta_a_values, family: RankingModelSp
                                     "value-independent model; use the estimators module")
     x = fixed.as_array()
     index = {theta: k for k, theta in enumerate(dict.fromkeys([*theta_h_values, *theta_a_values]))}
-    pmfs, errors = _top_two_pmfs(family, list(index), x)
-    first, g, own = np.zeros((len(index), len(x))), np.zeros((len(index), len(x))), []
-    for k, pmf in enumerate(pmfs):  # a failing accuracy's entries go unread
-        first[k] = pmf.sum(axis=1)
-        g[k] = first[k] @ x - first[k] * x + pmf @ x
-        own.append((float(first[k] @ x), float(pmf.sum(axis=0) @ x)))
+    pmfs, errors = _top_two_pmfs(family, list(index), x)  # a failing accuracy's rows go unread
+    first = pmfs.sum(axis=2)
+    lead, shared = np.vecdot(first, x), np.vecdot(pmfs.sum(axis=1), x)
+    g = lead[:, None] - first * x + pmfs @ x
     # cross[s][t]: an independent second mover at accuracy t against a first
     # mover at s; one product for all pairs, so u_ha = u_hh where theta_a = theta_h
-    cross = (first @ g.T).tolist()
+    cross, lead, shared = (first @ g.T).tolist(), lead.tolist(), shared.tolist()
     cols = [index[theta] for theta in theta_a_values]
     return [
         [errors.get(a) or errors.get(h) or UtilityTable(
-            own[a][0], own[h][0], own[a][1], cross[a][h], cross[h][a], cross[h][h]) for a in cols]
+            lead[a], lead[h], shared[a], cross[a][h], cross[h][a], cross[h][h]) for a in cols]
         for h in (index[theta] for theta in theta_h_values)
     ]
 

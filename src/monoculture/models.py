@@ -66,6 +66,8 @@ class NoiseSpec:
                 raise UnsupportedNoiseError("discrete noise needs atoms")
             atoms = tuple((float(v), float(p)) for v, p in self.atoms)
             object.__setattr__(self, "atoms", atoms)
+            if not np.isfinite(atoms).all():
+                raise UnsupportedNoiseError(f"atoms must be finite, got {atoms}")
             values = [v for v, _ in atoms]
             if len(set(values)) != len(values):
                 raise UnsupportedNoiseError(f"duplicate atom values in {values}")

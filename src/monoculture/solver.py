@@ -368,6 +368,7 @@ def kfirm_braess_check(
 ) -> KFirmReport:
     if k < 2:
         raise ValueError(f"need k >= 2 firms, got {k}")
+    _sequential_values(k, [phi_a], phi_h, pool_or_d)  # refuse before building 2^k sequences
     # every sequence, in binary-counter order (H as 0, A as 1), as one prefix tree of rows
     sequences = list(product("HA", repeat=k))
     rows = _sequence_rows(sequences, phi_a, phi_h, pool_or_d).tolist()

@@ -9,6 +9,7 @@ independent oracles (brute enumeration, closed forms, or the exact engine).
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,10 @@ from monoculture.cli import b1_family, b1_polynomial, b2_family, main
 from monoculture.exact import ENTRY_NAMES
 from monoculture.solver import check_dominance
 from tests.oracles import all_orders, inversions, mallows_block_first_choice, mallows_normalizer
+
+# printouts recorded from the CLI; seeded, and the same bytes under the
+# SkylakeX, Haswell and Prescott BLAS kernels
+GOLDEN = Path(__file__).parent / "golden"
 
 # Three fixed score pools drawn once from default_rng(20260821).uniform(0, 1, 3)
 # and sorted best-first; frozen here so reruns probe identical instances.
@@ -167,16 +172,18 @@ def test_criterion_07_continuous_noise_sampling_detects_both_rival_effects():
     assert time.perf_counter() - t0 < 120.0
 
 
-def test_criterion_08_top_gap_sign_flips_with_heavy_tails_and_pool_size():
+def test_criterion_08_top_gap_sign_flips_with_heavy_tails_and_pool_size(capsys):
     t0 = time.perf_counter()
     assert main(["reproduce", "figure2"]) == 0
     assert time.perf_counter() - t0 < 180.0
+    assert capsys.readouterr().out == (GOLDEN / "reproduce-figure2.stdout").read_text()
 
 
-def test_criterion_09_welfare_gap_search_lands_in_the_three_to_five_band():
+def test_criterion_09_welfare_gap_search_lands_in_the_three_to_five_band(capsys):
     t0 = time.perf_counter()
     assert main(["reproduce", "four-percent"]) == 0
     assert time.perf_counter() - t0 < 300.0
+    assert capsys.readouterr().out == (GOLDEN / "reproduce-four-percent.stdout").read_text()
 
 
 def test_criterion_10_sequential_firms_all_pick_the_more_accurate_kind():

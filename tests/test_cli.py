@@ -235,6 +235,15 @@ def test_non_finite_pools_and_bad_sweep_seeds_exit_one(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("atoms", ["nan:0.5,1:0.5", "inf:0.5,1:0.5", "-inf:0.5,1:0.5",
+                                   "0:nan,1:0.5", "0:inf,1:0.5", "0:-inf,1:0.5"])
+def test_non_finite_noise_atoms_exit_one(capsys, atoms):
+    code, out, err = run(capsys, "utilities", "--family", "rum", "--noise", f"discrete:{atoms}",
+                         "--pool", POOL, "--theta-a", "1", "--theta-h", "1")
+    assert code == 1 and out == ""
+    assert "must be finite" in err
+
+
 def test_each_subcommand_accepts_only_the_flags_it_reads():
     (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     pairs = [
@@ -595,13 +604,33 @@ def test_reproduce_counterexample_b1_passes(capsys):
     assert "PASS" in out
 
 
-@pytest.mark.parametrize("target", ["figure4", "kfirm-braess"])
-def test_reproduce_output_matches_its_golden_record(capsys, tmp_path, target):
-    # stdout, exit code and --out table recorded before the k-firm recursion
-    # was batched; no digit of these two targets comes from a BLAS product
-    out = tmp_path / "checks.csv"
-    code, stdout, _ = run(capsys, "reproduce", target, "--out", str(out))
-    golden = GOLDEN / f"reproduce-{target}"
+def assert_golden(capsys, tmp_path, name, *argv):
+    """stdout, exit code and --out table equal the record tests/golden/<name>.*;
+    each record prints the same bytes under the SkylakeX, Haswell and Prescott
+    BLAS kernels, so any diff is a change of the program's output."""
+    out = tmp_path / "out.csv"
+    code, stdout, _ = run(capsys, *argv, "--out", str(out))
+    golden = GOLDEN / name
     assert code == int(golden.with_suffix(".exit").read_text())
     assert stdout == golden.with_suffix(".stdout").read_text()
     assert out.read_text() == golden.with_suffix(".csv").read_text()
+
+
+@pytest.mark.parametrize("target", ["figure4", "kfirm-braess", "theta-star", "figure3"])
+def test_reproduce_output_matches_its_golden_record(capsys, tmp_path, target):
+    assert_golden(capsys, tmp_path, f"reproduce-{target}", "reproduce", target)
+
+
+@pytest.mark.parametrize("suite", ["mallows-lemmas", "appendix-c"])
+def test_verify_output_matches_its_golden_record(capsys, tmp_path, suite):
+    assert_golden(capsys, tmp_path, f"verify-{suite}", "verify", suite)
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("sweep-mallows-exact", ()),  # 25 cells read from one exact lattice
+    ("sweep-mallows-mc", ("--engine", "mc")),
+    ("sweep-gaussian-mc", ("--engine", "mc", "--family", "rum", "--noise", "gaussian")),
+], ids=["mallows-exact", "mallows-mc", "gaussian-mc"])
+def test_sweep_output_matches_its_golden_record(capsys, tmp_path, name, flags):
+    assert_golden(capsys, tmp_path, name,
+                  "sweep", "--pool", POOL, "--grid", "0.5:2.5:0.5x0.5:2.5:0.5", *flags)

@@ -41,8 +41,12 @@ def test_pool_rejects_non_finite_values(values):
     lambda: CandidateDistribution.uniform_centered_zero(math.inf, 3),
     lambda: CandidateDistribution.uniform(0.0, 1.0, 1),  # n < 2
     lambda: CandidateDistribution.uniform_centered_zero(1.0, 0),
+    lambda: CandidateDistribution.uniform(0.0, 1.0, 3.5),  # n not an integer
+    lambda: CandidateDistribution.uniform(0.0, 1.0, 3.0),
+    lambda: CandidateDistribution.uniform(0.0, 1.0, True),
 ], ids=["hi_eq_lo", "hi_below_lo", "inf_hi", "inf_lo", "nan_lo",
-        "halfwidth_0", "halfwidth_negative", "halfwidth_inf", "n_1", "n_0"])
+        "halfwidth_0", "halfwidth_negative", "halfwidth_inf", "n_1", "n_0",
+        "n_fractional", "n_float", "n_bool"])
 def test_distribution_rejects_malformed_parameters(make):
     with pytest.raises(PoolError):
         make()

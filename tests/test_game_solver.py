@@ -2,6 +2,7 @@
 k-firm hiring sequences."""
 
 import math
+import operator
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -397,6 +398,20 @@ def test_sequential_state_bound_is_checked_before_anything_is_built():
     assert sequential_optimal_sequence(2, 2.0, 1.5, eight).k == 2
 
 
+def test_kfirm_check_refuses_before_building_its_sequences():
+    # the firm count is checked against the pool before 2^16 A/H sequences are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedModelError, match="16 firms cannot hire from 3 candidates"):
+            kfirm_braess_check(16, 2.0, 1.5, POOL3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="need k >= 2"):  # the firm count is still checked first
+        kfirm_braess_check(1, 0.5, 0.5, "not a pool")
+
+
 def test_sequence_utilities_match_the_sequential_engine():
     seq = sequential_optimal_sequence(3, 2.5, 1.5, POOL4)
     replay = exact_sequential_utilities(seq.as_string(), 2.5, 1.5, POOL4)
@@ -623,6 +638,34 @@ def test_exact_sweep_cells_are_the_per_cell_tables(case, rows, cols):
             assert cell.outcome is None and cell.error == f"{type(exc).__name__}: {exc}"
         else:
             assert cell.error is None and cell.outcome == want
+
+
+# benchmark-sized lattices: 60 theta_a columns in steps of 2.8 / 60, as the
+# exact-plane workload draws them, and 5 theta_h rows near figure3's taken
+# from the columns, so each row's diagonal cell is a one-accuracy table
+BENCH_COLS = tuple(0.42 + 2.8 / 60 * j for j in range(60))
+BENCH_ROWS = tuple(BENCH_COLS[j] for j in (1, 8, 17, 26, 34))
+OWN_ENTRIES = operator.attrgetter("u_first_a", "u_first_h", "u_aa")
+
+
+@pytest.mark.parametrize("family, pool", [
+    (MALLOWS, SPREAD5),
+    (RankingModelSpec.plackett_luce(1.0), CandidatePool((0.97, 0.83, 0.71, 0.52, 0.38, 0.21, 0.06))),
+    (RankingModelSpec.rum(NoiseSpec.discrete(((-1.0, 0.06), (0.0, 0.88), (1.0, 0.06))), 1.0),
+     CandidatePool((2.81, 2.37, 1.93, 1.18, 0.74, 0.22))),
+], ids=["mallows_n5", "pl_n7", "atoms3_n6"])
+def test_a_benchmark_sized_lattice_holds_its_one_cell_tables(family, pool):
+    # the lattice's row dots must not depend on how many accuracies it stacks.
+    # A diagonal cell's cross entries come from a 1 x 1 product in its own
+    # table, whose last bits still depend on the BLAS kernel (ROADMAP item 2)
+    lattice = exact_utility_lattice(BENCH_ROWS, BENCH_COLS, family, pool)
+    for theta_h, row in zip(BENCH_ROWS, lattice):
+        for theta_a, cell in zip(BENCH_COLS, row):
+            want = exact_utility_table(theta_a, theta_h, family, pool)
+            if theta_a == theta_h:
+                assert OWN_ENTRIES(cell) == OWN_ENTRIES(want), theta_h
+            else:
+                assert cell == want, (theta_h, theta_a)
 
 
 def test_exact_sweep_records_a_failing_accuracy_on_its_own_cells():

@@ -62,6 +62,18 @@ def test_noise_spec_validation():
         NoiseSpec.discrete(((-1.0, -0.1), (1.0, 1.1)))
 
 
+NON_FINITE_ATOMS = [((bad, 0.5), (1.0, 0.5)) for bad in (math.nan, math.inf, -math.inf)] + [
+    ((0.0, bad), (1.0, 0.5)) for bad in (math.nan, math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize("atoms", NON_FINITE_ATOMS, ids=[
+    "nan_value", "inf_value", "neg_inf_value", "nan_prob", "inf_prob", "neg_inf_prob"])
+def test_noise_spec_refuses_non_finite_atoms(atoms):
+    # NaN passes the sign and sum checks, since every comparison with it is False
+    with pytest.raises(UnsupportedNoiseError, match="must be finite"):
+        NoiseSpec.discrete(atoms)
+
+
 @pytest.mark.parametrize("noise", [NoiseSpec.gaussian(), NoiseSpec.laplacian(), NoiseSpec.gumbel()])
 def test_continuous_noise_is_unit_variance_and_consistent(noise):
     rng = np.random.default_rng(5)
