@@ -96,7 +96,8 @@ def permutation_probabilities(spec: RankingModelSpec, pool: CandidatePool) -> np
 
 def top_two_pmf(spec: RankingModelSpec, x) -> np.ndarray:
     """Joint pmf P[a, b] = Pr(top = a, runner-up = b) of one ranking of pool
-    values x, as a read-only n x n array over 0-based candidates.
+    values x, as a read-only n x n array over 0-based candidates: the
+    one-accuracy `_top_two_pmfs`, raising its error.
 
     Distance-based: q^(a + r_b) / (Z_n Z_{n-1}), q = 1/phi, r_b = b's rank
     without a (the multistage decomposition, Fligner & Verducci 1986).
@@ -108,24 +109,12 @@ def top_two_pmf(spec: RankingModelSpec, x) -> np.ndarray:
     values), mass_b the weighted density of X_b; UnsupportedModelError if the
     pmf misses 1 by over 1e-8. Finite-atom noise sums over the n m perturbed
     cells, mass_b the atom's probability on b's own cells, with TieError on a
-    tie anywhere in a ranking. The last 128 pmfs are cached by spec and
-    values (by n for the distance-based family); lattices read the cache
-    for continuous noise only (`_top_two_pmfs`).
+    tie anywhere in a ranking.
     """
-    key = len(x) if spec.value_independent else tuple(float(v) for v in x)
-    return _top_two_pmf(spec, key)
-
-
-@lru_cache(maxsize=128)
-def _top_two_pmf(spec: RankingModelSpec, key) -> np.ndarray:
-    x = np.zeros(key) if spec.value_independent else np.array(key)  # key is n if values are unread
-    if spec.kind == "rum" and spec.noise.is_continuous:
-        pmf = _continuous_rum_top_two(spec.noise, spec.theta, x)
-    else:
-        pmfs, errors = _top_two_pmfs(spec, [spec.theta], x)
-        if errors:
-            raise errors[0]
-        pmf = pmfs[0]
+    pmfs, errors = _top_two_pmfs(spec, [spec.theta], np.asarray(x, dtype=float))
+    if errors:
+        raise errors[0]
+    pmf = pmfs[0]
     pmf.setflags(write=False)
     return pmf
 
@@ -133,9 +122,9 @@ def _top_two_pmf(spec: RankingModelSpec, key) -> np.ndarray:
 def _top_two_pmfs(family: RankingModelSpec, thetas, x: np.ndarray) -> tuple:
     """Top-two pmfs of family at each accuracy, as a (T, n, n) stack, and the
     ValueError, `with_theta`'s or the pmf's, of each accuracy without one.
-    Closed forms and finite atoms run as one batch, continuous noise through
-    the cached `top_two_pmf`; nothing is reduced across accuracies, so no
-    pmf depends on its batch."""
+    Closed forms and finite atoms run as one batch, continuous noise one
+    cached quadrature per accuracy (`_continuous_rum_top_two`); nothing is
+    reduced across accuracies, so no pmf depends on its batch."""
     n, continuous = len(x), family.kind == "rum" and family.noise.is_continuous
     pmfs, errors, t = np.zeros((len(thetas), n, n)), {}, np.ones(len(thetas))
     for k, theta in enumerate(thetas):
@@ -143,7 +132,7 @@ def _top_two_pmfs(family: RankingModelSpec, thetas, x: np.ndarray) -> tuple:
             spec = family.with_theta(theta)
             t[k] = spec.theta
             if continuous:
-                pmfs[k] = top_two_pmf(spec, x)
+                pmfs[k] = _continuous_rum_top_two(spec.noise, spec.theta, tuple(x.tolist()))
         except ValueError as exc:
             errors[k] = exc
     # a refused accuracy keeps t = 1 as a placeholder, and its own error
@@ -210,7 +199,11 @@ def _pl_top_two(thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
     return first / first.sum(axis=1, keepdims=True) * w / w.sum(axis=2, keepdims=True)
 
 
-def _continuous_rum_top_two(noise: NoiseSpec, theta: float, x: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=128)
+def _continuous_rum_top_two(noise: NoiseSpec, theta: float, values: tuple) -> np.ndarray:
+    """`top_two_pmf`'s quadrature, read-only and cached for the last 128
+    (noise, theta, values): a crossing search re-reads theta_h's each step."""
+    x = np.array(values)
     t, w = _gauss_legendre_grid(theta, x)
     z = theta * (t[:, None] - x)
     cdf = noise.cdf(z)
@@ -218,7 +211,9 @@ def _continuous_rum_top_two(noise: NoiseSpec, theta: float, x: np.ndarray) -> np
     total = pmf.sum()
     if abs(total - 1.0) > 1e-8:
         raise UnsupportedModelError(f"quadrature pmf sums to {total!r}")
-    return pmf / total
+    pmf /= total
+    pmf.setflags(write=False)
+    return pmf
 
 
 def _support_sum(mass: np.ndarray, below: np.ndarray, above: np.ndarray) -> np.ndarray:
@@ -536,7 +531,7 @@ class SequentialState:
     """
 
     def __init__(self, phi_a, phi_h: float, x: np.ndarray):
-        self.phi_a, self.phi_h, self.x = phi_a, phi_h, x
+        self.phi_h, self.x = phi_h, x
         table = _reveal_table(phi_a, len(x))
         self.rows, self._table = len(table), table.ravel()
         self.mass = np.ones(self.rows)

@@ -3,6 +3,9 @@
 import argparse
 import csv
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from monoculture.cli import build_parser, main, parse_axis, parse_grid
 
 POOL = "1,0.5,0"
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -222,15 +226,43 @@ def test_a_whole_trial_count_may_be_written_as_a_float(text, count):
     assert cli.FLAGS["samples"][0](text) == count
 
 
+UTILITIES = ("utilities", "--theta-h", "1", "--theta-a", "1")
+
+
 @pytest.mark.parametrize("argv, message", [
-    (("utilities", "--theta-h", "1", "--theta-a", "1", "--pool", "inf,0"), "bad pool"),
-    (("utilities", "--theta-h", "1", "--theta-a", "1", "--dist", "uniform:0:inf:3"),
-     "bad distribution"),
+    ((*UTILITIES, "--pool", "inf,0"), "bad pool"),
+    ((*UTILITIES, "--dist", "uniform:0:inf:3"), "bad distribution"),
     (("sweep", "--engine", "mc", "--grid", "1:1:1x1:2:1", "--pool", POOL, "--samples", "1000",
       "--seed", "-1"), "non-negative"),
-], ids=["infinite_pool", "infinite_distribution", "negative_sweep_seed"])
-def test_non_finite_pools_and_bad_sweep_seeds_exit_one(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
+    ((*UTILITIES, "--pool", "1,a,0"), "expected comma-separated numbers, got '1,a,0'"),
+    (("sweep", "--pool", POOL, "--grid", "1:2"), "grid must be two axes joined by 'x'"),
+    (("sweep", "--pool", POOL, "--grid", "a:2:1x1:2:1"), "non-numeric grid axis 'a:2:1'"),
+    ((*UTILITIES, "--pool", POOL, "--family", "rum", "--noise", "discrete:1"),
+     "atom must be value:prob, got '1'"),
+    ((*UTILITIES, "--dist", "normal:0:1:3"), "distribution must be uniform:lo:hi:n"),
+    ((*UTILITIES, "--pool", POOL, "--dist", "uniform:0:1:3"),
+     "--pool and --dist are mutually exclusive"),
+    (("sweep", "--pool", POOL), "sweep needs --grid"),
+    (("sequential", "--pool", POOL, "--phi-a", "2", "--phi-h", "1.5"), "sequential needs --firms"),
+    (("sequential", "--pool", POOL, "--firms", "2"),
+     "need --phi-a/--phi-h (or --theta-a/--theta-h)"),
+    (("conditions", "--check", "first-position", "--pool", POOL), "first-position needs --theta-h"),
+    (("conditions", "--check", "weaker-competition", "--theta-h", "1", "--pool", POOL),
+     "weaker-competition needs --theta-a"),
+    (("conditions", "--check", "monotonicity", "--pool", POOL), "monotonicity needs --grid"),
+    (("braess-search", "--pool", POOL), "braess-search needs --theta-h"),
+    ((*UTILITIES, "--pool", POOL, "--config", "{tmp}/no-equals.cfg"),
+     "expected key=value, got 'seed 3'"),
+    ((*UTILITIES, "--pool", POOL, "--config", "{tmp}/missing.cfg"), "cannot read config"),
+], ids=["infinite_pool", "infinite_distribution", "negative_sweep_seed", "non_numeric_pool",
+        "one_axis_grid", "non_numeric_grid", "atom_without_prob", "unknown_distribution",
+        "pool_and_dist", "sweep_without_grid", "sequential_without_firms",
+        "sequential_without_accuracies", "first_position_without_theta_h",
+        "weaker_competition_without_theta_a", "monotonicity_without_grid",
+        "braess_search_without_theta_h", "config_line_without_equals", "unreadable_config"])
+def test_non_finite_pools_and_bad_sweep_seeds_exit_one(capsys, tmp_path, argv, message):
+    (tmp_path / "no-equals.cfg").write_text("seed 3\n")
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 1 and out == ""
     assert message in err
 
@@ -506,6 +538,19 @@ def test_conditions_first_position(capsys):
     assert float(row["z_score"]) > 3
 
 
+def test_conditions_weaker_competition(capsys):
+    code, out, _ = run(
+        capsys, "conditions", "--check", "weaker-competition", "--family", "rum",
+        "--noise", "gaussian", "--theta-a", "1.5", "--theta-h", "1", "--pool", POOL,
+        "--samples", "20000", "--seed", "3",
+    )
+    assert code == 0
+    (row,) = rows_of(out)
+    assert row["condition"] == "pref_weaker_competition"
+    assert row["verdict"] == "holds"
+    assert (row["n_samples"], row["params"]) == ("20000", "theta1=1.5;theta2=1")
+
+
 def test_conditions_monotonicity_exact(capsys):
     code, out, _ = run(
         capsys, "conditions", "--check", "monotonicity", "--grid", "0.5:2.0:0.5",
@@ -598,10 +643,20 @@ def test_verify_unknown_suite_exits_one(capsys):
     assert code == 1
 
 
-def test_reproduce_counterexample_b1_passes(capsys):
-    code, out, _ = run(capsys, "reproduce", "counterexample-b1")
+@pytest.mark.parametrize("target", ["b1", "b2"])
+def test_reproduce_counterexample_passes(capsys, target):
+    code, out, _ = run(capsys, "reproduce", f"counterexample-{target}")
     assert code == 0
-    assert "PASS" in out
+    lines = out.splitlines()
+    assert lines and all(line.startswith("PASS ") for line in lines), out
+
+
+def test_python_dash_m_runs_the_cli():
+    done = subprocess.run([sys.executable, "-m", "monoculture", "reproduce", "counterexample-b1"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "PASS" in done.stdout
 
 
 def assert_golden(capsys, tmp_path, name, *argv):

@@ -239,7 +239,7 @@ def test_a_fixed_gaussian_pool_past_the_grid_bound_perturbs_without_a_pmf(monkey
     perturbed_keys = estimators._perturbed_keys
     monkeypatch.setattr(estimators, "_perturbed_keys",
                         lambda *args: calls.append(1) or perturbed_keys(*args))
-    monkeypatch.setattr(exact_engine, "_top_two_pmf", lambda *args: pytest.fail("pmf computed"))
+    monkeypatch.setattr(exact_engine, "_top_two_pmfs", lambda *args: pytest.fail("pmf computed"))
     pool = CandidatePool(tuple(x))
     blocks = math.ceil(3_000 / estimators._KEY_ROWS)  # scores are built block by block
     mc_utility_table(1.0, 1.0, GAUSSIAN, pool, 3_000, 0)
@@ -662,6 +662,17 @@ def test_a_drawn_pool_tie_at_one_accuracy_marks_only_its_cells():
     assert str(lattice[0][0]) != str(lattice[0][1])
 
 
+def test_a_drawn_pool_tie_raises_through_the_checks():
+    # the checks read the raising pick view, so the drawn tie escapes as the
+    # TieError itself instead of marking a cell
+    spec = RankingModelSpec.rum(NoiseSpec.discrete(((-1.0, 0.5), (1.0, 0.5))), 1.0)
+    drawn = CandidateDistribution.uniform(0.0, 1.0, 3)
+    for run in (lambda: check_pref_first_position(spec, 1e-17, drawn, 1000, 0),
+                lambda: check_monotonicity(spec, (1e-17, 1.0), {1}, drawn, 1000, 0)):
+        with pytest.raises(TieError, match=r"candidates 2 and 3 tie at perturbed value -1e\+17"):
+            run()
+
+
 def test_a_role_that_mixes_samplers_perturbs_and_keeps_its_law():
     # 152 candidates over [0, 10]: the quadrature grid passes CHUNK_SIZE at
     # theta = 1 but not at theta = 2, so the algorithmic role perturbs at both
@@ -836,7 +847,7 @@ def test_a_failed_quadrature_sum_check_raises_instead_of_sampling(monkeypatch):
 
     support_sum = exact_engine._support_sum
     monkeypatch.setattr(exact_engine, "_support_sum", off_by_a_percent)
-    exact_engine._top_two_pmf.cache_clear()
+    exact_engine._continuous_rum_top_two.cache_clear()
     with pytest.raises(UnsupportedModelError, match="quadrature pmf sums to"):
         check_monotonicity(GAUSSIAN, (0.5, 1.0), {1}, POOL3, n_samples=1000)
 

@@ -278,7 +278,6 @@ def test_no_engine_path_enumerates_atoms(monkeypatch):
         raise AssertionError(f"enumerated {len(noise.atoms)}^{len(x)} atom combinations")
 
     monkeypatch.setattr(exact_engine, "_atom_enumeration", refuse)
-    exact_engine._top_two_pmf.cache_clear()
     seven_atoms = NoiseSpec.discrete(tuple((0.1234567 * k, 1 / 7) for k in range(-3, 4)))
     spec = RankingModelSpec.rum(seven_atoms, 1.3)  # 7^10 combinations at n = 10
     pool = spread_pool(10)
@@ -386,7 +385,6 @@ def test_selection_pmf_finds_ties_without_a_top_two_pmf(monkeypatch):
         raise AssertionError("built a top-two pmf")
 
     monkeypatch.setattr(exact_engine, "_discrete_rum_top_two", refuse)
-    exact_engine._top_two_pmf.cache_clear()
     spec = RankingModelSpec.rum(NoiseSpec.discrete(((-0.5, 0.5), (0.5, 0.5))), 1.0)
     pool = CandidatePool((10.0, 5.0, 1.0, 0.0))  # candidates 3 and 4 tie at 0.5
     for removed in (set(), {3}, {1, 4}):
@@ -439,12 +437,20 @@ def test_batched_pmfs_do_not_depend_on_the_batch(family, values):
 
 
 def test_cached_top_two_pmf_is_read_only():
-    spec = RankingModelSpec.plackett_luce(0.7)
+    # every family's pmf is read-only; only the quadrature one is cached
     x = POOL4.as_array()
-    pmf = top_two_pmf(spec, x)
-    assert top_two_pmf(spec, x.copy()) is pmf
+    gaussian = RankingModelSpec.rum(NoiseSpec("gaussian"), 0.7)
+    for spec in (MALLOWS, RankingModelSpec.plackett_luce(0.7), RankingModelSpec.rum(THREE_ATOMS, 1.3),
+                 gaussian):
+        pmf = top_two_pmf(spec, x)
+        with pytest.raises(ValueError):
+            pmf[0, 1] = 0.5
+    quadrature = exact_engine._continuous_rum_top_two
+    hits = quadrature.cache_info().hits
+    assert np.array_equal(top_two_pmf(gaussian, x.copy()), pmf)
+    assert quadrature.cache_info().hits == hits + 1
     with pytest.raises(ValueError):
-        pmf[0, 1] = 0.5
+        quadrature(gaussian.noise, gaussian.theta, tuple(x.tolist()))[0, 1] = 0.5
 
 
 CONTINUOUS_KINDS = ("gaussian", "laplacian", "gumbel")

@@ -308,6 +308,38 @@ def test_crossing_search_rejects_a_margin_that_jumps_across_zero():
         find_theta_star(1.141127769527849, coin, pool)
 
 
+def test_crossing_search_doubles_its_bracket_until_the_margin_turns(monkeypatch):
+    # no natural pool needs it (theta* / theta_h stays near 1.14), so the
+    # bracket starts at 1.05 theta_h, below the crossing, and doubles once
+    import monoculture.solver as solver
+
+    default = find_theta_star(1.0, MALLOWS, POOL3)
+    monkeypatch.setattr(solver, "BRACKET_START_FACTOR", 1.05)
+    res = find_theta_star(1.0, MALLOWS, POOL3)
+    assert abs(res.crossing_residual) <= 1e-12
+    assert res.theta_star == pytest.approx(default.theta_star, rel=1e-12, abs=0.0)
+    monkeypatch.setattr(solver, "BRACKET_LIMIT_FACTOR", 1.1)
+    with pytest.raises(BracketError, match="no sign change up to 1.1 theta_h"):
+        find_theta_star(1.0, MALLOWS, POOL3)
+
+
+def test_crossing_search_without_a_window_reports_none(monkeypatch):
+    # never Braess: the certificate loop runs until theta*(1 + 2^-m) rounds
+    # to theta* and stops there
+    import monoculture.solver as solver
+
+    def never_braess(table):
+        seen.append(table)
+        return replace(classify_equilibrium(table), braess=False)
+
+    seen = []
+    monkeypatch.setattr(solver, "classify_equilibrium", never_braess)
+    res = find_theta_star(1.0, MALLOWS, POOL3)
+    assert (res.theta_prime, res.braess_found, res.detail) == (None, False, {})
+    theta_star = res.theta_star
+    assert len(seen) == next(m for m in range(64) if theta_star * (1.0 + 2.0**-m) == theta_star)
+
+
 def test_crossing_search_rejects_families_without_a_sharing_penalty():
     # softmax sharing is free, so the margin starts at zero instead of
     # negative and no crossing exists
@@ -439,6 +471,17 @@ def test_binary_counter_scan_counts_up():
     assert values == sorted(values)
     assert values[0] == 0  # weaker algorithm: everybody goes independent
     assert values[-1] >= 2  # strong algorithm: the first firm runs it
+
+
+def test_binary_counter_scan_records_its_first_violation(monkeypatch):
+    import monoculture.solver as solver
+
+    sequences = [StrategySequence("AH"), StrategySequence("HA")]
+    monkeypatch.setattr(solver, "_optimal_sequences", lambda k, grid, phi_h, pool: sequences)
+    report = binary_counter_scan(1.5, (2.0, 2.1), 2, POOL4)
+    assert not report.monotone_nondecreasing
+    assert report.first_violation == {"index": 1, "phi_a_prev": 2.0, "phi_a": 2.1,
+                                      "value_prev": 2, "value": 1}
 
 
 def test_binary_counter_scan_validates_the_grid():
@@ -835,6 +878,15 @@ def test_sweep_plane_k_firm_cells_carry_sequences():
         assert isinstance(cell.outcome, StrategySequence)
     want = sequential_optimal_sequence(3, 1.0 + 4.0, 1.0 + 0.75, POOL4)
     assert cells[-1].outcome.as_string() == want.as_string()
+
+
+def test_sweep_plane_k_firm_records_a_failing_cell():
+    cells = sweep_plane((1.0,), (0.5, -0.5, 2.0), MALLOWS, POOL4, k=3)
+    assert [cell.error for cell in cells] == [
+        None, "UnsupportedModelError: need theta > 0 and finite, got -0.5", None]
+    assert cells[1].outcome is None
+    for cell in (cells[0], cells[2]):
+        assert cell.outcome == sequential_optimal_sequence(3, 1.0 + cell.theta_a, 2.0, POOL4)
 
 
 def test_sweep_plane_validation():
