@@ -410,24 +410,55 @@ _PINNED = {  # two chunks each: a change to the draws any chunk makes changes th
         (0.011218222561948587, 0.0019269097288138013),
         ((0.4491402464318575, 0.48795861087560227), (0.0027067725640207555, 0.0026516246546524117)),
     ),
+    # the laplacian, gumbel and Plackett-Luce noise kernels on a drawn pool
+    "drawn_laplacian": (
+        {"u_first_a": (0.6621236333152041, 0.002849131786772121),
+         "u_ah": (0.5952374129581689, 0.003052644231010654),
+         "u_hh": (0.5978833570100497, 0.003051542734485644)},
+        (-0.009092911922700056, 0.004045560388157033),
+        (0.011699904424813458, 0.0019003043566090773),
+        ((0.4443437646422048, 0.48343711010464024), (0.00267125786111284, 0.0026309437165039067)),
+    ),
+    "drawn_gumbel": (
+        {"u_first_a": (0.6381788618633241, 0.0029157546548895415),
+         "u_ah": (0.5762989407736626, 0.0031017998103503074),
+         "u_hh": (0.5849725311126911, 0.0030489803930461913)},
+        (0.0011040489337759965, 0.004086424307448933),
+        (0.010137962306092284, 0.0019264851595568947),
+        ((0.4429617050118688, 0.473721319384784), (0.0026904296882300388, 0.002666888897020753)),
+    ),
+    "drawn_plackett_luce": (
+        {"u_first_a": (0.6113844353652558, 0.0030028665798232496),
+         "u_ah": (0.5627051102468121, 0.0031298301527355145),
+         "u_hh": (0.5670005025492606, 0.0030884772390813863)},
+        (-0.002405010848096123, 0.004149408482139238),
+        (0.0076441310823064336, 0.001915217228830958),
+        ((0.43670194835558346, 0.4591723996655668), (0.002692250129291315, 0.002681791673817227)),
+    ),
+}
+_DRAWN10 = CandidateDistribution.uniform(0.0, 1.0, 10)
+_PINNED_CASES = {
+    "fixed": (GAUSSIAN, POOL10),
+    "drawn": (GAUSSIAN, _DRAWN10),
+    "drawn_laplacian": (RankingModelSpec.rum(NoiseSpec.laplacian(), 1.0), _DRAWN10),
+    "drawn_gumbel": (RankingModelSpec.rum(NoiseSpec.gumbel(), 1.0), _DRAWN10),
+    "drawn_plackett_luce": (SOFTMAX, _DRAWN10),
 }
 
 
-@pytest.mark.parametrize("pool_or_d, pinned", [
-    (POOL10, _PINNED["fixed"]),
-    (CandidateDistribution.uniform(0.0, 1.0, 10), _PINNED["drawn"]),
-], ids=["fixed", "drawn"])
-def test_seeded_estimates_keep_their_recorded_values(pool_or_d, pinned):
+@pytest.mark.parametrize("case", list(_PINNED))
+def test_seeded_estimates_keep_their_recorded_values(case):
     # the draws each chunk makes are part of the contract: same seed, same bits
-    table, first, weaker, (means, stderrs) = pinned
+    family, pool_or_d = _PINNED_CASES[case]
+    table, first, weaker, (means, stderrs) = _PINNED[case]
     n = CHUNK_SIZE + 100
-    est = mc_utility_trials(1.5, 1.0, GAUSSIAN, pool_or_d, n, seed=3, threads=1)
+    est = mc_utility_trials(1.5, 1.0, family, pool_or_d, n, seed=3, threads=1)
     assert {name: (est[name].mean, est[name].stderr) for name in table} == table
-    report = check_pref_first_position(GAUSSIAN, 1.0, pool_or_d, n, seed=4, threads=1)
+    report = check_pref_first_position(family, 1.0, pool_or_d, n, seed=4, threads=1)
     assert (report.estimate.mean, report.estimate.stderr) == first
-    report = check_pref_weaker_competition(GAUSSIAN, 2.0, 1.0, pool_or_d, n, seed=5, threads=1)
+    report = check_pref_weaker_competition(family, 2.0, 1.0, pool_or_d, n, seed=5, threads=1)
     assert (report.estimate.mean, report.estimate.stderr) == weaker
-    report = check_monotonicity(GAUSSIAN, (0.5, 1.0), {1, 2}, pool_or_d, n, seed=6, threads=1)
+    report = check_monotonicity(family, (0.5, 1.0), {1, 2}, pool_or_d, n, seed=6, threads=1)
     assert not report.detail["exact"]
     assert (report.detail["means"], report.detail["stderrs"]) == (means, stderrs)
 
