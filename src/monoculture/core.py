@@ -50,7 +50,8 @@ class CandidateDistribution:
     """Distribution over candidate pools of n iid uniform(lo, hi) draws.
 
     Sampling sorts the draws descending and redraws on the zero-probability
-    event of a tie. A fixed pool is a CandidatePool.
+    event of a tie, so [lo, hi] must hold n doubles. A fixed pool is a
+    CandidatePool.
     """
 
     n: int
@@ -67,6 +68,11 @@ class CandidateDistribution:
             raise PoolError(f"need an integer n, got {self.n!r}")
         if self.n < 2:
             raise PoolError(f"need n >= 2, got {self.n}")
+        top = lo  # the n-th double from lo, which n distinct draws need in [lo, hi]
+        for _ in range(self.n - 1):
+            top = math.nextafter(top, math.inf)
+        if top > hi or not math.isfinite(hi - lo):
+            raise PoolError(f"hi - lo overflows or [{lo}, {hi}] holds fewer than {self.n} doubles")
 
     @staticmethod
     def uniform(lo: float, hi: float, n: int) -> "CandidateDistribution":
@@ -78,19 +84,22 @@ class CandidateDistribution:
         return CandidateDistribution.uniform(-halfwidth, halfwidth, n)
 
     def sample_matrix(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """(size, n) array of pools, each row sorted descending."""
-        lo, hi = self.lo, self.hi
-        draws = rng.uniform(lo, hi, size=(size, self.n))
-        draws.sort(axis=1)
-        draws = draws[:, ::-1]
+        """(size, n) C-contiguous pools, rows sorted descending: rng.uniform(lo,
+        hi)'s draws bit for bit, negated, sorted ascending and negated back."""
+        negated = rng.random((size, self.n))
+        negated *= self.hi - self.lo
+        negated += self.lo
+        np.negative(negated, out=negated)
+        negated.sort(axis=1)
         # ties have probability zero but the contract says resample them
-        bad = np.any(draws[:, :-1] == draws[:, 1:], axis=1)
-        while np.any(bad):
-            redraw = rng.uniform(lo, hi, size=(int(bad.sum()), self.n))
+        tied = negated[:, 1:] == negated[:, :-1]
+        while tied.any():
+            bad = tied.any(axis=1)
+            redraw = rng.uniform(self.lo, self.hi, size=(int(bad.sum()), self.n))
             redraw.sort(axis=1)
-            draws[bad] = redraw[:, ::-1]
-            bad = np.any(draws[:, :-1] == draws[:, 1:], axis=1)
-        return draws
+            negated[bad] = -redraw[:, ::-1]
+            tied = negated[:, 1:] == negated[:, :-1]
+        return np.negative(negated, out=negated)
 
     def mean_pool(self) -> CandidatePool:
         """Pool of expected order statistics: the i-th best of n has mean

@@ -2,13 +2,15 @@
 
 Trials are partitioned into chunks of CHUNK_SIZE (8192) rows by one driver,
 `_run_chunks`, which every estimator call runs once. Chunk c draws from the
-rng keyed by (seed, 0, c): its pool rows first (fresh from a distribution; a
-fixed pool draws nothing), then its rankings. Per-chunk moments (count,
-mean, centred sum of squares) are merged in chunk order, so results are
-bit-identical for a given seed on any number of workers; `threads=None` runs
-one per core, at most one per chunk. Within a trial all quantities share the
-same draws (common random numbers), which shrinks the variance of every
-estimated difference: the cells of an `mc_utility_lattice` and the grid
+rng keyed by (seed, 0, c): its pool rows first (fresh from a distribution,
+C-contiguous; a fixed pool draws nothing), then its rankings, whose
+laplacian and gumbel noise, Plackett-Luce's too, is numpy's samplers' own
+(`models._inverse_cdf`). Per-chunk moments (count, mean, centred sum of
+squares) are merged in chunk order, so results are bit-identical for a
+given seed on any number of workers; `threads=None` runs one per core, at
+most one per chunk. Within a trial all quantities share the same draws
+(common random numbers), which shrinks the variance of every estimated
+difference: the cells of an `mc_utility_lattice` and the grid
 points of a sampled `check_monotonicity` share them too.
 
 No estimator samples a whole ranking. Every two-firm estimand reads only
@@ -53,7 +55,7 @@ from .exact import (
     exact_selection_pmf,
     top_two_pmf,
 )
-from .models import RankingModelSpec, TieError
+from .models import RankingModelSpec, TieError, _inverse_cdf
 
 CHUNK_SIZE = 1 << 13
 _KEY_ROWS = 1 << 10
@@ -177,7 +179,7 @@ def _noise(spec: RankingModelSpec, pools: np.ndarray, rng: np.random.Generator) 
     """The draw behind one RUM or Plackett-Luce ranking per pool row:
     standard Gumbel for Plackett-Luce (the max-trick), else the noise."""
     if spec.kind == "plackett_luce":
-        return rng.gumbel(0.0, 1.0, pools.shape)
+        return _inverse_cdf(rng, pools.shape, "gumbel", 1.0)
     return spec.noise.sample(rng, pools.shape)
 
 
@@ -197,12 +199,13 @@ def _perturbed_keys(spec: RankingModelSpec, pools: np.ndarray, noise: np.ndarray
 
 
 def _perturbed_picks(spec: RankingModelSpec, pools: np.ndarray, noise: np.ndarray,
-                     removed0=None) -> np.ndarray:
-    """(top, runner-up) of one ranking per row as 0-based candidates, or with
-    removed0 the best survivor, in the smallest integer type that holds -n:
-    argmax passes over `_perturbed_keys` built _KEY_ROWS rows at a time, so
-    a draw shared by accuracies costs no second full-size matrix."""
-    out = np.empty((len(pools), 2) if removed0 is None else len(pools),
+                     removed0=None, top_only=False) -> np.ndarray:
+    """(top, runner-up) of one ranking per row as 0-based candidates (with
+    top_only, the top column alone), or with removed0 the best survivor, in
+    the smallest integer type that holds -n: argmax passes over
+    `_perturbed_keys` built _KEY_ROWS rows at a time, so a draw shared by
+    accuracies costs no second full-size matrix."""
+    out = np.empty((len(pools), 2 - top_only) if removed0 is None else len(pools),
                    dtype=np.min_scalar_type(-pools.shape[1]))
     for start in range(0, len(pools), _KEY_ROWS):
         rows = slice(start, start + _KEY_ROWS)
@@ -212,8 +215,9 @@ def _perturbed_picks(spec: RankingModelSpec, pools: np.ndarray, noise: np.ndarra
             out[rows] = np.argmax(keys, axis=1)
             continue
         top = out[rows, 0] = np.argmax(keys, axis=1)
-        keys[np.arange(len(keys)), top] = -np.inf
-        out[rows, 1] = np.argmax(keys, axis=1)
+        if not top_only:
+            keys[np.arange(len(keys)), top] = -np.inf
+            out[rows, 1] = np.argmax(keys, axis=1)
     return out
 
 
@@ -268,9 +272,10 @@ class _Role:
                 self.errors[theta] = exc
         self.exact = all(law is not None for _, law in self.live.values())
 
-    def picks(self, pools: np.ndarray, rng: np.random.Generator) -> dict:
+    def picks(self, pools: np.ndarray, rng: np.random.Generator, top_only=False) -> dict:
         """Each accuracy's picks for one chunk's pool rows, from one draw; a
-        drawn finite-atom row that ties leaves its TieError instead."""
+        drawn finite-atom row that ties leaves its TieError instead. top_only
+        stops a perturbation draw at the top; an exact-law one keeps pairs."""
         if self.exact:
             u = rng.random(len(pools))
             return {theta: np.take(picks, np.minimum(
@@ -279,23 +284,24 @@ class _Role:
         noise, out = _noise(self.family, pools, rng), {}
         for theta, (spec, _) in self.live.items():
             try:
-                out[theta] = _perturbed_picks(spec, pools, noise, self.removed0)
+                out[theta] = _perturbed_picks(spec, pools, noise, self.removed0, top_only)
             except TieError as exc:
                 out[theta] = exc
         return out
 
 
 def _picks(family: RankingModelSpec, thetas, pool_or_d: PoolOrDistribution, removed0=None):
-    """(pools, rng) -> a list of each accuracy's (top, runner-up) of one
-    ranking per pool row, or with removed0 its best survivor: the raising
-    view of a `_Role` over thetas, raising its first refused accuracy's error
-    now and a drawn tie's TieError when drawn."""
+    """(pools, rng, top_only=False) -> a list of each accuracy's (top,
+    runner-up), or with top_only its column 0 alone, of one ranking per pool
+    row, or with removed0 its best survivor: the raising view of a `_Role`
+    over thetas, raising its first refused accuracy's error now and a drawn
+    tie's TieError when drawn."""
     role = _Role(family, thetas, pool_or_d, removed0)
     if role.errors:
         raise next(iter(role.errors.values()))
 
-    def picks(pools: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
-        got = role.picks(pools, rng)
+    def picks(pools: np.ndarray, rng: np.random.Generator, top_only=False) -> list[np.ndarray]:
+        got = role.picks(pools, rng, top_only)
         for p in got.values():
             if isinstance(p, TieError):
                 raise p
@@ -307,7 +313,7 @@ def _picks(family: RankingModelSpec, thetas, pool_or_d: PoolOrDistribution, remo
 def _values_at(pools: np.ndarray, picks: np.ndarray) -> np.ndarray:
     if pools.strides[0] == 0:  # one fixed pool, the stride-0 view of `_pool_matrix`
         return pools[0][picks]
-    return np.take_along_axis(pools, picks[:, None], axis=1)[:, 0]
+    return np.take(pools, picks + np.arange(0, pools.size, pools.shape[1]))  # by row offsets
 
 
 def _top_avoiding(top_two: np.ndarray, blocked: np.ndarray) -> np.ndarray:
@@ -467,7 +473,7 @@ def check_pref_first_position(
     picks = _picks(spec, [theta], pool_or_d)
 
     def kernel(pools: np.ndarray, rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
-        [pi], [sigma] = picks(pools, rng), picks(pools, rng)
+        [pi], [sigma] = picks(pools, rng), picks(pools, rng, top_only=True)
         gap = _values_at(pools, pi[:, 0]) - _values_at(pools, pi[:, 1])
         hit = (pi[:, 0] != sigma[:, 0]).astype(float)
         return [("estimand", gap * hit)]
@@ -503,7 +509,7 @@ def check_pref_weaker_competition(
     strong, weak = _picks(spec, [theta1], pool_or_d), _picks(spec, [theta2], pool_or_d)
 
     def kernel(pools: np.ndarray, rng: np.random.Generator) -> list[tuple[str, np.ndarray]]:
-        [sigma], [pi], [tau] = strong(pools, rng), weak(pools, rng), weak(pools, rng)
+        [sigma], [pi], [tau] = strong(pools, rng, True), weak(pools, rng), weak(pools, rng, True)
         after_weak = _values_at(pools, _top_avoiding(pi, tau[:, 0]))
         after_strong = _values_at(pools, _top_avoiding(pi, sigma[:, 0]))
         return [("estimand", after_weak - after_strong)]

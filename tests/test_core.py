@@ -44,9 +44,11 @@ def test_pool_rejects_non_finite_values(values):
     lambda: CandidateDistribution.uniform(0.0, 1.0, 3.5),  # n not an integer
     lambda: CandidateDistribution.uniform(0.0, 1.0, 3.0),
     lambda: CandidateDistribution.uniform(0.0, 1.0, True),
+    lambda: CandidateDistribution.uniform(-1e308, 1e308, 3),  # hi - lo overflows
+    lambda: CandidateDistribution.uniform(1.0, math.nextafter(1.0, 2.0), 3),  # two doubles
 ], ids=["hi_eq_lo", "hi_below_lo", "inf_hi", "inf_lo", "nan_lo",
         "halfwidth_0", "halfwidth_negative", "halfwidth_inf", "n_1", "n_0",
-        "n_fractional", "n_float", "n_bool"])
+        "n_fractional", "n_float", "n_bool", "range_overflows", "fewer_doubles_than_n"])
 def test_distribution_rejects_malformed_parameters(make):
     with pytest.raises(PoolError):
         make()
@@ -99,6 +101,53 @@ def test_distribution_samples_sorted_and_in_bounds():
     assert mat.shape == (500, 5)
     assert (np.diff(mat, axis=1) < 0).all()
     assert mat.min() >= -1.0 and mat.max() <= 2.0
+
+
+def _reversed_uniform_sort(d, rng, size):
+    # the recipe sample_matrix replaced: uniform draws sorted, then a reversed view
+    draws = rng.uniform(d.lo, d.hi, size=(size, d.n))
+    draws.sort(axis=1)
+    draws = draws[:, ::-1]
+    bad = np.any(draws[:, :-1] == draws[:, 1:], axis=1)
+    while np.any(bad):
+        redraw = rng.uniform(d.lo, d.hi, size=(int(bad.sum()), d.n))
+        redraw.sort(axis=1)
+        draws[bad] = redraw[:, ::-1]
+        bad = np.any(draws[:, :-1] == draws[:, 1:], axis=1)
+    return draws
+
+
+@pytest.mark.parametrize("d", [
+    CandidateDistribution.uniform(0.0, 1.0, 15),
+    CandidateDistribution.uniform(-3.0, -1.0, 2),
+    CandidateDistribution.uniform(-1.0, 1.0, 3),
+    # exactly three doubles, so most rows tie and are redrawn
+    CandidateDistribution.uniform(1.0, math.nextafter(math.nextafter(1.0, 2.0), 2.0), 3),
+], ids=["lo_0_n15", "negative_n2", "signed_n3", "three_doubles_n3"])
+def test_sample_matrix_is_the_reversed_uniform_sort_made_contiguous(d):
+    new, old = np.random.default_rng(31), np.random.default_rng(31)
+    mat = d.sample_matrix(new, 4000)
+    expected = _reversed_uniform_sort(d, old, 4000)
+    assert np.array_equal(mat, expected) and np.array_equal(np.signbit(mat), np.signbit(expected))
+    assert mat.flags.c_contiguous
+    assert new.random() == old.random()  # the same stream position
+
+
+class _PlantedHalf(np.random.Generator):
+    """Plants a uniform of 0.5 first, so uniform(-1, 1) draws an exact 0.0."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        got = super().random(size, dtype, out)
+        got[0, 0] = 0.5
+        return got
+
+
+def test_sample_matrix_keeps_the_sign_of_a_zero_draw():
+    # -1 + 2 * 0.5 is +0.0; negating, sorting and negating back must keep it +0.0
+    rng = _PlantedHalf(np.random.PCG64(1))
+    mat = CandidateDistribution.uniform(-1.0, 1.0, 3).sample_matrix(rng, 4)
+    [zero] = mat[mat == 0.0]
+    assert not np.signbit(zero)
 
 
 def _row(space, order):

@@ -2,9 +2,12 @@
 and the behavioral-condition checks."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,11 +42,13 @@ from monoculture.estimators import (
     _noise,
     _perturbed_picks,
     _picks,
+    _pool_matrix,
     _strict,
     _verdict,
     mc_utility_lattice,
 )
 from monoculture.exact import ENTRY_NAMES, top_two_pmf
+from monoculture.models import GUMBEL_SCALE, LAPLACE_SCALE
 from monoculture import estimators, exact as exact_engine
 from monoculture.permspace import perm_space
 from tests import oracles
@@ -260,6 +265,57 @@ def test_top_two_picks_equal_the_full_ranking_prefix(spec, drawn):
     pairs = _perturbed_picks(spec, pools, _noise(spec, pools, np.random.default_rng(4)))
     orders = sample_rankings(spec, pools, np.random.default_rng(4))
     assert np.array_equal(pairs, orders[:, :2])
+
+
+@pytest.mark.parametrize("pool_or_d", [POOL7, UNIFORM15], ids=["fixed7", "drawn15"])
+def test_a_top_only_pick_is_the_top_of_a_two_pick_draw(pool_or_d):
+    pools = _pool_matrix(pool_or_d, np.random.default_rng(2), 5_000)
+    picks = _picks(LAPLACIAN, [0.7, 1.4], pool_or_d)
+    one, both = np.random.default_rng(3), np.random.default_rng(3)
+    for top, pair in zip(picks(pools, one, top_only=True), picks(pools, both)):
+        assert np.array_equal(top[:, 0], pair[:, 0])
+    assert one.random() == both.random()
+
+
+@pytest.mark.parametrize("spec, sample", [
+    (LAPLACIAN, lambda rng, shape: rng.laplace(0.0, LAPLACE_SCALE, shape)),
+    (RankingModelSpec.rum(NoiseSpec.gumbel(), 0.7),
+     lambda rng, shape: rng.gumbel(0.0, GUMBEL_SCALE, shape)),
+    (SOFTMAX, lambda rng, shape: rng.gumbel(0.0, 1.0, shape)),
+], ids=["laplacian", "gumbel", "plackett_luce"])
+def test_kernel_noise_picks_what_numpys_samplers_pick(spec, sample):
+    # the kernel's noise may differ from numpy's samplers in the last bits,
+    # which moves no pick: every seed's pairs and first survivors agree
+    for seed in range(60):
+        pools = _drawn_pools(2_000)
+        ours = _noise(spec, pools, np.random.default_rng(seed))
+        numpys = sample(np.random.default_rng(seed), pools.shape)
+        for removed0 in (None, (0, 3)):
+            assert np.array_equal(_perturbed_picks(spec, pools, ours, removed0),
+                                  _perturbed_picks(spec, pools, numpys, removed0))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+_DISPATCH_SCRIPT = """
+from monoculture import *
+d, n = CandidateDistribution.uniform(0.0, 1.0, 10), 2 * 8192
+for noise in (NoiseSpec.laplacian(), NoiseSpec.gumbel()):
+    spec = RankingModelSpec.rum(noise, 1.0)
+    print(mc_utility_table(1.5, 1.0, spec, d, n, seed=3, threads=1))
+    print(check_pref_first_position(spec, 1.0, d, n, seed=4, threads=1).estimate)
+"""
+
+
+def test_drawn_noise_estimates_keep_their_bits_under_numpys_baseline_dispatch():
+    # np.log's AVX-512 loops round unlike libm's log in the last bit; without
+    # them (a no-op where numpy has none) every estimate keeps its bits
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    outs = [subprocess.run([sys.executable, "-c", _DISPATCH_SCRIPT], capture_output=True,
+                           text=True, env=extra, timeout=120)
+            for extra in (env, dict(env, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"))]
+    assert all(done.returncode == 0 for done in outs), [done.stderr for done in outs]
+    assert outs[0].stdout == outs[1].stdout and outs[0].stdout.count("\n") == 4
 
 
 @pytest.mark.parametrize("spec", [GAUSSIAN, SOFTMAX], ids=lambda s: s.kind)
