@@ -50,8 +50,8 @@ class CandidateDistribution:
     """Distribution over candidate pools of n iid uniform(lo, hi) draws.
 
     Sampling sorts the draws descending and redraws on the zero-probability
-    event of a tie, so [lo, hi] must hold n doubles. A fixed pool is a
-    CandidatePool.
+    event of a tie, so [lo, hi] must span n^2 doubles, which bounds the
+    chance a row ties by about 1/2. A fixed pool is a CandidatePool.
     """
 
     n: int
@@ -68,11 +68,12 @@ class CandidateDistribution:
             raise PoolError(f"need an integer n, got {self.n!r}")
         if self.n < 2:
             raise PoolError(f"need n >= 2, got {self.n}")
-        top = lo  # the n-th double from lo, which n distinct draws need in [lo, hi]
-        for _ in range(self.n - 1):
-            top = math.nextafter(top, math.inf)
-        if top > hi or not math.isfinite(hi - lo):
-            raise PoolError(f"hi - lo overflows or [{lo}, {hi}] holds fewer than {self.n} doubles")
+        # a row of n draws over m doubles ties with probability about n^2 / 2m, and a
+        # draw can take at least m = (hi - lo) / ulp(max(|lo|, |hi|)) doubles
+        width = hi - lo
+        if not math.isfinite(width) or width / math.ulp(max(abs(lo), abs(hi))) < self.n ** 2:
+            raise PoolError(f"need hi - lo finite and n^2 = {self.n ** 2} doubles wide, "
+                            f"got [{lo}, {hi}]")
 
     @staticmethod
     def uniform(lo: float, hi: float, n: int) -> "CandidateDistribution":
@@ -83,21 +84,24 @@ class CandidateDistribution:
         """uniform(-halfwidth, halfwidth, n)."""
         return CandidateDistribution.uniform(-halfwidth, halfwidth, n)
 
-    def sample_matrix(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """(size, n) C-contiguous pools, rows sorted descending: rng.uniform(lo,
-        hi)'s draws bit for bit, negated, sorted ascending and negated back."""
-        negated = rng.random((size, self.n))
+    def _negated_rows(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        """rng.uniform(lo, hi, (rows, n))'s draws bit for bit, negated, rows sorted ascending."""
+        negated = rng.random((rows, self.n))
         negated *= self.hi - self.lo
         negated += self.lo
         np.negative(negated, out=negated)
         negated.sort(axis=1)
+        return negated
+
+    def sample_matrix(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """(size, n) C-contiguous pools, rows sorted descending: rng.uniform(lo,
+        hi)'s draws, negated, sorted ascending and negated back."""
+        negated = self._negated_rows(rng, size)
         # ties have probability zero but the contract says resample them
         tied = negated[:, 1:] == negated[:, :-1]
         while tied.any():
             bad = tied.any(axis=1)
-            redraw = rng.uniform(self.lo, self.hi, size=(int(bad.sum()), self.n))
-            redraw.sort(axis=1)
-            negated[bad] = -redraw[:, ::-1]
+            negated[bad] = self._negated_rows(rng, int(bad.sum()))
             tied = negated[:, 1:] == negated[:, :-1]
         return np.negative(negated, out=negated)
 

@@ -3,14 +3,13 @@
 Trials are partitioned into chunks of CHUNK_SIZE (8192) rows by one driver,
 `_run_chunks`, which every estimator call runs once. Chunk c draws from the
 rng keyed by (seed, 0, c): its pool rows first (fresh from a distribution,
-C-contiguous; a fixed pool draws nothing), then its rankings, whose
-laplacian and gumbel noise, Plackett-Luce's too, is numpy's samplers' own
-(`models._inverse_cdf`). Per-chunk moments (count, mean, centred sum of
-squares) are merged in chunk order, so results are bit-identical for a
-given seed on any number of workers; `threads=None` runs one per core, at
-most one per chunk. Within a trial all quantities share the same draws
-(common random numbers), which shrinks the variance of every estimated
-difference: the cells of an `mc_utility_lattice` and the grid
+C-contiguous; a fixed pool draws nothing), then its rankings (laplacian
+noise from `models._laplace`). Per-chunk moments (count,
+mean, centred sum of squares) are merged in chunk order, so results are
+bit-identical for a given seed on any number of workers; `threads=None` runs
+one per core, at most one per chunk. Within a trial all quantities share the
+same draws (common random numbers), which shrinks the variance of every
+estimated difference: the cells of an `mc_utility_lattice` and the grid
 points of a sampled `check_monotonicity` share them too.
 
 No estimator samples a whole ranking. Every two-firm estimand reads only
@@ -55,7 +54,7 @@ from .exact import (
     exact_selection_pmf,
     top_two_pmf,
 )
-from .models import RankingModelSpec, TieError, _inverse_cdf
+from .models import RankingModelSpec, TieError
 
 CHUNK_SIZE = 1 << 13
 _KEY_ROWS = 1 << 10
@@ -179,7 +178,7 @@ def _noise(spec: RankingModelSpec, pools: np.ndarray, rng: np.random.Generator) 
     """The draw behind one RUM or Plackett-Luce ranking per pool row:
     standard Gumbel for Plackett-Luce (the max-trick), else the noise."""
     if spec.kind == "plackett_luce":
-        return _inverse_cdf(rng, pools.shape, "gumbel", 1.0)
+        return rng.gumbel(0.0, 1.0, pools.shape)
     return spec.noise.sample(rng, pools.shape)
 
 

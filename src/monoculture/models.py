@@ -5,8 +5,8 @@ pairwise disagreements with the true order; phi > 1 so the true order is
 the mode. Random-utility models (RUMs) rank candidates by value plus scaled
 noise; the Plackett-Luce model picks candidates sequentially in proportion
 to exp(theta * value). Accuracy theta > 0 is shared across families, with
-theta = phi - 1 for the distance-based family. Laplacian and gumbel
-noise is numpy's samplers' own, vectorized by `_inverse_cdf`.
+theta = phi - 1 for the distance-based family. Laplacian noise is
+numpy's sampler's own, vectorized by `_laplace`.
 
 scipy is imported inside the functions that need it (gaussian cdf, the
 gaussian conditional order probability), so importing the package does
@@ -30,13 +30,13 @@ _ATOM_PROB_TOL = 1e-12
 # largest exponent whose exp is finite; the gumbel double exponential is
 # clipped here, which changes no value that did not overflow
 _MAX_EXP_ARG = math.log(sys.float_info.max)
-_BLOCK = 1 << 14  # uniforms per pass of `_inverse_cdf`, so a block stays in cache
+_BLOCK = 1 << 14  # uniforms per pass of `_laplace`, so a block stays in cache
 
 
-def _inverse_cdf(rng: np.random.Generator, size, kind: str, scale: float) -> np.ndarray:
-    """rng.laplace or rng.gumbel(0.0, scale, size) from the same uniforms, by numpy's formulas
-    over blocks of `rng.random(out=...)`, within 2 ulp as np.log may round unlike libm. On a
-    uniform of exactly 0.0, which numpy redraws, the rng rewinds and numpy's sampler draws."""
+def _laplace(rng: np.random.Generator, size, scale: float) -> np.ndarray:
+    """rng.laplace(0.0, scale, size) from the same uniforms, by numpy's formula over blocks of
+    `rng.random(out=...)`, within 2 ulp as np.log may round unlike libm. On a uniform of
+    exactly 0.0, which numpy redraws, the rng rewinds and numpy's sampler draws."""
     state = rng.bit_generator.state
     out = np.empty(size)
     for start in range(0, out.size, _BLOCK):
@@ -44,20 +44,16 @@ def _inverse_cdf(rng: np.random.Generator, size, kind: str, scale: float) -> np.
         rng.random(out=u)
         if not u.all():
             rng.bit_generator.state = state
-            return (rng.laplace if kind == "laplacian" else rng.gumbel)(0.0, scale, size)
-        if kind == "laplacian":  # sign(0.5 - u) scale log(min(2 - u - u, u + u))
-            tail = 2.0 - u  # the one temporary
-            tail -= u
-            u += u
-            np.log(np.minimum(u, tail, out=tail), out=tail)
-            np.less_equal(u, 1.0, out=u)  # 1 where u <= 0.5, else 0; then +-scale
-            u *= 2.0 * scale
-            u -= scale
-            u *= tail
-        else:  # -scale log(-log(1 - u))
-            np.log(np.subtract(1.0, u, out=u), out=u)
-            np.log(np.negative(u, out=u), out=u)
-            u *= -scale
+            return rng.laplace(0.0, scale, size)
+        # sign(0.5 - u) scale log(min(2 - u - u, u + u))
+        tail = 2.0 - u  # the one temporary
+        tail -= u
+        u += u
+        np.log(np.minimum(u, tail, out=tail), out=tail)
+        np.less_equal(u, 1.0, out=u)  # 1 where u <= 0.5, else 0; then +-scale
+        u *= 2.0 * scale
+        u -= scale
+        u *= tail
     return out
 
 
@@ -133,9 +129,9 @@ class NoiseSpec:
         if self.kind == "gaussian":
             return rng.standard_normal(size)
         if self.kind == "laplacian":
-            return _inverse_cdf(rng, size, self.kind, LAPLACE_SCALE)
+            return _laplace(rng, size, LAPLACE_SCALE)
         if self.kind == "gumbel":
-            return _inverse_cdf(rng, size, self.kind, GUMBEL_SCALE)
+            return rng.gumbel(0.0, GUMBEL_SCALE, size)
         values = np.array([v for v, _ in self.atoms])
         probs = np.array([p for _, p in self.atoms])
         probs = probs / probs.sum()

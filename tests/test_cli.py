@@ -256,16 +256,19 @@ FIRST_POSITION = ("conditions", "--family", "rum", "--noise", "gaussian", "--che
     ((*UTILITIES, "--pool", POOL, "--config", "{tmp}/no-equals.cfg"),
      "expected key=value, got 'seed 3'"),
     ((*UTILITIES, "--pool", POOL, "--config", "{tmp}/missing.cfg"), "cannot read config"),
-    # pool intervals that cannot be sampled: hi - lo overflows; n distinct draws cannot exist
+    # pool intervals that cannot be sampled: hi - lo overflows; n distinct draws
+    # cannot exist, or over exactly n = 16 doubles, come once in about 1e6 rows
     *(((*FIRST_POSITION, "--dist", dist), "bad distribution")
-      for dist in ("uniform:-1e308:1e308:3", "uniform:1:1.0000000000000002:3")),
+      for dist in ("uniform:-1e308:1e308:3", "uniform:1:1.0000000000000002:3",
+                   "uniform:1:1.0000000000000033:16")),
 ], ids=["infinite_pool", "infinite_distribution", "negative_sweep_seed", "non_numeric_pool",
         "one_axis_grid", "non_numeric_grid", "atom_without_prob", "unknown_distribution",
         "pool_and_dist", "sweep_without_grid", "sequential_without_firms",
         "sequential_without_accuracies", "first_position_without_theta_h",
         "weaker_competition_without_theta_a", "monotonicity_without_grid",
         "braess_search_without_theta_h", "config_line_without_equals", "unreadable_config",
-        "overflowing_distribution", "distribution_of_two_doubles"])
+        "overflowing_distribution", "distribution_of_two_doubles",
+        "distribution_of_exactly_n_doubles"])
 def test_non_finite_pools_and_bad_sweep_seeds_exit_one(capsys, tmp_path, argv, message):
     (tmp_path / "no-equals.cfg").write_text("seed 3\n")
     code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))

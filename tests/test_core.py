@@ -46,9 +46,13 @@ def test_pool_rejects_non_finite_values(values):
     lambda: CandidateDistribution.uniform(0.0, 1.0, True),
     lambda: CandidateDistribution.uniform(-1e308, 1e308, 3),  # hi - lo overflows
     lambda: CandidateDistribution.uniform(1.0, math.nextafter(1.0, 2.0), 3),  # two doubles
+    # exactly n doubles: 16 distinct draws come in about one row of 1e6
+    lambda: CandidateDistribution.uniform(1.0, 1.0 + 15 * math.ulp(1.0), 16),
+    lambda: CandidateDistribution.uniform(1.0, 1.0 + 255 * math.ulp(1.0), 16),  # n^2 - 1 apart
 ], ids=["hi_eq_lo", "hi_below_lo", "inf_hi", "inf_lo", "nan_lo",
         "halfwidth_0", "halfwidth_negative", "halfwidth_inf", "n_1", "n_0",
-        "n_fractional", "n_float", "n_bool", "range_overflows", "fewer_doubles_than_n"])
+        "n_fractional", "n_float", "n_bool", "range_overflows", "fewer_doubles_than_n",
+        "exactly_n_doubles", "short_of_n_squared"])
 def test_distribution_rejects_malformed_parameters(make):
     with pytest.raises(PoolError):
         make()
@@ -121,9 +125,10 @@ def _reversed_uniform_sort(d, rng, size):
     CandidateDistribution.uniform(0.0, 1.0, 15),
     CandidateDistribution.uniform(-3.0, -1.0, 2),
     CandidateDistribution.uniform(-1.0, 1.0, 3),
-    # exactly three doubles, so most rows tie and are redrawn
-    CandidateDistribution.uniform(1.0, math.nextafter(math.nextafter(1.0, 2.0), 2.0), 3),
-], ids=["lo_0_n15", "negative_n2", "signed_n3", "three_doubles_n3"])
+    # n^2 + 1 doubles, the fewest allowed, so many rows tie and are redrawn
+    CandidateDistribution.uniform(1.0, 1.0 + 9 * math.ulp(1.0), 3),
+    CandidateDistribution.uniform(1.0, 1.0 + 256 * math.ulp(1.0), 16),
+], ids=["lo_0_n15", "negative_n2", "signed_n3", "ten_doubles_n3", "fewest_doubles_n16"])
 def test_sample_matrix_is_the_reversed_uniform_sort_made_contiguous(d):
     new, old = np.random.default_rng(31), np.random.default_rng(31)
     mat = d.sample_matrix(new, 4000)

@@ -48,7 +48,7 @@ from monoculture.estimators import (
     mc_utility_lattice,
 )
 from monoculture.exact import ENTRY_NAMES, top_two_pmf
-from monoculture.models import GUMBEL_SCALE, LAPLACE_SCALE
+from monoculture.models import LAPLACE_SCALE
 from monoculture import estimators, exact as exact_engine
 from monoculture.permspace import perm_space
 from tests import oracles
@@ -277,22 +277,16 @@ def test_a_top_only_pick_is_the_top_of_a_two_pick_draw(pool_or_d):
     assert one.random() == both.random()
 
 
-@pytest.mark.parametrize("spec, sample", [
-    (LAPLACIAN, lambda rng, shape: rng.laplace(0.0, LAPLACE_SCALE, shape)),
-    (RankingModelSpec.rum(NoiseSpec.gumbel(), 0.7),
-     lambda rng, shape: rng.gumbel(0.0, GUMBEL_SCALE, shape)),
-    (SOFTMAX, lambda rng, shape: rng.gumbel(0.0, 1.0, shape)),
-], ids=["laplacian", "gumbel", "plackett_luce"])
-def test_kernel_noise_picks_what_numpys_samplers_pick(spec, sample):
-    # the kernel's noise may differ from numpy's samplers in the last bits,
-    # which moves no pick: every seed's pairs and first survivors agree
+def test_laplace_kernel_noise_picks_what_numpys_sampler_picks():
+    # the kernel's noise may differ from numpy's sampler in the last bits; in
+    # these 60 seeds x 2,000 rows no pair or first survivor moves
     for seed in range(60):
         pools = _drawn_pools(2_000)
-        ours = _noise(spec, pools, np.random.default_rng(seed))
-        numpys = sample(np.random.default_rng(seed), pools.shape)
+        ours = _noise(LAPLACIAN, pools, np.random.default_rng(seed))
+        numpys = np.random.default_rng(seed).laplace(0.0, LAPLACE_SCALE, pools.shape)
         for removed0 in (None, (0, 3)):
-            assert np.array_equal(_perturbed_picks(spec, pools, ours, removed0),
-                                  _perturbed_picks(spec, pools, numpys, removed0))
+            assert np.array_equal(_perturbed_picks(LAPLACIAN, pools, ours, removed0),
+                                  _perturbed_picks(LAPLACIAN, pools, numpys, removed0))
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -96,21 +96,14 @@ def test_discrete_noise_has_no_density():
     assert set(np.unique(draws)) == {-1.0, 1.0}
 
 
-# numpy's sampler and scale behind each `_inverse_cdf` kind; scale 1 is Plackett-Luce's gumbel
-_SAMPLERS = [("laplacian", models.LAPLACE_SCALE, "laplace"),
-             ("gumbel", models.GUMBEL_SCALE, "gumbel"), ("gumbel", 1.0, "gumbel")]
-
-
-@pytest.mark.parametrize("kind, scale, sampler", _SAMPLERS, ids=["laplacian", "gumbel", "gumbel1"])
 @pytest.mark.parametrize("size", [1000, (3, 7), (2, models._BLOCK + 3)],
                          ids=["int", "tuple", "ragged_blocks"])
-def test_inverse_cdf_noise_is_numpys_draw_from_the_same_uniforms(kind, scale, sampler, size):
+def test_laplace_noise_is_numpys_draw_from_the_same_uniforms(size):
     ours, numpys = np.random.default_rng(8), np.random.default_rng(8)
-    got = models._inverse_cdf(ours, size, kind, scale)
-    want = getattr(numpys, sampler)(0.0, scale, size)
+    got = models._laplace(ours, size, models.LAPLACE_SCALE)
+    want = numpys.laplace(0.0, models.LAPLACE_SCALE, size)
     assert got.shape == want.shape
-    # np.log may round unlike libm's log: 2 ulp, of 1 near zero, where gumbel's
-    # outer log turns the inner one's last bit into an absolute error
+    # np.log may round unlike libm's log
     assert (np.abs(got - want) <= 2 * np.spacing(np.maximum(np.abs(want), 1.0))).all()
     assert ours.random() == numpys.random()  # the same uniforms, so the same position
 
@@ -129,13 +122,12 @@ class _ZeroInSecondBlock(np.random.Generator):
         return got
 
 
-@pytest.mark.parametrize("kind, scale, sampler", _SAMPLERS, ids=["laplacian", "gumbel", "gumbel1"])
-def test_inverse_cdf_noise_falls_back_to_numpys_sampler_on_a_zero_uniform(kind, scale, sampler):
+def test_laplace_noise_falls_back_to_numpys_sampler_on_a_zero_uniform():
     planted, numpys = _ZeroInSecondBlock(np.random.PCG64(9)), np.random.default_rng(9)
     size = (3, models._BLOCK)
-    got = models._inverse_cdf(planted, size, kind, scale)
+    got = models._laplace(planted, size, models.LAPLACE_SCALE)
     assert planted.blocks == 2  # the kernel saw the zero, whose draw would be infinite
-    assert np.array_equal(got, getattr(numpys, sampler)(0.0, scale, size))
+    assert np.array_equal(got, numpys.laplace(0.0, models.LAPLACE_SCALE, size))
     assert planted.random() == numpys.random()
 
 
