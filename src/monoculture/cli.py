@@ -3,11 +3,12 @@
 Subcommands run utility tables, equilibrium sweeps, sequential solves,
 behavioral-condition checks, Braess-window searches, pinned reproduction
 targets, and invariant verification suites. Output is CSV on stdout (and
-optionally a file); a .dat output path switches to whitespace-separated
-columns for plotting tools. Monte Carlo takes the estimators' default
-worker count, and identical flags and seed give byte-identical output on
-any number of cores. Each subcommand accepts only the flags it reads, on
-the command line or in its --config file.
+optionally a file); a .dat output path switches the five table subcommands
+to space-separated columns for plotting tools. reproduce and verify write
+CSV to --out whatever its suffix, as their check names hold spaces. Monte
+Carlo takes the estimators' default worker count, and identical flags and
+seed give byte-identical output on any number of cores. Each subcommand
+accepts only the flags it reads, on the command line or via --config.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 a reproduction or
 verification check failed, 3 numerical failure (no bracket, tied scores).
@@ -29,7 +30,6 @@ from .estimators import (
     check_monotonicity,
     check_pref_first_position,
     check_pref_weaker_competition,
-    mc_utility_lattice,
     mc_utility_table,
 )
 from .exact import exact_utility_table
@@ -45,7 +45,6 @@ from .permspace import perm_space
 from .solver import (
     BracketError,
     binary_counter_scan,
-    classify_equilibrium,
     find_theta_star,
     kfirm_braess_check,
     sequential_optimal_sequence,
@@ -163,8 +162,8 @@ def build_pool(args):
     raise UsageError("need --pool or --dist")
 
 
-def render(rows: list[list], header: list[str], dat: bool = False) -> str:
-    """CSV text, or whitespace-separated columns under a commented header."""
+def render(header: list[str], rows: list[list], dat: bool = False) -> str:
+    """CSV text, or single-space-separated columns under a commented header."""
     buf = io.StringIO()
     if dat:
         buf.write("# " + " ".join(header) + "\n")
@@ -178,10 +177,10 @@ def render(rows: list[list], header: list[str], dat: bool = False) -> str:
     return buf.getvalue()
 
 
-def emit(rows: list[list], header: list[str], out_path: str | None) -> None:
-    """Write rows to stdout, and to out_path when given; a .dat path gets
-    whitespace-separated columns, anything else CSV."""
-    text = render(rows, header, bool(out_path and out_path.endswith(".dat")))
+def emit(header: list[str], rows: list[list], out_path: str | None) -> None:
+    """Write a table to stdout, and to out_path when given; a .dat path gets
+    space-separated columns, anything else CSV."""
+    text = render(header, rows, bool(out_path and out_path.endswith(".dat")))
     sys.stdout.write(text)
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
@@ -194,7 +193,7 @@ def reject_given(args, names: tuple[str, ...], context: str) -> None:
         raise UsageError(f"{context} does not read {', '.join(given)}")
 
 
-def cmd_utilities(args) -> int:
+def cmd_utilities(args) -> tuple[list[str], list[list]]:
     family = build_family(args)
     pool = build_pool(args)
     theta_h, theta_a = args.theta_h, args.theta_a
@@ -210,8 +209,7 @@ def cmd_utilities(args) -> int:
         f.name for f in fields(table)] + ["seed"]
     row = [family.kind, family.noise.kind if family.noise else "", args.engine, theta_h,
            theta_a] + list(astuple(table)) + [args.seed]
-    emit([row], header, args.out)
-    return EXIT_OK
+    return header, [row]
 
 
 SWEEP_HEADER = [
@@ -244,7 +242,7 @@ def sweep_rows(cells) -> list[list]:
     return rows
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[list[str], list[list]]:
     family = build_family(args)
     pool = build_pool(args)
     if not args.grid:
@@ -262,8 +260,7 @@ def cmd_sweep(args) -> int:
         n_samples=args.samples,
         seed=args.seed,
     )
-    emit(sweep_rows(cells), SWEEP_HEADER, args.out)
-    return EXIT_OK
+    return SWEEP_HEADER, sweep_rows(cells)
 
 
 def _phi_args(args) -> tuple[float, float]:
@@ -278,7 +275,7 @@ def _phi_args(args) -> tuple[float, float]:
     return phi_a, phi_h
 
 
-def cmd_sequential(args) -> int:
+def cmd_sequential(args) -> tuple[list[str], list[list]]:
     pool = build_pool(args)
     phi_a, phi_h = _phi_args(args)
     if args.firms is None:
@@ -289,11 +286,10 @@ def cmd_sequential(args) -> int:
         [i + 1, seq.choices[i], seq.utilities[i], phi_a, phi_h, seq.as_string(), seq.binary_value]
         for i in range(seq.k)
     ]
-    emit(rows, header, args.out)
-    return EXIT_OK
+    return header, rows
 
 
-def cmd_conditions(args) -> int:
+def cmd_conditions(args) -> tuple[list[str], list[list]]:
     family = build_family(args)
     pool = build_pool(args)
     samples, seed = args.samples, args.seed
@@ -330,13 +326,11 @@ def cmd_conditions(args) -> int:
         )
     header = ["condition", "estimate", "stderr", "z_score", "verdict", "n_samples", "params"]
     est = report.estimate
-    rows = [[report.condition, est.mean, est.stderr, est.z_score_vs_zero,
-             report.verdict, est.n_samples, params]]
-    emit(rows, header, args.out)
-    return EXIT_OK
+    return header, [[report.condition, est.mean, est.stderr, est.z_score_vs_zero,
+                     report.verdict, est.n_samples, params]]
 
 
-def cmd_braess_search(args) -> int:
+def cmd_braess_search(args) -> tuple[list[str], list[list]]:
     family = build_family(args)
     pool = build_pool(args)
     if args.firms < 2:
@@ -350,11 +344,9 @@ def cmd_braess_search(args) -> int:
             "k", "phi_a", "phi_h", "all_a_average", "all_h_average",
             "all_a_equilibrium", "a_strictly_dominant", "braess", "best_sequence",
         ]
-        rows = [[rep.k, rep.phi_a, rep.phi_h, rep.all_a_average, rep.all_h_average,
-                 rep.all_a_equilibrium, rep.a_strictly_dominant, rep.braess,
-                 rep.best_average_sequence.as_string()]]
-        emit(rows, header, args.out)
-        return EXIT_OK
+        return header, [[rep.k, rep.phi_a, rep.phi_h, rep.all_a_average, rep.all_h_average,
+                         rep.all_a_equilibrium, rep.a_strictly_dominant, rep.braess,
+                         rep.best_average_sequence.as_string()]]
     reject_given(args, ("theta_a", "phi_a", "phi_h"), "braess-search with two firms")
     if args.theta_h is None:
         raise UsageError("braess-search needs --theta-h")
@@ -363,11 +355,9 @@ def cmd_braess_search(args) -> int:
         "theta_h", "theta_star", "crossing_residual", "theta_prime", "braess_found",
         "margin_vs_a", "margin_vs_h", "welfare_gap",
     ]
-    rows = [[res.theta_h, res.theta_star, res.crossing_residual, res.theta_prime,
-             res.braess_found, res.detail.get("margin_vs_a"),
-             res.detail.get("margin_vs_h"), res.detail.get("welfare_gap")]]
-    emit(rows, header, args.out)
-    return EXIT_OK
+    return header, [[res.theta_h, res.theta_star, res.crossing_residual, res.theta_prime,
+                     res.braess_found, res.detail.get("margin_vs_a"),
+                     res.detail.get("margin_vs_h"), res.detail.get("welfare_gap")]]
 
 
 class CheckLog:
@@ -386,7 +376,7 @@ class CheckLog:
     def finish(self, out_path: str | None) -> int:
         if out_path:
             header = ["check", "status", "computed", "expected"]
-            Path(out_path).write_text(render(self.rows, header), encoding="utf-8")
+            Path(out_path).write_text(render(header, self.rows), encoding="utf-8")
         return EXIT_OK if self.all_pass else EXIT_CHECK_FAILED
 
 
@@ -614,10 +604,10 @@ def reproduce_four_percent(log: CheckLog, args) -> None:
     family = RankingModelSpec.rum(NoiseSpec.gaussian(), 1.0)
     d = CandidateDistribution.uniform_centered_zero(math.sqrt(3.0), 3)
     thetas_a = [0.540 + 0.0025 * j for j in range(11)]
-    (tables,) = mc_utility_lattice([0.5], thetas_a, family, d, samples, FOUR_PERCENT_SEED)
+    cells = sweep_plane([0.5], thetas_a, family, d, "mc", n_samples=samples, seed=FOUR_PERCENT_SEED)
     hits = []
-    for theta_a, table in zip(thetas_a, tables):  # a positive accuracy never fails
-        out = classify_equilibrium(table)
+    for theta_a, cell in zip(thetas_a, cells):  # a positive accuracy never fails
+        out = cell.outcome
         loss = (out.welfare_hh - out.welfare_aa) / out.welfare_hh
         ok = out.label == "AA" and out.welfare_aa >= 0 and 0.03 <= loss <= 0.05
         print(
@@ -759,6 +749,7 @@ VERIFY_SUITES = {
 }
 # graded subcommand -> (name of its positional argument, runners by name)
 GRADED = {"reproduce": ("target", REPRODUCE_TARGETS), "verify": ("suite", VERIFY_SUITES)}
+READS_SAMPLES = {reproduce_figure2, reproduce_four_percent, verify_conditions}
 
 
 def cmd_graded(args) -> int:
@@ -768,6 +759,8 @@ def cmd_graded(args) -> int:
     if name not in runners:
         print(f"unknown {noun} {name!r}; available: {', '.join(runners)}", file=sys.stderr)
         return EXIT_USAGE
+    if runners[name] not in READS_SAMPLES:
+        reject_given(args, ("samples",), f"{args.command} {name}")
     log = CheckLog()
     runners[name](log, args)
     return log.finish(args.out)
@@ -822,7 +815,8 @@ FLAGS = {
     "engine": (_engine, "exact", "exact (default) or mc"),
     "samples": (_trial_count, 1_000_000, "Monte Carlo trials (accepts 1e6)"),
     "seed": (int, 0, "base seed for all randomized work"),
-    "out": (str, None, "also write output to this path (.dat for whitespace)"),
+    "out": (str, None, "also write output to this path (.dat for space-separated "
+            "columns; reproduce and verify write CSV)"),
     "check": (_lower_dash, None, "first-position, weaker-competition, or monotonicity"),
     "removed": (lambda text: frozenset(int(c) for c in text.split(",")), frozenset(),
                 "comma-separated candidates removed before selection"),
@@ -899,7 +893,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         resolve_flags(args)
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, int):  # a graded command's exit code; else (header, rows)
+            return result
+        emit(*result, args.out)
+        return EXIT_OK
     except (BracketError, TieError) as exc:
         print(f"monoculture: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

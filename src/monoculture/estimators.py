@@ -114,10 +114,10 @@ def _sign(margin: float, se: float) -> int:
 class ConditionReport:
     """Outcome of one behavioral-condition check.
 
-    verdict follows `_sign`, the rule the solver judges margins by, for
-    exact and sampled estimates alike: holds when the estimate exceeds both
-    DEFAULT_Z_THRESHOLD times its stderr and STRICT_TOL, fails when its
-    negation does, and is inconclusive otherwise.
+    Built by `_report` alone. verdict follows `_sign`, the rule the solver
+    judges margins by, for exact and sampled estimates alike: holds when the
+    estimate exceeds both DEFAULT_Z_THRESHOLD times its stderr and
+    STRICT_TOL, fails when its negation does, and is inconclusive otherwise.
     """
 
     condition: str
@@ -134,8 +134,15 @@ def _increasing_grid(values, name: str) -> list[float]:
     return grid
 
 
-def _verdict(est: EstimateWithError) -> str:
-    return _VERDICTS[_sign(est.mean, est.stderr) + 1]
+def _report(condition: str, steps: list[EstimateWithError], detail: dict) -> ConditionReport:
+    """The one maker of every ConditionReport. Each step is judged by `_sign`:
+    the report fails if any fails, holds if all hold (so no step holds), and
+    is inconclusive otherwise. Its estimate is the first step whose sign is
+    the report's, or an exact 0 without steps (no step, no trial)."""
+    signs = [_sign(d.mean, d.stderr) for d in steps]
+    worst = min(signs, default=1)
+    estimate = next((d for d, s in zip(steps, signs) if s == worst), EstimateWithError.exact(0.0))
+    return ConditionReport(condition, estimate, _VERDICTS[worst + 1], detail)
 
 
 def _pool_matrix(pool_or_d: PoolOrDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -402,7 +409,8 @@ def mc_utility_lattice(theta_h_values, theta_a_values, spec: RankingModelSpec,
     `mc_utility_table` at the same seed, errors included. Where both of its
     accuracies fail, theta_a's error wins; a drawn finite-atom tie comes
     from the earliest chunk, sigma's before pi's before tau's. A bad
-    n_samples, seed or threads raises.
+    n_samples, seed or threads raises only if some cell is sampled: where
+    every accuracy fails, the lattice of their errors returns unchecked.
     """
     rows, cols = [float(t) for t in theta_h_values], [float(t) for t in theta_a_values]
     role_a, role_h = _Role(spec, cols, pool_or_d), _Role(spec, rows, pool_or_d)
@@ -478,12 +486,7 @@ def check_pref_first_position(
         return [("estimand", gap * hit)]
 
     est = _run_chunks(kernel, pool_or_d, n_samples, seed, threads)["estimand"]
-    return ConditionReport(
-        condition="pref_first_position",
-        estimate=est,
-        verdict=_verdict(est),
-        detail={"theta": theta},
-    )
+    return _report("pref_first_position", [est], {"theta": theta})
 
 
 def check_pref_weaker_competition(
@@ -514,12 +517,7 @@ def check_pref_weaker_competition(
         return [("estimand", after_weak - after_strong)]
 
     est = _run_chunks(kernel, pool_or_d, n_samples, seed, threads)["estimand"]
-    return ConditionReport(
-        condition="pref_weaker_competition",
-        estimate=est,
-        verdict=_verdict(est),
-        detail={"theta1": theta1, "theta2": theta2},
-    )
+    return _report("pref_weaker_competition", [est], {"theta1": theta1, "theta2": theta2})
 
 
 def _mc_selection_mean(spec: RankingModelSpec, grid: list[float], pool_or_d: PoolOrDistribution,
@@ -557,11 +555,9 @@ def check_monotonicity(
 
     Evaluates E[value of best survivor] on the accuracy grid, exactly or by
     Monte Carlo as picked from family, pool kind and n before anything is
-    computed (exact-path errors propagate). Each step between consecutive
-    grid points is judged by `_sign`: the check fails if any fails, holds
-    if all hold (so a one-point grid holds), and is inconclusive otherwise.
-    The reported estimate is the first step whose verdict is the report's;
-    a sampled step is paired, the mean of per-trial differences over draws
+    computed (exact-path errors propagate). The steps between consecutive
+    grid points are judged by `_report` (so a one-point grid holds); a
+    sampled step is paired, the mean of per-trial differences over draws
     the whole grid shares, with the stderr of those differences.
     """
     _workers(threads)  # checked even when the exact path leaves it unused
@@ -578,18 +574,10 @@ def check_monotonicity(
     else:
         means, steps = _mc_selection_mean(spec, grid, pool, removed0, n_samples, seed, threads)
 
-    signs = [_sign(d.mean, d.stderr) for d in steps]
-    worst = min(signs, default=1)  # the worst step's sign; with no steps, holds
-    return ConditionReport(
-        condition="monotonicity",
-        estimate=next((d for d, s in zip(steps, signs) if s == worst),
-                      EstimateWithError.exact(0.0)),  # no step, no trial
-        verdict=_VERDICTS[worst + 1],
-        detail={
-            "theta_grid": tuple(grid),
-            "removed": tuple(c + 1 for c in removed0),
-            "means": tuple(m.mean for m in means),
-            "stderrs": tuple(m.stderr for m in means),
-            "exact": exact_mode,
-        },
-    )
+    return _report("monotonicity", steps, {
+        "theta_grid": tuple(grid),
+        "removed": tuple(c + 1 for c in removed0),
+        "means": tuple(m.mean for m in means),
+        "stderrs": tuple(m.stderr for m in means),
+        "exact": exact_mode,
+    })

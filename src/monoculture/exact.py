@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     CandidatePool,
     CandidateDistribution,
+    PoolError,
     PoolOrDistribution,
 )
 from .models import (
@@ -109,9 +110,13 @@ def top_two_pmf(spec: RankingModelSpec, x) -> np.ndarray:
     values), mass_b the weighted density of X_b; UnsupportedModelError if the
     pmf misses 1 by over 1e-8. Finite-atom noise sums over the n m perturbed
     cells, mass_b the atom's probability on b's own cells, with TieError on a
-    tie anywhere in a ranking.
+    tie anywhere in a ranking. x may be unsorted; PoolError unless it is
+    1-D with at least two values, all finite.
     """
-    pmfs, errors = _top_two_pmfs(spec, [spec.theta], np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or len(x) < 2 or not np.isfinite(x).all():
+        raise PoolError(f"need x 1-D with at least two values, all finite, got {x!r}")
+    pmfs, errors = _top_two_pmfs(spec, [spec.theta], x)
     if errors:
         raise errors[0]
     pmf = pmfs[0]
@@ -334,10 +339,10 @@ def exact_selection_pmf(
     removed: frozenset[int] | set[int] = frozenset(),
 ) -> np.ndarray:
     """Pmf of the best-ranked surviving candidate after removing a set of
-    1-based candidates, as a length-n array over 0-based candidates whose
-    removed entries are 0: the distance-based `_mallows_first_survivor_pmf`
-    (cached, read-only), else the top of the survivors' own ranking (Luce's
-    axiom; independent noise), with TieError on any discrete tie in the pool,
+    1-based candidates, as a read-only n-vector over 0-based candidates,
+    removed ones 0: the distance-based `_mallows_first_survivor_pmf`
+    (cached), else the top of the survivors' own ranking (Luce's axiom;
+    independent noise), with TieError on any discrete tie in the pool,
     removed candidates too: `_atom_cells`' rule, as for the top-two pmf."""
     n = pool.n
     removed0 = _removed0(removed, n)
@@ -350,7 +355,9 @@ def exact_selection_pmf(
             raise ties[0]
     survivors = np.setdiff1d(np.arange(n), removed0)
     first = top_two_pmf(spec, x[survivors]).sum(axis=1) if len(survivors) > 1 else np.ones(1)
-    return np.bincount(survivors, first / first.sum(), n)
+    pmf = np.bincount(survivors, first / first.sum(), n)
+    pmf.setflags(write=False)
+    return pmf
 
 
 def _removed0(removed, n: int) -> tuple[int, ...]:

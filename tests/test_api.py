@@ -108,3 +108,21 @@ def test_importing_the_package_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# the only package name the CLI may import from outside `__all__`, until
+# `verify mallows-lemmas` no longer enumerates rankings through it
+CLI_PRIVATE_IMPORTS = {"perm_space"}
+
+
+def test_the_cli_imports_only_exported_names():
+    tree = ast.parse((README.parent / "src" / "monoculture" / "cli.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "monoculture")
+        for alias in node.names
+    }
+    assert imported, "cli.py imports nothing from the package"
+    assert imported - CLI_PRIVATE_IMPORTS <= set(monoculture.__all__), \
+        sorted(imported - CLI_PRIVATE_IMPORTS - set(monoculture.__all__))

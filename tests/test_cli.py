@@ -698,3 +698,67 @@ def test_verify_output_matches_its_golden_record(capsys, tmp_path, suite):
 def test_sweep_output_matches_its_golden_record(capsys, tmp_path, name, flags):
     assert_golden(capsys, tmp_path, name,
                   "sweep", "--pool", POOL, "--grid", "0.5:2.5:0.5x0.5:2.5:0.5", *flags)
+
+
+# ---------------------------------------------------------------- assembly
+
+
+TABLE_COMMANDS = [
+    ("utilities", "--theta-h", "1", "--theta-a", "2", "--pool", POOL),
+    ("sweep", "--grid", "0.5:1:0.5x0.5:1:0.5", "--pool", POOL),
+    ("sequential", "--firms", "3", "--phi-a", "2", "--phi-h", "1.75", "--pool", "1,0.7,0.3,0"),
+    ("conditions", "--check", "monotonicity", "--grid", "0.5:2.0:0.5", "--pool", POOL),
+    ("braess-search", "--theta-h", "1", "--pool", POOL),
+    ("braess-search", "--firms", "3", "--phi-a", "2", "--phi-h", "1.75", "--pool", "1,0.7,0.3,0"),
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=[
+    "utilities", "sweep", "sequential", "conditions", "braess-two-firm", "braess-k-firm"])
+def test_table_handlers_return_their_table_and_main_writes_it_once(capsys, monkeypatch, argv):
+    args = build_parser().parse_args(list(argv))
+    cli.resolve_flags(args)
+    header, rows = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    assert all(isinstance(name, str) for name in header)
+    assert rows and all(len(row) == len(header) for row in rows)
+    written, emit = [], cli.emit
+    monkeypatch.setattr(cli, "emit", lambda *table: written.append(table) or emit(*table))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert written == [(header, rows, None)]
+    assert out == cli.render(header, rows)
+
+
+# every target and suite that takes no Monte Carlo trials
+UNSAMPLED_RUNNERS = [("reproduce", target) for target in (
+    "counterexample-b1", "counterexample-b2", "kfirm-braess", "theta-star", "figure3", "figure4")
+] + [("verify", "mallows-lemmas"), ("verify", "appendix-c")]
+
+
+def test_only_figure2_four_percent_and_verify_conditions_take_trials():
+    runners = {(command, name) for command, (_, named) in cli.GRADED.items() for name in named}
+    assert runners - set(UNSAMPLED_RUNNERS) == {
+        ("reproduce", "figure2"), ("reproduce", "four-percent"), ("verify", "conditions")}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, name", UNSAMPLED_RUNNERS, ids=[n for _, n in UNSAMPLED_RUNNERS])
+def test_runners_without_trials_refuse_samples(capsys, tmp_path, source, command, name):
+    if source == "flag":
+        flags = ("--samples", "5")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples = 5\n")
+        flags = ("--config", str(cfg))
+    code, out, err = run(capsys, command, name, *flags)
+    assert (code, out) == (1, "")
+    assert f"{command} {name} does not read --samples" in err
+
+
+def test_graded_out_is_csv_whatever_its_suffix(capsys, tmp_path):
+    out = tmp_path / "x.dat"
+    code, _, _ = run(capsys, "reproduce", "counterexample-b2", "--out", str(out))
+    assert code == 0
+    assert out.read_text().splitlines()[0] == "check,status,computed,expected"
+    assert [row["status"] for row in rows_of(out.read_text())] == ["PASS", "PASS"]

@@ -43,8 +43,8 @@ from monoculture.estimators import (
     _perturbed_picks,
     _picks,
     _pool_matrix,
+    _report,
     _strict,
-    _verdict,
     mc_utility_lattice,
 )
 from monoculture.exact import ENTRY_NAMES, top_two_pmf
@@ -108,11 +108,35 @@ def test_every_sampled_estimate_needs_two_trials(estimate, n_samples):
         estimate(n_samples)
 
 
+def _one_step_verdict(est: EstimateWithError) -> str:
+    """The verdict of a one-step report, as both preference checks build it;
+    its estimate is the step itself."""
+    report = _report("one step", [est], {})
+    assert report.estimate is est
+    return report.verdict
+
+
+def test_a_report_takes_its_worst_steps_verdict_and_first_such_estimate():
+    holds, tie, fails = (EstimateWithError(m, 0.1, 100) for m in (1.0, 0.0, -1.0))
+    tie2, fails2 = EstimateWithError(0.05, 0.1, 100), EstimateWithError(-2.0, 0.1, 100)
+    for steps, verdict, estimate in [
+        ([holds, holds], VERDICT_HOLDS, holds),
+        ([holds, tie, tie2], VERDICT_INCONCLUSIVE, tie),
+        ([tie2, holds, fails, tie, fails2], VERDICT_FAILS, fails),
+        ([fails2, fails], VERDICT_FAILS, fails2),
+    ]:
+        report = _report("steps", steps, {"k": 1})
+        assert (report.verdict, report.estimate, report.detail) == (verdict, estimate, {"k": 1})
+    # no step, no trial: a one-point monotonicity grid holds
+    report = _report("steps", [], {})
+    assert (report.verdict, report.estimate) == (VERDICT_HOLDS, EstimateWithError.exact(0.0))
+
+
 def test_a_rounding_level_estimate_is_inconclusive():
     # a z test alone would call these decisive (z = +-1000)
     for mean in (1e-12, -1e-12, 5e-13):
-        assert _verdict(EstimateWithError(mean, 1e-15, 10**6)) == VERDICT_INCONCLUSIVE
-    assert _verdict(EstimateWithError(math.nan, 0.0, 0)) == VERDICT_INCONCLUSIVE
+        assert _one_step_verdict(EstimateWithError(mean, 1e-15, 10**6)) == VERDICT_INCONCLUSIVE
+    assert _one_step_verdict(EstimateWithError(math.nan, 0.0, 0)) == VERDICT_INCONCLUSIVE
 
 
 @settings(deadline=None, max_examples=500)
@@ -152,8 +176,8 @@ def test_strict_on_an_array_is_the_scalar_rule_elementwise(se):
 def test_negating_an_estimate_swaps_holds_and_fails(mean, stderr):
     swap = {VERDICT_HOLDS: VERDICT_FAILS, VERDICT_FAILS: VERDICT_HOLDS,
             VERDICT_INCONCLUSIVE: VERDICT_INCONCLUSIVE}
-    verdict = _verdict(EstimateWithError(mean, stderr, 100))
-    assert _verdict(EstimateWithError(-mean, stderr, 100)) == swap[verdict]
+    verdict = _one_step_verdict(EstimateWithError(mean, stderr, 100))
+    assert _one_step_verdict(EstimateWithError(-mean, stderr, 100)) == swap[verdict]
 
 
 # ---------------------------------------------------------------- sampling

@@ -24,6 +24,7 @@ from monoculture import (
     CandidateDistribution,
     CandidatePool,
     NoiseSpec,
+    PoolError,
     RankingModelSpec,
     TieError,
     UnsupportedModelError,
@@ -451,6 +452,41 @@ def test_cached_top_two_pmf_is_read_only():
     assert quadrature.cache_info().hits == hits + 1
     with pytest.raises(ValueError):
         quadrature(gaussian.noise, gaussian.theta, tuple(x.tolist()))[0, 1] = 0.5
+
+
+
+@pytest.mark.parametrize("spec", [
+    MALLOWS, RankingModelSpec.plackett_luce(1.0), RankingModelSpec.rum(NoiseSpec.gaussian(), 1.0),
+    RankingModelSpec.rum(NoiseSpec.discrete(((-0.5, 0.5), (0.5, 0.5))), 1.0),
+], ids=["mallows", "plackett_luce", "gaussian", "two_atoms"])
+@pytest.mark.parametrize("x", [
+    [1.0], [1.0, math.nan], [1.0, math.inf, 0.0], [[0.0, 0.0], [1.0, 0.0]], [],
+], ids=["one", "nan", "inf", "2d", "empty"])
+def test_top_two_pmf_refuses_x_without_two_finite_values(spec, x):
+    # each of these gave a NaN pmf, a warning or a numpy error of its own
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoolError, match="1-D with at least two values, all finite"):
+            top_two_pmf(spec, x)
+
+
+def test_top_two_pmf_takes_unsorted_values():
+    # permuting the values of a value-dependent family permutes the pmf's
+    # rows and columns alike
+    x, order = POOL4.as_array(), [2, 0, 3, 1]
+    for spec in (RankingModelSpec.plackett_luce(0.7), RankingModelSpec.rum(THREE_ATOMS, 1.3)):
+        want = top_two_pmf(spec, x)[np.ix_(order, order)]
+        assert np.allclose(top_two_pmf(spec, x[order]), want, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("spec", [
+    MALLOWS, RankingModelSpec.plackett_luce(0.7), RankingModelSpec.rum(NoiseSpec.gaussian(), 0.7),
+], ids=["mallows", "plackett_luce", "rum"])
+def test_selection_pmf_is_read_only(spec):
+    for removed in (set(), {2}, {1, 3, 4}):
+        pmf = exact_selection_pmf(spec, POOL4, removed)
+        with pytest.raises(ValueError):
+            pmf[0] = 0.5
 
 
 CONTINUOUS_KINDS = ("gaussian", "laplacian", "gumbel")

@@ -135,7 +135,8 @@ def test_every_flag_and_label_follows_one_sign_rule(free, margin_a, margin_h, st
     ):
         sign = estimators._sign(margin, se)
         assert (dominant, tie) == (sign > 0, sign == 0)
-        verdict = estimators._verdict(estimators.EstimateWithError(margin, se, 100))
+        verdict = estimators._report(
+            "one step", [estimators.EstimateWithError(margin, se, 100)], {}).verdict
         assert verdict == {1: estimators.VERDICT_HOLDS, 0: estimators.VERDICT_INCONCLUSIVE,
                            -1: estimators.VERDICT_FAILS}[sign]
         signs.append(sign)
