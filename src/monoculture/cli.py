@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -163,12 +164,12 @@ def build_pool(args):
 
 
 def render(header: list[str], rows: list[list], dat: bool = False) -> str:
-    """CSV text, or single-space-separated columns under a commented header."""
+    """CSV text, or space-separated columns under a commented header; _ for spaces in a cell."""
     buf = io.StringIO()
     if dat:
         buf.write("# " + " ".join(header) + "\n")
         for row in rows:
-            buf.write(" ".join(fmt(v) if fmt(v) != "" else "-" for v in row) + "\n")
+            buf.write(" ".join("_".join(fmt(v).split()) or "-" for v in row) + "\n")
     else:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -801,6 +802,13 @@ def _trial_count(text: str) -> int:
     return int(n)
 
 
+def _out_path(text: str) -> str:
+    path = Path(text)  # checked here, so a path that cannot be written fails before any work
+    if path.is_dir() or not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):
+        raise ValueError("not a file in an existing, writable directory")
+    return text
+
+
 # flag -> (converter from its text, value when unset, help)
 FLAGS = {
     "family": (_lower_dash, "mallows", "mallows (default), rum, or plackett-luce"),
@@ -815,7 +823,7 @@ FLAGS = {
     "engine": (_engine, "exact", "exact (default) or mc"),
     "samples": (_trial_count, 1_000_000, "Monte Carlo trials (accepts 1e6)"),
     "seed": (int, 0, "base seed for all randomized work"),
-    "out": (str, None, "also write output to this path (.dat for space-separated "
+    "out": (_out_path, None, "also write output to this path (.dat for space-separated "
             "columns; reproduce and verify write CSV)"),
     "check": (_lower_dash, None, "first-position, weaker-competition, or monotonicity"),
     "removed": (lambda text: frozenset(int(c) for c in text.split(",")), frozenset(),
@@ -901,7 +909,7 @@ def main(argv=None) -> int:
     except (BracketError, TieError) as exc:
         print(f"monoculture: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:  # UsageError and every library domain error
+    except (ValueError, OSError) as exc:  # UsageError, library domain errors, writing --out
         print(f"monoculture: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

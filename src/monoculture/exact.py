@@ -531,10 +531,10 @@ class SequentialState:
     of states per row: S is the set of candidates hired so far, R the
     entries of the shared algorithmic ranking revealed so far. Each row has
     its own phi_a (a scalar is one row); phi_h and the values x are shared.
-    A firm playing A reveals entries until one is not in S and hires it; a
-    firm playing H hires the first survivor of a fresh ranking and reveals
-    nothing. A row's numbers equal its one-row run's. Callers keep rows
-    times the largest level's states within MAX_LEVEL_STATES.
+    Where `hire` gets True the firm plays A, revealing entries until one is
+    not in S and hiring it; elsewhere it plays H, hiring the first survivor
+    of a fresh ranking. A row's numbers equal its one-row run's. Callers
+    keep rows times the largest level's states within MAX_LEVEL_STATES.
     """
 
     def __init__(self, phi_a, phi_h: float, x: np.ndarray):
@@ -570,13 +570,8 @@ class SequentialState:
                 mass, weights = self.mass, _fresh_weights(self.phi_h, n, m)[:, None, :]
             flows = mass.reshape(shape) * weights
             # codes summed in order, from a codes-major copy (numpy's own middle-axis
-            # sum runs the short outsider axis innermost); one outsider leaves the
-            # codes contiguous, and numpy sums them pairwise there, as it always did
-            if flows.shape[3] == 1:
-                sums = np.add.reduce(flows, axis=2)
-            else:
-                sums = np.add.reduce(flows.transpose(2, 0, 1, 3).copy(), axis=0)
-            per_move = sums * values
+            # sum runs the short outsider axis innermost)
+            per_move = np.add.reduce(flows.transpose(2, 0, 1, 3).copy(), axis=0) * values
             self._steps[strategy] = np.add.reduce(per_move.reshape(self.rows, -1), axis=1), flows
         return self._steps[strategy]
 
@@ -584,25 +579,23 @@ class SequentialState:
         """The next firm's expected utility on each row if it plays strategy."""
         return self._step(strategy)[0]
 
-    def hire(self, strategy, parents=None) -> np.ndarray:
-        """The next firm hires by strategy, "A" or "H", on every row, or by A
-        where a boolean array strategy is True and by H elsewhere. With
-        parents, row i after the hire continues row parents[i] by
-        strategy[i], so rows may branch. Returns the utility on each row."""
-        if parents is None and not isinstance(strategy, str):
-            if np.count_nonzero(strategy) in (0, self.rows):
-                strategy = "A" if strategy[0] else "H"
-        if isinstance(strategy, str):
-            utility, flows = self._step(strategy)
+    def hire(self, plays_a, parents=None) -> np.ndarray:
+        """The next firm hires on each row, by A where the boolean array
+        plays_a is True and by H elsewhere; with parents, row i continues
+        row parents[i], so rows may branch. Returns the utility on each row."""
+        if np.asarray(plays_a).dtype != bool:  # as a bool, even "H" would read as A
+            raise TypeError(f"plays_a must be a boolean array, got {plays_a!r}")
+        if parents is None and np.count_nonzero(plays_a) in (0, self.rows):
+            utility, flows = self._step("A" if plays_a[0] else "H")
             moves, after = self._level[:2]
-            dest = moves.dest_a if strategy == "A" else moves.dest_h
+            dest = moves.dest_a if plays_a[0] else moves.dest_h
         else:
             rows = slice(None) if parents is None else parents
             (u_a, flows_a), (u_h, flows_h) = self._step("A"), self._step("H")
             moves, after = self._level[:2]
-            utility = np.where(strategy, u_a[rows], u_h[rows])
-            flows = np.where(strategy[:, None, None, None], flows_a[rows], flows_h[rows])
-            dest = np.where(strategy[:, None], moves.dest_a.reshape(1, -1), moves.dest_h.reshape(1, -1))
+            utility = np.where(plays_a, u_a[rows], u_h[rows])
+            flows = np.where(plays_a[:, None, None, None], flows_a[rows], flows_h[rows])
+            dest = np.where(plays_a[:, None], moves.dest_a.reshape(1, -1), moves.dest_h.reshape(1, -1))
             self._table, self.rows = self._table.reshape(self.rows, -1)[rows].ravel(), len(flows)
         if self.rows > 1:
             dest = dest.reshape(-1, moves.dest_a.size) + after * np.arange(self.rows)[:, None]
@@ -660,7 +653,8 @@ def _sequence_rows(sequences: list[tuple[str, ...]], phi_a: float, phi_h: float,
             taken = np.zeros(2 * state.rows, dtype=bool)
             taken[child] = True
             keys, row = np.flatnonzero(taken), (np.cumsum(taken) - 1)[child]
-            utilities[start:start + step, m] = state.hire(keys % 2 == 1, keys // 2)[row]
+            parents = None if len(keys) == state.rows else keys // 2  # None: no prefix branches
+            utilities[start:start + step, m] = state.hire(keys % 2 == 1, parents)[row]
     return utilities
 
 
@@ -676,8 +670,6 @@ def exact_sequential_utilities(
     ranking for all A-firms, independent fresh rankings for H-firms. Only
     the distance-based family is supported; pool distributions enter
     through expected order statistics (the ranking distribution does not
-    depend on the values).
+    depend on the values). This is the one-sequence `_sequence_rows`.
     """
-    seq = _validate_sequence(sequence)
-    state = SequentialState(phi_a, phi_h, _sequential_values(len(seq), [phi_a], phi_h, pool_or_d)[0])
-    return [float(state.hire(strategy)[0]) for strategy in seq]
+    return _sequence_rows([_validate_sequence(sequence)], phi_a, phi_h, pool_or_d)[0].tolist()

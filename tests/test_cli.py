@@ -179,6 +179,55 @@ def test_utilities_dat_output(tmp_path, capsys):
     assert fields[1] == "-"  # no noise on the distance family
 
 
+def test_dat_rows_keep_the_headers_field_count(tmp_path, capsys):
+    # the theta_h = 0 cell is an error whose message holds spaces
+    grid = ("--pool", POOL, "--grid", "0:0.5:0.5x0.5:0.5:1")
+    target = tmp_path / "e.dat"
+    assert run(capsys, "sweep", *grid, "--out", str(target))[0] == 0
+    header, *lines = target.read_text().splitlines()
+    names = header.removeprefix("# ").split()
+    assert len(names) == 10 and len(lines) == 2
+    assert all(len(line.split()) == len(names) for line in lines)
+    assert lines[0].split()[-1].startswith("UnsupportedModelError:_need_theta_>_0")
+    # CSV keeps the message as it is
+    code, out, _ = run(capsys, "sweep", *grid, "--out", str(tmp_path / "e.csv"))
+    assert code == 0 and rows_of(out)[0]["error"].startswith("UnsupportedModelError: need theta > 0")
+
+
+OUT_COMMANDS = [
+    ("utilities", "--pool", POOL, "--theta-h", "1", "--theta-a", "2"),
+    ("reproduce", "counterexample-b1"),
+]
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=["utilities", "reproduce"])
+@pytest.mark.parametrize("where", ["missing-directory", "under-a-file", "read-only-directory",
+                                   "a-directory"])
+def test_an_unwritable_out_fails_before_any_work(capsys, tmp_path, monkeypatch, argv, where):
+    out = tmp_path / "missing_dir" / "x.csv" if where == "missing-directory" else tmp_path
+    if where == "under-a-file":
+        (tmp_path / "f.txt").write_text("")
+        out = tmp_path / "f.txt" / "x.csv"
+    if where == "read-only-directory":
+        out = tmp_path / "x.csv"
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (1, "")  # no table, no PASS line
+    assert err.startswith("monoculture: error: --out ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=["utilities", "reproduce"])
+def test_an_out_write_error_exits_one_in_one_line(capsys, tmp_path, monkeypatch, argv):
+    def full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", full)
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+    assert (code, err) == (1, "monoculture: error: [Errno 28] No space left on device\n")
+
+
 def test_utilities_requires_both_accuracies(capsys):
     code, _, err = run(capsys, "utilities", "--theta-h", "1.0", "--pool", POOL)
     assert code == 1
@@ -698,6 +747,18 @@ def test_verify_output_matches_its_golden_record(capsys, tmp_path, suite):
 def test_sweep_output_matches_its_golden_record(capsys, tmp_path, name, flags):
     assert_golden(capsys, tmp_path, name,
                   "sweep", "--pool", POOL, "--grid", "0.5:2.5:0.5x0.5:2.5:0.5", *flags)
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("sequential-firms3", ("sequential", "--firms", "3", "--phi-a", "2", "--phi-h", "1.75",
+                           "--dist", "uniform:0:1:4")),
+    ("braess-search-firms3", ("braess-search", "--firms", "3", "--phi-a", "2", "--phi-h", "1.75",
+                              "--pool", "1,0.7,0.3,0")),
+    ("sweep-firms3", ("sweep", "--firms", "3", "--pool", "1,0.7,0.3,0",
+                      "--grid", "0.5:1.5:0.5x0.5:1.5:0.5")),
+], ids=["sequential", "braess-search", "sweep"])
+def test_kfirm_output_matches_its_golden_record(capsys, tmp_path, name, argv):
+    assert_golden(capsys, tmp_path, name, *argv)
 
 
 # ---------------------------------------------------------------- assembly

@@ -888,7 +888,10 @@ POOL6 = CandidatePool((2.0, 1.1, 0.9, 0.4, 0.0, -0.7))
 @pytest.mark.parametrize(
     "sequence, pool",
     [("".join(s), POOL5) for s in itertools.product("AH", repeat=4)]
-    + [("".join(s), POOL6) for s in itertools.product("AH", repeat=3)],
+    + [("".join(s), POOL6) for s in itertools.product("AH", repeat=3)]
+    # k = n: the last firm hires the one candidate left
+    + [("".join(s), POOL4) for s in itertools.product("AH", repeat=4)]
+    + [("".join(s), POOL5) for s in itertools.product("AH", repeat=5)],
     ids=lambda v: f"n{v.n}" if isinstance(v, CandidatePool) else v,
 )
 def test_sequential_recursion_matches_the_removed_set_replay(sequence, pool):
@@ -1113,10 +1116,35 @@ def test_fresh_weights_are_the_first_survivor_pmf(n):
 @given(st.data(), st.integers(2, 10), st.floats(1.05, 20.0), st.floats(1.05, 20.0))
 def test_hiring_past_the_pool_raises(data, n, phi_a, phi_h):
     state = SequentialState(phi_a, phi_h, np.linspace(1.0, 0.0, n))
-    for strategy in data.draw(st.lists(st.sampled_from("AH"), min_size=n, max_size=n)):
-        state.hire(strategy)
+    for plays_a in data.draw(st.lists(st.booleans(), min_size=n, max_size=n)):
+        state.hire(np.array([plays_a]))
+    for plays_a in (True, False):
+        with pytest.raises(UnsupportedModelError):
+            state.hire(np.array([plays_a]))
     for strategy in "AH":
         with pytest.raises(UnsupportedModelError):
-            state.hire(strategy)
-        with pytest.raises(UnsupportedModelError):
             state.utility_of_next(strategy)
+
+
+def test_hire_refuses_a_strategy_string():
+    # as a boolean array, any nonempty string would read as A
+    state = SequentialState(2.0, 1.5, POOL4.as_array())
+    for strategy in ("A", "H", ["H"]):
+        with pytest.raises(TypeError):
+            state.hire(strategy)
+    assert state.hired == 0 and state.mass.tolist() == [1.0]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data(), st.integers(2, 6), st.lists(st.floats(1.05, 20.0), min_size=1, max_size=4),
+       st.floats(1.05, 20.0))
+def test_uniform_plays_take_the_same_bits_without_and_with_parents(data, n, phi_a, phi_h):
+    # hire(plays, None) steps one strategy for every row; hire(plays,
+    # arange(rows)) steps both and picks per row
+    x = np.linspace(1.0, 0.0, n)
+    fast, branching = SequentialState(phi_a, phi_h, x), SequentialState(phi_a, phi_h, x)
+    for a in data.draw(st.lists(st.booleans(), min_size=n, max_size=n)):
+        plays = np.full(fast.rows, a)
+        got, want = fast.hire(plays, None), branching.hire(plays, np.arange(branching.rows))
+        assert got.tobytes() == want.tobytes()
+        assert fast.mass.tobytes() == branching.mass.tobytes()
